@@ -1,9 +1,11 @@
 package mediumgrain_test
 
 import (
+	"context"
 	"testing"
 
 	"mediumgrain"
+	"mediumgrain/internal/core"
 	"mediumgrain/internal/gen"
 )
 
@@ -28,7 +30,10 @@ func TestPublicVCycleRefine(t *testing.T) {
 		parts[k] = k % 2
 	}
 	before := mediumgrain.Volume(a, parts, 2)
-	refined := mediumgrain.VCycleRefine(a, parts, mediumgrain.DefaultOptions(), mediumgrain.NewRNG(2))
+	refined, err := core.NewEngine(0).VCycleRefine(context.Background(), a, parts, mediumgrain.DefaultOptions(), mediumgrain.NewRNG(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if after := mediumgrain.Volume(a, refined, 2); after > before {
 		t.Fatalf("v-cycle increased volume %d -> %d", before, after)
 	}
@@ -36,7 +41,7 @@ func TestPublicVCycleRefine(t *testing.T) {
 
 func TestPublicFullIterative(t *testing.T) {
 	a := gen.PowerLawGraph(mediumgrain.NewRNG(3), 150, 3)
-	res, err := mediumgrain.FullIterative(a, 3, mediumgrain.DefaultOptions(), mediumgrain.NewRNG(4))
+	res, err := core.NewEngine(0).FullIterative(context.Background(), a, 3, mediumgrain.DefaultOptions(), mediumgrain.NewRNG(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +52,7 @@ func TestPublicFullIterative(t *testing.T) {
 
 func TestPublicOptimizeVectorDistribution(t *testing.T) {
 	a := gen.Laplacian2D(10, 10)
-	res, err := mediumgrain.Partition(a, 4, mediumgrain.MethodMediumGrain,
-		mediumgrain.DefaultOptions(), mediumgrain.NewRNG(5))
+	res, err := inline.Partition(context.Background(), mediumgrain.Request{Matrix: a, P: 4, Method: mediumgrain.MethodMediumGrain, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +69,7 @@ func TestPublicOptimizeVectorDistribution(t *testing.T) {
 
 func TestPublicDistributedBundleRoundTrip(t *testing.T) {
 	a := gen.Laplacian2D(8, 8)
-	res, err := mediumgrain.Partition(a, 2, mediumgrain.MethodMediumGrain,
-		mediumgrain.DefaultOptions(), mediumgrain.NewRNG(6))
+	res, err := inline.Partition(context.Background(), mediumgrain.Request{Matrix: a, P: 2, Method: mediumgrain.MethodMediumGrain, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,60 +92,67 @@ func TestPublicDistributedBundleRoundTrip(t *testing.T) {
 
 func TestPublicKWayRefine(t *testing.T) {
 	a := gen.Laplacian2D(12, 12)
-	res, err := mediumgrain.Partition(a, 8, mediumgrain.MethodMediumGrain,
-		mediumgrain.DefaultOptions(), mediumgrain.NewRNG(7))
+	res, err := inline.Partition(context.Background(), mediumgrain.Request{Matrix: a, P: 8, Method: mediumgrain.MethodMediumGrain, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := append([]int(nil), res.Parts...)
-	after := mediumgrain.KWayRefine(a, parts, 8, 0.03, mediumgrain.NewRNG(8))
-	if after > res.Volume {
-		t.Fatalf("k-way refinement worsened %d -> %d", res.Volume, after)
+	ref, err := inline.Refine(context.Background(), mediumgrain.Request{Matrix: a, P: 8, Parts: res.Parts, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if mediumgrain.Imbalance(parts, 8) > 0.03+1e-9 {
+	if ref.Volume > res.Volume {
+		t.Fatalf("k-way refinement worsened %d -> %d", res.Volume, ref.Volume)
+	}
+	if mediumgrain.Imbalance(ref.Parts, 8) > 0.03+1e-9 {
 		t.Fatal("k-way refinement broke balance")
 	}
 }
 
+// TestPublicPartitionWorkers: the worker count is a throughput knob
+// only — engines at Workers 0, 1 and 4 return the same parts.
 func TestPublicPartitionWorkers(t *testing.T) {
 	a := gen.Laplacian2D(14, 14)
-	opts := mediumgrain.DefaultOptions()
-	opts.Workers = 1
-	seq, err := mediumgrain.Partition(a, 8, mediumgrain.MethodMediumGrain, opts, mediumgrain.NewRNG(21))
+	req := mediumgrain.Request{Matrix: a, P: 8, Method: mediumgrain.MethodMediumGrain, Seed: 21}
+	seq, err := inline.Partition(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Workers = 4
-	par, err := mediumgrain.Partition(a, 8, mediumgrain.MethodMediumGrain, opts, mediumgrain.NewRNG(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Volume != seq.Volume {
-		t.Fatalf("Workers=4 volume %d != Workers=1 volume %d", par.Volume, seq.Volume)
-	}
-	for k := range seq.Parts {
-		if seq.Parts[k] != par.Parts[k] {
-			t.Fatalf("Workers=4 parts differ from Workers=1 at nonzero %d", k)
+	for _, workers := range []int{1, 4} {
+		par, err := mediumgrain.New(mediumgrain.EngineConfig{Workers: workers}).Partition(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if par.Volume != seq.Volume {
+			t.Fatalf("Workers=%d volume %d != Workers=0 volume %d", workers, par.Volume, seq.Volume)
+		}
+		for k := range seq.Parts {
+			if seq.Parts[k] != par.Parts[k] {
+				t.Fatalf("Workers=%d parts differ from Workers=0 at nonzero %d", workers, k)
+			}
 		}
 	}
 }
 
 func TestPublicKWayRefineParallel(t *testing.T) {
 	a := gen.Laplacian2D(12, 12)
-	res, err := mediumgrain.Partition(a, 8, mediumgrain.MethodMediumGrain,
-		mediumgrain.DefaultOptions(), mediumgrain.NewRNG(7))
+	res, err := inline.Partition(context.Background(), mediumgrain.Request{Matrix: a, P: 8, Method: mediumgrain.MethodMediumGrain, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqParts := append([]int(nil), res.Parts...)
-	seqVol := mediumgrain.KWayRefine(a, seqParts, 8, 0.03, mediumgrain.NewRNG(8))
-	parParts := append([]int(nil), res.Parts...)
-	parVol := mediumgrain.KWayRefineParallel(a, parParts, 8, 0.03, 4, mediumgrain.NewRNG(8))
-	if parVol != seqVol {
-		t.Fatalf("parallel k-way volume %d != sequential %d", parVol, seqVol)
+	req := mediumgrain.Request{Matrix: a, P: 8, Parts: res.Parts, Seed: 8}
+	seq, err := inline.Refine(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for k := range seqParts {
-		if seqParts[k] != parParts[k] {
+	par, err := mediumgrain.New(mediumgrain.EngineConfig{Workers: 4}).Refine(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if par.Volume != seq.Volume {
+		t.Fatalf("parallel k-way volume %d != sequential %d", par.Volume, seq.Volume)
+	}
+	for k := range seq.Parts {
+		if seq.Parts[k] != par.Parts[k] {
 			t.Fatalf("parallel k-way parts differ at nonzero %d", k)
 		}
 	}
@@ -150,8 +160,7 @@ func TestPublicKWayRefineParallel(t *testing.T) {
 
 func TestPublicPredictSpMV(t *testing.T) {
 	a := gen.Laplacian2D(10, 10)
-	res, err := mediumgrain.Partition(a, 4, mediumgrain.MethodMediumGrain,
-		mediumgrain.DefaultOptions(), mediumgrain.NewRNG(9))
+	res, err := inline.Partition(context.Background(), mediumgrain.Request{Matrix: a, P: 4, Method: mediumgrain.MethodMediumGrain, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +175,7 @@ func TestPublicPredictSpMV(t *testing.T) {
 
 func TestPublicSymmetricVolume(t *testing.T) {
 	a := gen.Laplacian2D(8, 8)
-	res, err := mediumgrain.Bipartition(a, mediumgrain.MethodMediumGrain,
-		mediumgrain.DefaultOptions(), mediumgrain.NewRNG(10))
+	res, err := inline.Bipartition(context.Background(), mediumgrain.Request{Matrix: a, Method: mediumgrain.MethodMediumGrain, Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

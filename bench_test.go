@@ -11,11 +11,11 @@
 package mediumgrain_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"mediumgrain"
-	"mediumgrain/internal/core"
 	"mediumgrain/internal/corpus"
 	"mediumgrain/internal/experiments"
 	"mediumgrain/internal/gen"
@@ -144,9 +144,9 @@ func BenchmarkAblationInitialSplit(b *testing.B) {
 		b.Run(s.name, func(b *testing.B) {
 			var vol int64
 			for i := 0; i < b.N; i++ {
-				opts := mediumgrain.DefaultOptions()
-				opts.Split = s.split
-				res, err := mediumgrain.Bipartition(a, mediumgrain.MethodMediumGrain, opts, mediumgrain.NewRNG(int64(i)))
+				res, err := inline.Bipartition(context.Background(), mediumgrain.Request{
+					Matrix: a, Method: mediumgrain.MethodMediumGrain, Seed: int64(i), Strategy: s.split,
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -168,9 +168,9 @@ func BenchmarkAblationRefinement(b *testing.B) {
 		b.Run(refine.name, func(b *testing.B) {
 			var vol int64
 			for i := 0; i < b.N; i++ {
-				opts := mediumgrain.DefaultOptions()
-				opts.Refine = refine.on
-				res, err := mediumgrain.Bipartition(a, mediumgrain.MethodMediumGrain, opts, mediumgrain.NewRNG(int64(i)))
+				res, err := inline.Bipartition(context.Background(), mediumgrain.Request{
+					Matrix: a, Method: mediumgrain.MethodMediumGrain, Seed: int64(i), Refine: refine.on,
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -191,7 +191,7 @@ func BenchmarkMethodSpeed(b *testing.B) {
 	} {
 		b.Run(m.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := mediumgrain.Bipartition(a, m, mediumgrain.DefaultOptions(), mediumgrain.NewRNG(int64(i))); err != nil {
+				if _, err := inline.Bipartition(context.Background(), mediumgrain.Request{Matrix: a, Method: m, Seed: int64(i)}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -203,7 +203,7 @@ func BenchmarkMethodSpeed(b *testing.B) {
 func BenchmarkRecursiveP64(b *testing.B) {
 	a := gen.Laplacian2D(40, 40)
 	for i := 0; i < b.N; i++ {
-		if _, err := mediumgrain.Partition(a, 64, mediumgrain.MethodMediumGrain, mediumgrain.DefaultOptions(), mediumgrain.NewRNG(int64(i))); err != nil {
+		if _, err := inline.Partition(context.Background(), mediumgrain.Request{Matrix: a, P: 64, Method: mediumgrain.MethodMediumGrain, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -212,7 +212,7 @@ func BenchmarkRecursiveP64(b *testing.B) {
 // BenchmarkSpMV times the parallel SpMV substrate on a partitioned mesh.
 func BenchmarkSpMV(b *testing.B) {
 	a := gen.WithRandomValues(mediumgrain.NewRNG(3), gen.Laplacian2D(40, 40))
-	res, err := mediumgrain.Partition(a, 4, mediumgrain.MethodMediumGrain, mediumgrain.DefaultOptions(), mediumgrain.NewRNG(4))
+	res, err := inline.Partition(context.Background(), mediumgrain.Request{Matrix: a, P: 4, Method: mediumgrain.MethodMediumGrain, Seed: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -235,13 +235,15 @@ func BenchmarkSpMV(b *testing.B) {
 // BenchmarkIterativeRefine times IR as a standalone post-process.
 func BenchmarkIterativeRefine(b *testing.B) {
 	a := gen.PowerLawGraph(rand.New(rand.NewSource(5)), 1000, 4)
-	base, err := core.Bipartition(a, core.MethodRowNet, core.DefaultOptions(), rand.New(rand.NewSource(6)))
+	base, err := inline.Bipartition(context.Background(), mediumgrain.Request{Matrix: a, Method: mediumgrain.MethodRowNet, Seed: 6})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mediumgrain.IterativeRefine(a, base.Parts, mediumgrain.DefaultOptions(), mediumgrain.NewRNG(int64(i)))
+		if _, err := inline.Refine(context.Background(), mediumgrain.Request{Matrix: a, Parts: base.Parts, Seed: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -249,16 +251,18 @@ func BenchmarkIterativeRefine(b *testing.B) {
 // bisection: volume before vs after the greedy λ−1 pass.
 func BenchmarkAblationKWay(b *testing.B) {
 	a := gen.PowerLawGraph(rand.New(rand.NewSource(8)), 1200, 4)
-	res, err := mediumgrain.Partition(a, 16, mediumgrain.MethodMediumGrain,
-		mediumgrain.DefaultOptions(), mediumgrain.NewRNG(9))
+	res, err := inline.Partition(context.Background(), mediumgrain.Request{Matrix: a, P: 16, Method: mediumgrain.MethodMediumGrain, Seed: 9})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var after int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parts := append([]int(nil), res.Parts...)
-		after = mediumgrain.KWayRefine(a, parts, 16, 0.03, mediumgrain.NewRNG(int64(i)))
+		ref, err := inline.Refine(context.Background(), mediumgrain.Request{Matrix: a, P: 16, Parts: res.Parts, Seed: int64(i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		after = ref.Volume
 	}
 	b.ReportMetric(float64(res.Volume), "vol-before")
 	b.ReportMetric(float64(after), "vol-after")
@@ -268,8 +272,7 @@ func BenchmarkAblationKWay(b *testing.B) {
 // local search over the greedy distribution.
 func BenchmarkAblationVectorOpt(b *testing.B) {
 	a := gen.Laplacian2D(40, 40)
-	res, err := mediumgrain.Partition(a, 16, mediumgrain.MethodMediumGrain,
-		mediumgrain.DefaultOptions(), mediumgrain.NewRNG(10))
+	res, err := inline.Partition(context.Background(), mediumgrain.Request{Matrix: a, P: 16, Method: mediumgrain.MethodMediumGrain, Seed: 10})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -295,8 +298,7 @@ func BenchmarkLargeMesh(b *testing.B) {
 	b.ResetTimer()
 	var vol int64
 	for i := 0; i < b.N; i++ {
-		res, err := mediumgrain.Bipartition(a, mediumgrain.MethodMediumGrain,
-			mediumgrain.DefaultOptions(), mediumgrain.NewRNG(int64(i)))
+		res, err := inline.Bipartition(context.Background(), mediumgrain.Request{Matrix: a, Method: mediumgrain.MethodMediumGrain, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}

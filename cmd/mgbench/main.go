@@ -154,8 +154,7 @@ func main() {
 
 	// The whole grid runs through the public Engine API — one reusable
 	// engine per worker count, as a production caller would hold it —
-	// so the report gates the Engine path against the baseline (results
-	// are bit-identical to the legacy per-call API for equal seeds).
+	// so the report gates the Engine path against the baseline.
 	pcfg := mediumgrain.MondriaanLikeConfig()
 	pcfg.ExactFM = *exactFM
 	pcfg.ParallelFM = *parallelFM
@@ -278,7 +277,7 @@ func buildGrid(seed int64, scale int, quick bool) []gridMatrix {
 
 // runPoint times Engine.Partition for one grid point, keeping the best
 // wall time over runs; quality metrics come from the last run (all runs
-// use the same seed and are identical for Workers >= 1). With tries > 1
+// use the same seed and are identical at every worker count). With tries > 1
 // the point races a best-of-N search and the entry carries the
 // quality-vs-time frontier of the last run.
 func runPoint(eng *mediumgrain.Engine, gm gridMatrix, p int, method string, workers int, eps float64, seed int64, runs, tries int, budget time.Duration) (report.BenchEntry, error) {

@@ -38,7 +38,7 @@ func main() {
 		seed    = flag.Int64("seed", 7, "random seed")
 		p64     = flag.Int("p", 64, "large part count for fig6(b)/table2")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "matrices evaluated concurrently")
-		engineW = flag.Int("engine-workers", 0, "core.Options.Workers per partitioning call (0 = sequential legacy engine); use with -workers 1 for single-large-matrix sweeps")
+		engineW = flag.Int("engine-workers", 0, "pool size of the shared partitioning engine (0 = inline); never changes a result; use with -workers 1 for single-large-matrix sweeps")
 	)
 	flag.Parse()
 	if *workers < 1 {

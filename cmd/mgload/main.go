@@ -70,7 +70,6 @@ func main() {
 		psFlag     = flag.String("ps", "2,4,8", "comma-separated part counts")
 		seeds      = flag.Int("seeds", 2, "partitioning seeds per (matrix, p): 1..n")
 		method     = flag.String("method", "MG", "partitioning method")
-		workers    = flag.Int("workers", 2, "job spec workers field (0 = sequential engine)")
 		exactFM    = flag.Bool("exact-fm", false, "request exact all-vertex FM passes instead of the boundary-driven default")
 		parallelFM = flag.Bool("parallel-fm", false, "request the parallel refinement layers (coarse-level try racing + speculative boundary batches)")
 		theta      = flag.Float64("zipf", 0.9, "Zipf skew over the spec space (0 = uniform)")
@@ -90,7 +89,7 @@ func main() {
 	targets := buildTargets(*targetsCSV, *addr)
 	primary := targets[0]
 
-	specs := buildSpecs(*matrices, *psFlag, *seeds, *method, *workers, *exactFM, *parallelFM)
+	specs := buildSpecs(*matrices, *psFlag, *seeds, *method, *exactFM, *parallelFM)
 	if len(specs) == 0 {
 		log.Fatal("empty spec space")
 	}
@@ -183,7 +182,7 @@ func buildTargets(csv, addr string) []string {
 }
 
 // buildSpecs crosses matrices × part counts × seeds into the spec space.
-func buildSpecs(matrices, psFlag string, seeds int, method string, workers int, exactFM, parallelFM bool) []service.JobSpec {
+func buildSpecs(matrices, psFlag string, seeds int, method string, exactFM, parallelFM bool) []service.JobSpec {
 	var ps []int
 	for _, f := range strings.Split(psFlag, ",") {
 		p, err := strconv.Atoi(strings.TrimSpace(f))
@@ -204,7 +203,7 @@ func buildSpecs(matrices, psFlag string, seeds int, method string, workers int, 
 		for _, p := range ps {
 			for s := 1; s <= seeds; s++ {
 				specs = append(specs, service.JobSpec{
-					Corpus: name, P: p, Method: method, Seed: int64(s), Workers: workers,
+					Corpus: name, P: p, Method: method, Seed: int64(s),
 					ExactFM: exactFM, ParallelFM: parallelFM,
 				})
 			}
@@ -530,17 +529,12 @@ func submitAndFetch(addr string, spec service.JobSpec, poll, timeout time.Durati
 	return rv, err
 }
 
-// verifyEngines are the long-lived engines behind -verify: one per
-// engine class the server addresses (any Workers >= 1 is bit-identical
-// to the server's shared pool, so one single-worker engine stands in
-// for every parallel worker count).
-var (
-	verifyParEngine = core.NewEngine(1)
-	verifySeqEngine = core.NewEngine(0)
-)
+// verifyEngine is the long-lived engine behind -verify: results are
+// bit-identical at every worker count, so one single-worker engine
+// reproduces whatever pool the server runs.
+var verifyEngine = core.NewEngine(1)
 
-// offline runs the library locally with the engine class the server
-// used.
+// offline runs the library locally on the spec the server ran.
 func offline(a *sparse.Matrix, spec service.JobSpec) ([]int, error) {
 	m, err := core.ParseMethod(spec.Method)
 	if err != nil {
@@ -553,11 +547,7 @@ func offline(a *sparse.Matrix, spec service.JobSpec) ([]int, error) {
 	opts.Refine = spec.Refine
 	opts.Config.ExactFM = spec.ExactFM
 	opts.Config.ParallelFM = spec.ParallelFM
-	eng := verifySeqEngine
-	if spec.Workers != 0 {
-		eng = verifyParEngine
-	}
-	res, err := eng.Partition(context.Background(), a, spec.P, m, opts, rand.New(rand.NewSource(spec.Seed)))
+	res, err := verifyEngine.Partition(context.Background(), a, spec.P, m, opts, rand.New(rand.NewSource(spec.Seed)))
 	if err != nil {
 		return nil, err
 	}

@@ -44,12 +44,12 @@ func main() {
 		ir         = flag.Bool("ir", false, "apply iterative refinement")
 		engine     = flag.String("engine", "mondriaan", "hypergraph engine: mondriaan or alt")
 		exactFM    = flag.Bool("exact-fm", false, "exact all-vertex FM passes (historical behavior) instead of the boundary-driven default")
-		parallelFM = flag.Bool("parallel-fm", false, "parallel refinement layers (coarse-level try racing + speculative boundary batches); needs -workers != 0")
+		parallelFM = flag.Bool("parallel-fm", false, "parallel refinement layers (coarse-level try racing + speculative boundary batches); a mode switch whose per-seed results differ from the default but are identical at every -workers")
 		seed       = flag.Int64("seed", 1, "random seed")
 		tries      = flag.Int("tries", 1, "race-to-best search width (>1 races seed variants seed..seed+N-1)")
 		budget     = flag.Duration("budget", 0, "wall-time budget for the search race (0 = none)")
 		varyFM     = flag.Bool("vary-fm", false, "race both FM modes across the search tries (odd tries flip -exact-fm)")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines for the parallel engine (0 = sequential legacy path)")
+		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines (0 = inline on one goroutine); never changes the result")
 		outPath    = flag.String("out", "", "write part assignment (one id per line)")
 		spy        = flag.Bool("spy", false, "print an ASCII spy plot of the partitioned matrix")
 		stats      = flag.Bool("stats", false, "print per-part statistics and the lambda histogram")

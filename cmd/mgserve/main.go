@@ -73,7 +73,6 @@ func main() {
 		corpusScale = flag.Int("corpus-scale", 0, "corpus scale (0 = default)")
 		corpusSeed  = flag.Int64("corpus-seed", 0, "corpus seed (0 = default)")
 		timeout     = flag.Duration("timeout", 5*time.Minute, "default per-job timeout")
-		salvage     = flag.Bool("salvage", false, "salvage-on-cancel: let timed-out/canceled computations finish in the background and cache their results instead of canceling their context")
 
 		// Cluster roles.
 		router    = flag.Bool("router", false, "run as a stateless cluster router over -shards instead of a compute shard")
@@ -151,17 +150,16 @@ func main() {
 	}
 
 	srv, warns := service.New(service.Config{
-		Workers:         *workers,
-		Runners:         *runners,
-		QueueDepth:      *queue,
-		CacheEntries:    *cacheSize,
-		DataDir:         *dataDir,
-		DefaultTimeout:  *timeout,
-		CorpusScale:     *corpusScale,
-		CorpusSeed:      *corpusSeed,
-		SalvageOnCancel: *salvage,
-		Cluster:         clu,
-		Members:         members,
+		Workers:        *workers,
+		Runners:        *runners,
+		QueueDepth:     *queue,
+		CacheEntries:   *cacheSize,
+		DataDir:        *dataDir,
+		DefaultTimeout: *timeout,
+		CorpusScale:    *corpusScale,
+		CorpusSeed:     *corpusSeed,
+		Cluster:        clu,
+		Members:        members,
 	})
 	for _, w := range warns {
 		log.Printf("startup: %v", w)

@@ -12,25 +12,25 @@ import (
 	"mediumgrain/internal/metrics"
 )
 
-// EngineConfig sizes an Engine. The zero value is usable: a sequential
+// EngineConfig sizes an Engine. The zero value is usable: an inline
 // engine with the paper's Mondriaan-like partitioner.
 type EngineConfig struct {
-	// Workers selects the execution engine: 0 is the sequential legacy
-	// path (bit-identical to the historical Options.Workers == 0
-	// results), any N >= 1 a worker pool of N goroutines, and a negative
-	// value runtime.GOMAXPROCS(0). For a given seed every Workers >= 1
-	// produces bit-identical results, so the worker count is purely a
-	// throughput knob.
+	// Workers sizes the engine's worker pool: N >= 1 runs on N
+	// goroutines, a negative value on runtime.GOMAXPROCS(0), and 0 runs
+	// inline on the calling goroutine. It is purely a throughput knob:
+	// for a given seed every value, 0 included, produces bit-identical
+	// results.
 	Workers int
 	// Partitioner tunes the multilevel hypergraph engine; the zero value
 	// selects MondriaanLikeConfig(), the paper's primary engine. Its
 	// ExactFM field selects between the boundary-driven FM refinement
 	// default and the historical exact all-vertex passes, and its
-	// ParallelFM field (parallel engines only) spends the worker budget
-	// inside refinement itself — coarse-level try racing plus
-	// speculative boundary move batches; see PartitionerConfig and the
-	// package comment's FM-refinement-modes section for the determinism
-	// contract of each flag.
+	// ParallelFM field spends the worker budget inside refinement
+	// itself — coarse-level try racing plus speculative boundary move
+	// batches; see PartitionerConfig and the package comment's
+	// FM-refinement-modes section for the determinism contract of each
+	// flag. Its Workers field is ignored: EngineConfig.Workers sizes the
+	// pool.
 	Partitioner PartitionerConfig
 }
 
@@ -48,10 +48,9 @@ type EngineConfig struct {
 // call returns context.Canceled promptly, leaks no goroutine, and
 // leaves the scratch free list balanced.
 //
-// Determinism: requests carry a Seed, and the engine derives the same
-// per-subproblem RNG streams as the deprecated free functions — for
-// equal seeds, Engine results are bit-identical to the legacy API at
-// every worker count.
+// Determinism: requests carry a Seed from which the engine derives every
+// per-subproblem RNG stream, so for equal seeds results are
+// bit-identical at every worker count.
 type Engine struct {
 	cfg EngineConfig
 	eng *core.Engine
@@ -66,14 +65,11 @@ func New(cfg EngineConfig) *Engine {
 	return &Engine{cfg: cfg, eng: core.NewEngine(cfg.Workers)}
 }
 
-// Workers reports the engine's pool size; 0 for a sequential engine.
+// Workers reports the engine's pool size; 0 for an inline engine.
 func (e *Engine) Workers() int { return e.eng.Workers() }
 
-// defaultEngine backs the deprecated package-level functions: one
-// sequential engine per distinct legacy Workers value would defeat the
-// point, so the wrappers construct throwaway core engines instead; this
-// default engine serves callers migrating incrementally who want a
-// shared handle without plumbing one through yet.
+// defaultEngine serves callers that want a shared handle without
+// plumbing one through their code.
 var (
 	defaultEngineOnce sync.Once
 	defaultEngine     *Engine
@@ -141,8 +137,7 @@ type Request struct {
 	// MethodMediumGrain, the paper's method.
 	Method Method
 	// Seed drives every randomized choice: equal seeds give bit-identical
-	// results at every worker count (replacing the *rand.Rand of the
-	// deprecated API).
+	// results at every worker count.
 	Seed int64
 	// Eps is the allowed load imbalance of eqn (1). 0 selects the
 	// paper's 0.03; a negative value requests exact balance (ε = 0).
@@ -235,11 +230,10 @@ func (req Request) resolve(needParts bool) (int, error) {
 // options maps a Request onto the internal Options, resolving defaults.
 func (e *Engine) options(req Request) Options {
 	opts := Options{
-		Eps:     req.Eps,
-		Refine:  req.Refine,
-		Config:  e.cfg.Partitioner,
-		Split:   req.Strategy,
-		Workers: e.cfg.Workers,
+		Eps:    req.Eps,
+		Refine: req.Refine,
+		Config: e.cfg.Partitioner,
+		Split:  req.Strategy,
 	}
 	if req.Eps == 0 {
 		opts.Eps = DefaultOptions().Eps

@@ -8,9 +8,9 @@ import (
 	"mediumgrain/internal/gen"
 )
 
-// ExampleBipartition partitions the paper's Fig. 1 matrix with the
-// medium-grain method.
-func ExampleBipartition() {
+// ExampleEngine_Bipartition partitions the paper's Fig. 1 matrix with
+// the medium-grain method and the paper's iterative refinement.
+func ExampleEngine_Bipartition() {
 	a := mediumgrain.NewMatrix(3, 6)
 	for _, nz := range [][2]int{
 		{0, 0}, {0, 2}, {0, 3}, {0, 5},
@@ -21,41 +21,47 @@ func ExampleBipartition() {
 	}
 	a.Canonicalize()
 
-	opts := mediumgrain.DefaultOptions()
-	opts.Refine = true
-	res, err := mediumgrain.Bipartition(a, mediumgrain.MethodMediumGrain, opts, mediumgrain.NewRNG(42))
+	eng := mediumgrain.New(mediumgrain.EngineConfig{})
+	res, err := eng.Bipartition(context.Background(), mediumgrain.Request{
+		Matrix: a,
+		Method: mediumgrain.MethodMediumGrain,
+		Seed:   42,
+		Refine: true,
+	})
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("parts per nonzero:", len(res.Parts))
-	fmt.Println("balanced:", mediumgrain.Imbalance(res.Parts, 2) <= opts.Eps)
+	fmt.Println("balanced:", mediumgrain.Imbalance(res.Parts, 2) <= 0.03)
 	// Output:
 	// parts per nonzero: 12
 	// balanced: true
 }
 
-// ExampleIterativeRefine applies Algorithm 2 to a deliberately bad
-// partitioning and shows that the volume never increases.
-func ExampleIterativeRefine() {
+// ExampleEngine_Refine applies Algorithm 2 to a deliberately bad
+// bipartitioning and shows that the volume never increases.
+func ExampleEngine_Refine() {
 	a := gen.Laplacian2D(12, 12)
 	parts := make([]int, a.NNZ())
 	for k := range parts {
 		parts[k] = k % 2 // awful: nonzeros alternate parts
 	}
-	before := mediumgrain.Volume(a, parts, 2)
-	refined := mediumgrain.IterativeRefine(a, parts, mediumgrain.DefaultOptions(), mediumgrain.NewRNG(1))
-	after := mediumgrain.Volume(a, refined, 2)
-	fmt.Println("volume reduced:", after < before)
+	eng := mediumgrain.New(mediumgrain.EngineConfig{})
+	res, err := eng.Refine(context.Background(), mediumgrain.Request{Matrix: a, Parts: parts, Seed: 1})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("volume reduced:", res.Volume < mediumgrain.Volume(a, parts, 2))
 	// Output:
 	// volume reduced: true
 }
 
-// ExamplePartition distributes a mesh over 8 processors by recursive
-// bisection.
-func ExamplePartition() {
+// ExampleEngine_Partition_recursive distributes a mesh over 8
+// processors by recursive bisection.
+func ExampleEngine_Partition_recursive() {
 	a := gen.Laplacian2D(16, 16)
-	res, err := mediumgrain.Partition(a, 8, mediumgrain.MethodMediumGrain,
-		mediumgrain.DefaultOptions(), mediumgrain.NewRNG(3))
+	eng := mediumgrain.New(mediumgrain.EngineConfig{})
+	res, err := eng.Partition(context.Background(), mediumgrain.Request{Matrix: a, P: 8, Method: mediumgrain.MethodMediumGrain, Seed: 3})
 	if err != nil {
 		panic(err)
 	}
@@ -75,8 +81,8 @@ func ExamplePartition() {
 // model's communication volume.
 func ExampleRunSpMV() {
 	a := gen.WithRandomValues(mediumgrain.NewRNG(4), gen.Laplacian2D(10, 10))
-	res, err := mediumgrain.Partition(a, 4, mediumgrain.MethodMediumGrain,
-		mediumgrain.DefaultOptions(), mediumgrain.NewRNG(5))
+	eng := mediumgrain.New(mediumgrain.EngineConfig{})
+	res, err := eng.Partition(context.Background(), mediumgrain.Request{Matrix: a, P: 4, Method: mediumgrain.MethodMediumGrain, Seed: 5})
 	if err != nil {
 		panic(err)
 	}
@@ -102,18 +108,18 @@ func ExampleRunSpMV() {
 func ExampleInitialSplit() {
 	a := gen.Tridiagonal(100)
 	inRow := mediumgrain.InitialSplit(a, mediumgrain.SplitNNZ, mediumgrain.NewRNG(6))
-	par := mediumgrain.InitialSplitParallel(a, mediumgrain.NewRNG(6), 4)
+	again := mediumgrain.InitialSplit(a, mediumgrain.SplitNNZ, mediumgrain.NewRNG(6))
 	same := true
 	for k := range inRow {
-		if inRow[k] != par[k] {
+		if inRow[k] != again[k] {
 			same = false
 		}
 	}
 	fmt.Println("split covers all nonzeros:", len(inRow) == a.NNZ())
-	fmt.Println("parallel split identical:", same)
+	fmt.Println("equal seeds, equal split:", same)
 	// Output:
 	// split covers all nonzeros: true
-	// parallel split identical: true
+	// equal seeds, equal split: true
 }
 
 // ExampleEngine_Partition is the recommended entry point: one reusable

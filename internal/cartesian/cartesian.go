@@ -47,7 +47,7 @@ func Partition(a *sparse.Matrix, p, q int, opts core.Options, rng *rand.Rand) (*
 	// bisection.
 	phase1 := opts
 	phase1.Eps = opts.Eps / 2
-	rowRes, err := core.NewEngine(opts.Workers).Partition(context.Background(), a, p, core.MethodColNet, phase1, rng)
+	rowRes, err := core.NewEngine(0).Partition(context.Background(), a, p, core.MethodColNet, phase1, rng)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package cartesian
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -111,7 +112,7 @@ func TestCartesianVsMediumGrain(t *testing.T) {
 	}
 	opts := core.DefaultOptions()
 	opts.Refine = true
-	mg, err := core.Partition(a, 4, core.MethodMediumGrain, opts, rand.New(rand.NewSource(10)))
+	mg, err := core.NewEngine(0).Partition(context.Background(), a, 4, core.MethodMediumGrain, opts, rand.New(rand.NewSource(10)))
 	if err != nil {
 		t.Fatal(err)
 	}

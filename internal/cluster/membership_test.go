@@ -30,6 +30,8 @@ func startMemberShard(t *testing.T, ln net.Listener, self, secret string, set *m
 	for _, w := range warns {
 		t.Fatalf("shard %s: %v", self, w)
 	}
+	// Drain before TempDir's removal (cleanups run last-in first-out).
+	t.Cleanup(srv.Drain)
 	hs := &http.Server{Handler: srv.Handler()}
 	go hs.Serve(ln)
 	t.Cleanup(func() { hs.Close() })

@@ -37,6 +37,9 @@ func startShardWrapped(t *testing.T, ln net.Listener, self string, ring *cluster
 	for _, w := range warns {
 		t.Fatalf("shard %s: %v", self, w)
 	}
+	// Cleanups run last-in first-out: the drain finishes every in-flight
+	// job (and its persist into DataDir) before TempDir is removed.
+	t.Cleanup(srv.Drain)
 	h := http.Handler(srv.Handler())
 	if wrap != nil {
 		h = wrap(h)

@@ -32,9 +32,11 @@ type JobSpec struct {
 	// ParallelFM enables the parallel refinement layers (coarse-level try
 	// racing, speculative boundary batches) inside each partition run;
 	// per-seed results differ from the serial-refinement default, so the
-	// choice is part of the cache key. Requires workers != 0.
+	// choice is part of the cache key.
 	ParallelFM bool `json:"parallel_fm,omitempty"`
-	Workers    int  `json:"workers,omitempty"`
+	// Workers is accepted and ignored: every job runs on the server's
+	// shared engine, and the worker count never changes a result.
+	Workers int `json:"workers,omitempty"`
 	// Tries > 1 races that many deterministic seed variants (seed..
 	// seed+N-1) and keeps the lowest-volume result; BudgetMS bounds the
 	// race's wall time. Both are part of the cache key: best-of-N
@@ -44,27 +46,18 @@ type JobSpec struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
-// Engine classes of the cache key: all Workers >= 1 runs share
-// EnginePar (bit-identical results), Workers == 0 is the legacy
-// sequential path.
-const (
-	EngineSeq = "seq"
-	EnginePar = "par"
-)
-
 // MaxTries bounds a job's race-to-best search width: each try is a full
 // partitioning, so an unbounded N would let one request multiply its
 // compute cost arbitrarily past the admission controls.
 const MaxTries = 64
 
-// Normalized is the scalar part of a validated spec: defaults applied,
-// search width normalized, engine class derived. It is everything the
-// cache key needs besides the matrix hash.
+// Normalized is the scalar part of a validated spec: defaults applied
+// and search width normalized. It is everything the cache key needs
+// besides the matrix hash.
 type Normalized struct {
 	Method core.Method
 	Eps    float64
 	Tries  int // >= 1
-	Engine string
 }
 
 // Normalize validates a spec's scalar fields and applies the documented
@@ -110,14 +103,9 @@ func (spec JobSpec) Normalize() (Normalized, error) {
 	if tries < 1 {
 		tries = 1
 	}
-	engine := EnginePar
-	if spec.Workers == 0 {
-		engine = EngineSeq
-	}
 	n.Method = method
 	n.Eps = eps
 	n.Tries = tries
-	n.Engine = engine
 	return n, nil
 }
 
@@ -145,15 +133,15 @@ func MatrixHash(a *sparse.Matrix) string {
 }
 
 // CacheKey derives the content address of a result from the matrix hash
-// and the partitioning configuration. The engine class ("seq"/"par")
-// stands in for the worker count: every Workers >= 1 run is
-// bit-identical, so they share one slot. The FM modes — boundary-driven
+// and the partitioning configuration. The worker count is not part of
+// it: every worker count gives bit-identical results, so all share one
+// slot. The FM modes — boundary-driven
 // default vs exact all-vertex passes (exactFM), serial refinement vs the
 // parallel racing/speculative layers (parallelFM) — change per-seed
 // results, so both are part of the key, and so is the full race-to-best
 // search spec (tries, budgetMS): a best-of-N result must never answer a
 // single-run request or a different N, and a budgeted race is not even
-// deterministic. The version tag ("mgserve/4") is bumped with every
+// deterministic. The version tag ("mgserve/5") is bumped with every
 // key-shape change so results computed under older semantics can never
 // answer a current request. Callers pass tries normalized (>= 1) and
 // budgetMS >= 0.
@@ -161,10 +149,10 @@ func MatrixHash(a *sparse.Matrix) string {
 // The same key is the cluster routing key: Ring ownership, router
 // failover, peer cache fetches, and hot-entry replication all address
 // shards by it.
-func CacheKey(matrixHash string, p int, method string, seed int64, eps float64, refine, exactFM, parallelFM bool, engine string, tries, budgetMS int) string {
+func CacheKey(matrixHash string, p int, method string, seed int64, eps float64, refine, exactFM, parallelFM bool, tries, budgetMS int) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "mgserve/4|%s|p=%d|m=%s|seed=%d|eps=%g|refine=%t|exactfm=%t|parallelfm=%t|engine=%s|tries=%d|budget=%dms",
-		matrixHash, p, method, seed, eps, refine, exactFM, parallelFM, engine, tries, budgetMS)
+	fmt.Fprintf(h, "mgserve/5|%s|p=%d|m=%s|seed=%d|eps=%g|refine=%t|exactfm=%t|parallelfm=%t|tries=%d|budget=%dms",
+		matrixHash, p, method, seed, eps, refine, exactFM, parallelFM, tries, budgetMS)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
@@ -217,5 +205,5 @@ func RouteKey(spec JobSpec, corpusHash func(name string) (string, bool)) (string
 	default:
 		return "", fmt.Errorf("give a corpus name or matrix_mtx text")
 	}
-	return CacheKey(hash, spec.P, n.Method.String(), spec.Seed, n.Eps, spec.Refine, spec.ExactFM, spec.ParallelFM, n.Engine, n.Tries, spec.BudgetMS), nil
+	return CacheKey(hash, spec.P, n.Method.String(), spec.Seed, n.Eps, spec.Refine, spec.ExactFM, spec.ParallelFM, n.Tries, spec.BudgetMS), nil
 }

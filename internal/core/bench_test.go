@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -29,40 +30,31 @@ func BenchmarkSplitParallel(b *testing.B) {
 	}
 }
 
-// benchmarkRecursive times Partition at the given p and worker count;
-// workers=1 is the sequential execution of the parallel engine, so the
-// w1-vs-wN sub-benchmark ratio is the engine's parallel speedup.
+// benchmarkRecursive times Engine.Partition at the given p and worker
+// count; workers=1 is the sequential execution of the pool, so the
+// w1-vs-wN sub-benchmark ratio is the engine's parallel speedup, and w0
+// is the same algorithm inline with no pool at all.
 func benchmarkRecursive(b *testing.B, p, workers int) {
 	a := gen.Laplacian2D(90, 90)
-	opts := DefaultOptions()
-	opts.Workers = workers
+	eng := NewEngine(workers)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Partition(a, p, MethodMediumGrain, opts, rand.New(rand.NewSource(42))); err != nil {
+		if _, err := eng.Partition(context.Background(), a, p, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(42))); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkRecursiveP16(b *testing.B) {
+	b.Run("w0", func(b *testing.B) { benchmarkRecursive(b, 16, 0) })
 	b.Run("w1", func(b *testing.B) { benchmarkRecursive(b, 16, 1) })
 	b.Run("wmax", func(b *testing.B) { benchmarkRecursive(b, 16, -1) })
 }
 
 func BenchmarkRecursiveP64(b *testing.B) {
+	b.Run("w0", func(b *testing.B) { benchmarkRecursive(b, 64, 0) })
 	b.Run("w1", func(b *testing.B) { benchmarkRecursive(b, 64, 1) })
 	b.Run("wmax", func(b *testing.B) { benchmarkRecursive(b, 64, -1) })
-}
-
-// BenchmarkRecursiveParallelLegacy pins the cost of the Workers=0 path
-// so regressions to the historical sequential algorithms stay visible.
-func BenchmarkRecursiveParallelLegacy(b *testing.B) {
-	a := gen.Laplacian2D(90, 90)
-	for i := 0; i < b.N; i++ {
-		if _, err := Partition(a, 64, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(42))); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkBuildBModel(b *testing.B) {
@@ -81,14 +73,14 @@ func BenchmarkBuildBModel(b *testing.B) {
 // the ablation behind the paper's §III-C discussion.
 func BenchmarkRefinementFlavors(b *testing.B) {
 	a := gen.PowerLawGraph(rand.New(rand.NewSource(5)), 1200, 4)
-	base, err := Bipartition(a, MethodRowNet, DefaultOptions(), rand.New(rand.NewSource(6)))
+	base, err := bipartitionInline(a, MethodRowNet, DefaultOptions(), rand.New(rand.NewSource(6)))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("algorithm2", func(b *testing.B) {
 		var vol int64
 		for i := 0; i < b.N; i++ {
-			parts := IterativeRefine(a, base.Parts, DefaultOptions(), rand.New(rand.NewSource(int64(i))))
+			parts := iterativeRefineInline(a, base.Parts, DefaultOptions(), rand.New(rand.NewSource(int64(i))))
 			vol = metrics.Volume(a, parts, 2)
 		}
 		b.ReportMetric(float64(vol), "volume")
@@ -96,7 +88,7 @@ func BenchmarkRefinementFlavors(b *testing.B) {
 	b.Run("vcycle", func(b *testing.B) {
 		var vol int64
 		for i := 0; i < b.N; i++ {
-			parts := VCycleRefine(a, base.Parts, DefaultOptions(), rand.New(rand.NewSource(int64(i))))
+			parts := vCycleRefineInline(a, base.Parts, DefaultOptions(), rand.New(rand.NewSource(int64(i))))
 			vol = metrics.Volume(a, parts, 2)
 		}
 		b.ReportMetric(float64(vol), "volume")
@@ -106,7 +98,7 @@ func BenchmarkRefinementFlavors(b *testing.B) {
 func BenchmarkFullIterative(b *testing.B) {
 	a := gen.PowerLawGraph(rand.New(rand.NewSource(7)), 800, 4)
 	for i := 0; i < b.N; i++ {
-		if _, err := FullIterative(a, 3, DefaultOptions(), rand.New(rand.NewSource(int64(i)))); err != nil {
+		if _, err := fullIterativeInline(a, 3, DefaultOptions(), rand.New(rand.NewSource(int64(i)))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -89,7 +89,7 @@ func TestEngineCancelPromptCleanExit(t *testing.T) {
 	}
 }
 
-// TestEngineCancelSequential: the sequential engine observes the
+// TestEngineCancelSequential: the inline engine (workers 0) observes the
 // context too (at bisection-node and FM boundaries).
 func TestEngineCancelSequential(t *testing.T) {
 	a := gen.Laplacian2D(100, 100)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,57 +9,16 @@ import (
 	"mediumgrain/internal/metrics"
 )
 
-// TestPartitionCompactMatchesLegacyExtraction is the central guarantee
-// of the compacted subproblem path: for the nonzero-vertex models
-// (medium-grain and fine-grain, whose hypergraphs are invariant under
-// dropping empty rows/columns), recursive bisection over compact views
-// returns bit-identical per-seed partitions to the legacy
-// full-dimension extraction, at every tested worker count, with and
-// without iterative refinement.
-func TestPartitionCompactMatchesLegacyExtraction(t *testing.T) {
-	for name, a := range parallelTestMatrices() {
-		for _, method := range []Method{MethodMediumGrain, MethodFineGrain} {
-			for _, seed := range []int64{3, 21} {
-				for _, workers := range []int{1, 4} {
-					for _, refine := range []bool{false, true} {
-						opts := DefaultOptions()
-						opts.Workers = workers
-						opts.Refine = refine
-						compact, err := partitionMode(a, 8, method, opts, rand.New(rand.NewSource(seed)), true)
-						if err != nil {
-							t.Fatalf("%s/%v: compact run failed: %v", name, method, err)
-						}
-						legacy, err := partitionMode(a, 8, method, opts, rand.New(rand.NewSource(seed)), false)
-						if err != nil {
-							t.Fatalf("%s/%v: legacy run failed: %v", name, method, err)
-						}
-						if !reflect.DeepEqual(compact.Parts, legacy.Parts) {
-							t.Errorf("%s/%v/seed=%d/w=%d/refine=%v: compact parts differ from legacy extraction",
-								name, method, seed, workers, refine)
-						}
-						if compact.Volume != legacy.Volume {
-							t.Errorf("%s/%v/seed=%d/w=%d/refine=%v: compact volume %d != legacy %d",
-								name, method, seed, workers, refine, compact.Volume, legacy.Volume)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestPartitionCompactOneDMethodsValid covers the 1D models on the
-// compact path. Their hypergraph vertices are matrix columns/rows, so
-// compaction legitimately changes the vertex universe (and hence the
-// per-seed result) relative to the legacy extraction; what must hold is
-// that every result is a valid balanced partitioning and that it is
-// bit-identical across worker counts.
+// TestPartitionCompactOneDMethodsValid covers the 1D models on compact
+// subproblems. Their hypergraph vertices are matrix columns/rows, so
+// compaction drops the empty ones from the vertex universe; what must
+// hold is that every result is a valid balanced partitioning and that
+// it is bit-identical across worker counts.
 func TestPartitionCompactOneDMethodsValid(t *testing.T) {
 	for name, a := range parallelTestMatrices() {
 		for _, method := range []Method{MethodRowNet, MethodColNet, MethodLocalBest} {
 			opts := DefaultOptions()
-			opts.Workers = 1
-			ref, err := Partition(a, 8, method, opts, rand.New(rand.NewSource(11)))
+			ref, err := partitionInline(a, 8, method, opts, rand.New(rand.NewSource(11)))
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, method, err)
 			}
@@ -68,13 +28,12 @@ func TestPartitionCompactOneDMethodsValid(t *testing.T) {
 			if err := metrics.CheckBalance(ref.Parts, 8, opts.Eps); err != nil {
 				t.Errorf("%s/%v: %v", name, method, err)
 			}
-			opts.Workers = 4
-			got, err := Partition(a, 8, method, opts, rand.New(rand.NewSource(11)))
+			got, err := NewEngine(4).Partition(context.Background(), a, 8, method, opts, rand.New(rand.NewSource(11)))
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, method, err)
 			}
 			if !reflect.DeepEqual(got.Parts, ref.Parts) {
-				t.Errorf("%s/%v: Workers=4 differs from Workers=1 on the compact path", name, method)
+				t.Errorf("%s/%v: workers=4 differs from the inline engine", name, method)
 			}
 		}
 	}

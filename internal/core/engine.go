@@ -21,29 +21,29 @@ import (
 // scan-chunk boundaries — when it is canceled, returning ctx.Err() with
 // every scratch checked back in and no goroutine left behind.
 //
-// Determinism: an Engine built with workers != 0 produces bit-identical
-// results to the legacy free functions with Options.Workers != 0 for
-// equal seeds, at every pool size; workers == 0 reproduces the legacy
-// sequential path exactly. Concurrent calls on one Engine never affect
-// each other's results — the pool only schedules, each run owns its RNG
-// stream, and scratches are content-agnostic.
+// Determinism: there is one algorithm, and the pool only schedules it.
+// For equal seeds every engine returns bit-identical results, whatever
+// its worker count — including 0, which runs the same algorithm inline.
+// Concurrent calls on one Engine never affect each other's results: each
+// run owns its RNG stream, and scratches are content-agnostic.
 type Engine struct {
 	pl *pool.Pool
 	st *scratchStore
 }
 
 // NewEngine returns an engine executing on `workers` goroutines.
-// workers == 0 selects the sequential legacy algorithms (bit-identical
-// to Options.Workers == 0); workers < 0 selects runtime.GOMAXPROCS(0).
+// workers == 0 runs everything inline on the calling goroutine (a nil
+// pool); workers < 0 selects runtime.GOMAXPROCS(0). The worker count
+// never changes a result.
 func NewEngine(workers int) *Engine {
 	if workers == 0 {
-		return &Engine{}
+		return &Engine{st: newScratchStore(1)}
 	}
 	pl := pool.New(workers)
 	return &Engine{pl: pl, st: newScratchStore(pl.Workers())}
 }
 
-// Workers reports the engine's pool size; 0 for a sequential engine.
+// Workers reports the engine's pool size; 0 for an inline engine.
 func (e *Engine) Workers() int {
 	if e.pl == nil {
 		return 0
@@ -51,42 +51,26 @@ func (e *Engine) Workers() int {
 	return e.pl.Workers()
 }
 
-// normalize aligns opts.Workers with the engine the run executes on:
-// the field selects between the sequential-legacy and the
-// parallel-deterministic algorithm variants (and sizes internal free
-// lists), while actual concurrency is bounded by the engine's pool.
-func (e *Engine) normalize(opts Options) Options {
-	if e.pl == nil {
-		opts.Workers = 0
-	} else if opts.Workers == 0 {
-		opts.Workers = e.pl.Workers()
-	}
-	return opts
-}
-
 // Partition distributes the nonzeros of a over p parts by recursive
-// bisection, as the package-level Partition, but on the engine's pool
-// and scratches and under ctx.
+// bisection with the chosen method (§IV: "the medium-grain method can
+// also be used in a recursive bisection scheme to obtain partitionings
+// into p parts"). The global imbalance budget ε is spread over the
+// ⌈log2 p⌉ bisection levels so the final partitioning satisfies eqn (1).
+// The two halves of every bisection are disjoint subproblems and run
+// concurrently on the engine's pool.
 func (e *Engine) Partition(ctx context.Context, a *sparse.Matrix, p int, method Method, opts Options, rng *rand.Rand) (*Result, error) {
-	return e.partitionMode(ctx, a, p, method, opts, rng, true, nil)
+	return e.partition(ctx, a, p, method, opts, rng, nil)
 }
 
 // PartitionProgress is Partition reporting completion: onLeaf is called
 // once per finalized bisection leaf with the number of nonzeros whose
 // part just became final (possibly from several goroutines at once).
 func (e *Engine) PartitionProgress(ctx context.Context, a *sparse.Matrix, p int, method Method, opts Options, rng *rand.Rand, onLeaf func(nnz int)) (*Result, error) {
-	return e.partitionMode(ctx, a, p, method, opts, rng, true, leafHooks(onLeaf))
+	return e.partition(ctx, a, p, method, opts, rng, leafHooks(onLeaf))
 }
 
-// partitionMode is Partition with the subproblem-extraction mode
-// exposed: compact (the production path) relabels every bisection node
-// onto its occupied rows and columns, legacy (compact == false) emits
-// full-dimension copies. Both modes are bit-identical per seed for the
-// nonzero-vertex models (medium-grain, fine-grain); the equivalence
-// tests run both to prove it. The sequential engine always uses the
-// legacy extraction, preserving historical per-seed results.
-func (e *Engine) partitionMode(ctx context.Context, a *sparse.Matrix, p int, method Method, opts Options, rng *rand.Rand, compact bool, hooks *runHooks) (*Result, error) {
-	opts = e.normalize(opts)
+// partition is Partition observed through hooks (nil observes nothing).
+func (e *Engine) partition(ctx context.Context, a *sparse.Matrix, p int, method Method, opts Options, rng *rand.Rand, hooks *runHooks) (*Result, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("core: p must be >= 1, got %d", p)
 	}
@@ -110,17 +94,11 @@ func (e *Engine) partitionMode(ctx context.Context, a *sparse.Matrix, p int, met
 	for k := range all {
 		all[k] = k
 	}
-	if e.pl == nil {
-		if err := bisectRec(ctx, a, all, 0, p, parts, method, opts, delta, rng, hooks); err != nil {
-			return nil, err
-		}
-	} else {
-		sc := e.st.get()
-		err := bisectRecPool(ctx, a, all, 0, p, parts, method, opts, delta, rng, e.pl, e.st, sc, compact, hooks)
-		e.st.put(sc)
-		if err != nil {
-			return nil, err
-		}
+	sc := e.st.get()
+	err := bisect(ctx, a, all, 0, p, parts, method, opts, delta, rng, e.pl, e.st, sc, hooks)
+	e.st.put(sc)
+	if err != nil {
+		return nil, err
 	}
 	vol := metrics.VolumeIndexed(ctx, a, parts, p, nil, nil, e.pl)
 	if err := ctx.Err(); err != nil {
@@ -134,15 +112,12 @@ func (e *Engine) partitionMode(ctx context.Context, a *sparse.Matrix, p int, met
 	}, nil
 }
 
-// Bipartition splits the nonzeros of a into two parts, as the
-// package-level Bipartition, on the engine's pool and under ctx.
+// Bipartition splits the nonzeros of a into two parts using the given
+// method, on the engine's pool and under ctx. rng drives all randomized
+// choices, making runs reproducible.
 func (e *Engine) Bipartition(ctx context.Context, a *sparse.Matrix, method Method, opts Options, rng *rand.Rand) (*Result, error) {
-	opts = e.normalize(opts)
-	var sc *scratch
-	if e.pl != nil {
-		sc = e.st.get()
-		defer e.st.put(sc)
-	}
+	sc := e.st.get()
+	defer e.st.put(sc)
 	return bipartitionScratch(ctx, a, tieShape{a.Rows, a.Cols}, method, opts, rng, e.pl, sc)
 }
 
@@ -151,12 +126,8 @@ func (e *Engine) Bipartition(ctx context.Context, a *sparse.Matrix, method Metho
 // loop tracks it, so no separate evaluation is ever paid). A canceled
 // ctx discards the work in favor of ctx.Err().
 func (e *Engine) IterativeRefine(ctx context.Context, a *sparse.Matrix, parts []int, opts Options, rng *rand.Rand) ([]int, int64, error) {
-	opts = e.normalize(opts)
-	var sc *scratch
-	if e.pl != nil {
-		sc = e.st.get()
-		defer e.st.put(sc)
-	}
+	sc := e.st.get()
+	defer e.st.put(sc)
 	out, vol := iterativeRefineIndexed(ctx, a, parts, opts, rng, nil, sc)
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
@@ -167,7 +138,6 @@ func (e *Engine) IterativeRefine(ctx context.Context, a *sparse.Matrix, parts []
 // VCycleRefine is the multilevel alternative to IterativeRefine, on the
 // engine's pool and under ctx.
 func (e *Engine) VCycleRefine(ctx context.Context, a *sparse.Matrix, parts []int, opts Options, rng *rand.Rand) ([]int, error) {
-	opts = e.normalize(opts)
 	out := vCycleRefineOn(ctx, a, parts, opts, rng, e.pl)
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -180,18 +150,16 @@ func (e *Engine) VCycleRefine(ctx context.Context, a *sparse.Matrix, parts []int
 // returning the final volume. Canceled refinements leave parts valid —
 // every applied move lowered the volume — but return ctx.Err().
 func (e *Engine) KWayRefine(ctx context.Context, a *sparse.Matrix, parts []int, p int, eps float64, rng *rand.Rand) (int64, error) {
-	opts := e.normalize(Options{})
-	vol := kway.RefineOn(ctx, a, parts, p, kway.Options{Eps: eps, Workers: opts.Workers}, rng, e.pl)
+	vol := kway.RefineOn(ctx, a, parts, p, kway.Options{Eps: eps}, rng, e.pl)
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
 	return vol, nil
 }
 
-// FullIterative runs the paper's §V "full iterative method" under ctx,
-// as the package-level FullIterative but on the engine's pool.
+// FullIterative runs the paper's §V "full iterative method" (see
+// fullIterativeOn) under ctx on the engine's pool.
 func (e *Engine) FullIterative(ctx context.Context, a *sparse.Matrix, iterations int, opts Options, rng *rand.Rand) (*Result, error) {
-	opts = e.normalize(opts)
 	return fullIterativeOn(ctx, a, iterations, opts, rng, e)
 }
 
@@ -210,8 +178,5 @@ func (e *Engine) Volume(ctx context.Context, a *sparse.Matrix, parts []int, p in
 // canceled calls included (the balance invariant the cancellation tests
 // assert).
 func (e *Engine) scratchesOutstanding() int64 {
-	if e.st == nil {
-		return 0
-	}
 	return e.st.outstanding()
 }

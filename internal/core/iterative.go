@@ -9,30 +9,19 @@ import (
 	"mediumgrain/internal/sparse"
 )
 
-// FullIterative implements the "full iterative method" sketched in the
+// fullIterativeOn implements the "full iterative method" sketched in the
 // paper's future work (§V): instead of refining the current partitioning
 // with a single KL/FM run per iteration (Algorithm 2), each iteration
 // re-encodes the best bipartitioning found so far as a medium-grain split
 // (alternating the encoding direction) and runs a complete multilevel
-// partitioning of the resulting composite hypergraph. This trades
-// computation time for solution quality: more iterations explore more
-// encodings of the same partitioning.
+// partitioning of the resulting composite hypergraph on e's pool. This
+// trades computation time for solution quality: more iterations explore
+// more encodings of the same partitioning.
 //
-// Unlike IterativeRefine, a full multilevel run is not monotone, so the
-// best partitioning across iterations is tracked and returned. Iteration
-// 0 is a plain medium-grain run (Algorithm 1 split).
-//
-// Deprecated: use Engine.FullIterative, which runs under a context on
-// the engine's shared pool.
-func FullIterative(a *sparse.Matrix, iterations int, opts Options, rng *rand.Rand) (*Result, error) {
-	return NewEngine(opts.Workers).FullIterative(context.Background(), a, iterations, opts, rng)
-}
-
-// fullIterativeOn is the engine-backed implementation: iteration 0 runs
-// on e's pool and scratches, the re-encode rounds keep the historical
-// sequential-matching configuration (opts.Config untouched) so per-seed
-// results match the original free function exactly. A canceled ctx ends
-// the loop with ctx.Err().
+// Unlike Algorithm 2, a full multilevel run is not monotone, so the best
+// partitioning across iterations is tracked and returned. Iteration 0 is
+// a plain medium-grain run (Algorithm 1 split). A canceled ctx ends the
+// loop with ctx.Err().
 func fullIterativeOn(ctx context.Context, a *sparse.Matrix, iterations int, opts Options, rng *rand.Rand, e *Engine) (*Result, error) {
 	if iterations < 1 {
 		iterations = 1
@@ -64,7 +53,7 @@ func fullIterativeOn(ctx context.Context, a *sparse.Matrix, iterations int, opts
 		if err != nil {
 			return nil, err
 		}
-		vparts, _ := hgpart.BipartitionCapsPoolScratch(ctx, bm.H, caps(a.NNZ(), opts), rng, opts.Config, e.pl, nil)
+		vparts, _ := hgpart.Bipartition(ctx, bm.H, caps(a.NNZ(), opts), rng, opts.Config, e.pl, nil)
 		parts := bm.NonzeroParts(vparts)
 		if opts.Refine {
 			parts, _ = iterativeRefineIndexed(ctx, a, parts, opts, rng, nil, nil)

@@ -11,7 +11,7 @@ import (
 
 func TestFullIterativeValid(t *testing.T) {
 	a := gen.PowerLawGraph(rand.New(rand.NewSource(1)), 200, 3)
-	res, err := FullIterative(a, 4, DefaultOptions(), rand.New(rand.NewSource(2)))
+	res, err := fullIterativeInline(a, 4, DefaultOptions(), rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,11 +32,11 @@ func TestFullIterativeValid(t *testing.T) {
 func TestFullIterativeNoWorseThanSingleRun(t *testing.T) {
 	f := func(seed int64) bool {
 		a := gen.PowerLawGraph(rand.New(rand.NewSource(seed)), 120, 3)
-		single, err := FullIterative(a, 1, DefaultOptions(), rand.New(rand.NewSource(seed+1)))
+		single, err := fullIterativeInline(a, 1, DefaultOptions(), rand.New(rand.NewSource(seed+1)))
 		if err != nil {
 			return false
 		}
-		multi, err := FullIterative(a, 4, DefaultOptions(), rand.New(rand.NewSource(seed+1)))
+		multi, err := fullIterativeInline(a, 4, DefaultOptions(), rand.New(rand.NewSource(seed+1)))
 		if err != nil {
 			return false
 		}
@@ -49,7 +49,7 @@ func TestFullIterativeNoWorseThanSingleRun(t *testing.T) {
 
 func TestFullIterativeIterationCoercion(t *testing.T) {
 	a := gen.Tridiagonal(100)
-	res, err := FullIterative(a, 0, DefaultOptions(), rand.New(rand.NewSource(3)))
+	res, err := fullIterativeInline(a, 0, DefaultOptions(), rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFullIterativeZeroVolumeShortCircuits(t *testing.T) {
 	// two disconnected dense blocks: a zero-volume bipartition exists
 	// and once found, iterations must stop improving (bestVol == 0).
 	a := gen.BlockDiagonal(rand.New(rand.NewSource(4)), 40, 2, 0)
-	res, err := FullIterative(a, 8, DefaultOptions(), rand.New(rand.NewSource(5)))
+	res, err := fullIterativeInline(a, 8, DefaultOptions(), rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFullIterativeWithRefine(t *testing.T) {
 	a := gen.Laplacian2D(10, 10)
 	opts := DefaultOptions()
 	opts.Refine = true
-	res, err := FullIterative(a, 3, opts, rand.New(rand.NewSource(6)))
+	res, err := fullIterativeInline(a, 3, opts, rand.New(rand.NewSource(6)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,34 +86,6 @@ type Options struct {
 	// TargetFrac is the desired weight fraction of part 0 (default 0.5);
 	// recursive bisection uses uneven fractions for non-power-of-two p.
 	TargetFrac float64
-	// Workers selects the parallel engine. 0 is the sequential legacy
-	// path, preserving the exact per-seed results of earlier versions.
-	// Any other value (negative = runtime.GOMAXPROCS(0)) switches to the
-	// worker-pool engine: recursive bisection fans disjoint subproblems
-	// out over a shared pool with per-subproblem RNG streams, the
-	// multilevel partitioner matches and initializes concurrently, and
-	// metric evaluation splits row/column scans. For a given seed the
-	// engine's results are bit-identical for every Workers >= 1.
-	Workers int
-}
-
-// engineConfig returns the hypergraph-engine config with the parallel
-// algorithms enabled when the run requests workers.
-func (o Options) engineConfig() hgpart.Config {
-	cfg := o.Config
-	if o.Workers != 0 {
-		cfg.Workers = o.Workers
-	}
-	return cfg
-}
-
-// newPool returns the shared worker pool for this run, nil for the
-// sequential legacy path.
-func (o Options) newPool() *pool.Pool {
-	if o.Workers == 0 {
-		return nil
-	}
-	return pool.New(o.Workers)
 }
 
 // DefaultOptions returns the paper's experimental settings: ε = 0.03,
@@ -135,21 +107,11 @@ type Result struct {
 	Refined bool
 }
 
-// Bipartition splits the nonzeros of a into two parts using the given
-// method. rng drives all randomized choices, making runs reproducible.
-//
-// Deprecated: construct a reusable Engine with NewEngine(opts.Workers)
-// and call its Bipartition with a context; this wrapper builds a
-// throwaway engine per call and cannot be canceled.
-func Bipartition(a *sparse.Matrix, method Method, opts Options, rng *rand.Rand) (*Result, error) {
-	return NewEngine(opts.Workers).Bipartition(context.Background(), a, method, opts, rng)
-}
-
 // tieShape is the logical shape of the enclosing problem, used only for
 // the medium-grain split's global tie orientation. Recursive bisection
 // hands compacted subproblems to bipartitionScratch with the root
-// matrix's shape so the compact path makes the exact tie choices (and
-// rng draws) of the legacy full-dimension extraction.
+// matrix's shape, so every node breaks ties as the root does no matter
+// how many empty rows and columns its compaction dropped.
 type tieShape struct {
 	rows, cols int
 }
@@ -244,30 +206,27 @@ func caps(nnz int, opts Options) [2]int64 {
 
 func bipartitionRowNet(ctx context.Context, a *sparse.Matrix, opts Options, rng *rand.Rand, pl *pool.Pool, ix *sparse.Index, sc *scratch) []int {
 	h := hypergraph.RowNetIndexed(a, &ix.Row, sc.hbuild())
-	colParts, _ := hgpart.BipartitionCapsPoolScratch(ctx, h, caps(a.NNZ(), opts), rng, opts.engineConfig(), pl, sc.engine())
+	colParts, _ := hgpart.Bipartition(ctx, h, caps(a.NNZ(), opts), rng, opts.Config, pl, sc.engine())
 	return hypergraph.VertexPartsToNonzeros(a, colParts)
 }
 
 func bipartitionColNet(ctx context.Context, a *sparse.Matrix, opts Options, rng *rand.Rand, pl *pool.Pool, ix *sparse.Index, sc *scratch) []int {
 	h := hypergraph.ColNetIndexed(a, &ix.Col, sc.hbuild())
-	rowParts, _ := hgpart.BipartitionCapsPoolScratch(ctx, h, caps(a.NNZ(), opts), rng, opts.engineConfig(), pl, sc.engine())
+	rowParts, _ := hgpart.Bipartition(ctx, h, caps(a.NNZ(), opts), rng, opts.Config, pl, sc.engine())
 	return hypergraph.RowPartsToNonzeros(a, rowParts)
 }
 
 func bipartitionFineGrain(ctx context.Context, a *sparse.Matrix, opts Options, rng *rand.Rand, pl *pool.Pool, ix *sparse.Index, sc *scratch) []int {
 	h := hypergraph.FineGrainIndexed(a, ix, sc.hbuild())
-	parts, _ := hgpart.BipartitionCapsPoolScratch(ctx, h, caps(a.NNZ(), opts), rng, opts.engineConfig(), pl, sc.engine())
+	parts, _ := hgpart.Bipartition(ctx, h, caps(a.NNZ(), opts), rng, opts.Config, pl, sc.engine())
 	return parts
 }
 
 func bipartitionMediumGrain(ctx context.Context, a *sparse.Matrix, shape tieShape, opts Options, rng *rand.Rand, pl *pool.Pool, ix *sparse.Index, sc *scratch) []int {
 	var inRow []bool
-	switch {
-	case opts.Workers != 0 && opts.Split == SplitNNZ:
+	if opts.Split == SplitNNZ {
 		inRow = splitParallelShape(a, rng, shape.rows, shape.cols, pl)
-	case opts.Split == SplitNNZ:
-		inRow = splitNNZShape(a, rng, shape.rows, shape.cols, true)
-	default:
+	} else {
 		inRow = Split(a, opts.Split, rng) // the other strategies are shape-free
 	}
 	bm, err := buildBModel(a, inRow, ix, sc)
@@ -275,7 +234,7 @@ func bipartitionMediumGrain(ctx context.Context, a *sparse.Matrix, shape tieShap
 		// buildBModel only fails on length mismatch, impossible here.
 		panic(err)
 	}
-	vparts, _ := hgpart.BipartitionCapsPoolScratch(ctx, bm.H, caps(a.NNZ(), opts), rng, opts.engineConfig(), pl, sc.engine())
+	vparts, _ := hgpart.Bipartition(ctx, bm.H, caps(a.NNZ(), opts), rng, opts.Config, pl, sc.engine())
 	parts := bm.NonzeroParts(vparts)
 	// Degenerate splits can produce indivisible vertices heavier than the
 	// balance cap (e.g. a matrix that is one dense column groups into a

@@ -21,7 +21,7 @@ func TestBipartitionAllMethodsValid(t *testing.T) {
 		for _, refine := range []bool{false, true} {
 			opts := DefaultOptions()
 			opts.Refine = refine
-			res, err := Bipartition(a, m, opts, rng)
+			res, err := bipartitionInline(a, m, opts, rng)
 			if err != nil {
 				t.Fatalf("%v refine=%v: %v", m, refine, err)
 			}
@@ -48,7 +48,7 @@ func TestRowNetNeverCutsColumns(t *testing.T) {
 		if a.NNZ() < 2 {
 			return true
 		}
-		res, err := Bipartition(a, MethodRowNet, DefaultOptions(), rng)
+		res, err := bipartitionInline(a, MethodRowNet, DefaultOptions(), rng)
 		if err != nil {
 			return false
 		}
@@ -72,7 +72,7 @@ func TestColNetNeverCutsRows(t *testing.T) {
 		if a.NNZ() < 2 {
 			return true
 		}
-		res, err := Bipartition(a, MethodColNet, DefaultOptions(), rng)
+		res, err := bipartitionInline(a, MethodColNet, DefaultOptions(), rng)
 		if err != nil {
 			return false
 		}
@@ -96,15 +96,15 @@ func TestLocalBestNoWorseThanEither1D(t *testing.T) {
 	// structured matrix where both are stable.
 	a := gen.Laplacian2D(15, 15)
 	opts := DefaultOptions()
-	lb, err := Bipartition(a, MethodLocalBest, opts, rand.New(rand.NewSource(3)))
+	lb, err := bipartitionInline(a, MethodLocalBest, opts, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rn, err := Bipartition(a, MethodRowNet, opts, rand.New(rand.NewSource(3)))
+	rn, err := bipartitionInline(a, MethodRowNet, opts, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cn, err := Bipartition(a, MethodColNet, opts, rand.New(rand.NewSource(3)))
+	cn, err := bipartitionInline(a, MethodColNet, opts, rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +128,11 @@ func TestMediumGrainOnArrowBeats1D(t *testing.T) {
 	var mgSum, lbSum int64
 	const runs = 3
 	for r := int64(0); r < runs; r++ {
-		mg, err := Bipartition(a, MethodMediumGrain, opts, rand.New(rand.NewSource(10+r)))
+		mg, err := bipartitionInline(a, MethodMediumGrain, opts, rand.New(rand.NewSource(10+r)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		lb, err := Bipartition(a, MethodLocalBest, opts, rand.New(rand.NewSource(10+r)))
+		lb, err := bipartitionInline(a, MethodLocalBest, opts, rand.New(rand.NewSource(10+r)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,27 +149,27 @@ func TestBipartitionRejectsBadInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	opts := DefaultOptions()
 	opts.Eps = -1
-	if _, err := Bipartition(a, MethodMediumGrain, opts, rng); err == nil {
+	if _, err := bipartitionInline(a, MethodMediumGrain, opts, rng); err == nil {
 		t.Fatal("negative eps accepted")
 	}
 	opts = DefaultOptions()
 	opts.TargetFrac = 1.5
-	if _, err := Bipartition(a, MethodMediumGrain, opts, rng); err == nil {
+	if _, err := bipartitionInline(a, MethodMediumGrain, opts, rng); err == nil {
 		t.Fatal("target fraction > 1 accepted")
 	}
-	if _, err := Bipartition(a, Method(99), DefaultOptions(), rng); err == nil {
+	if _, err := bipartitionInline(a, Method(99), DefaultOptions(), rng); err == nil {
 		t.Fatal("unknown method accepted")
 	}
 	bad := sparse.New(2, 2)
 	bad.AppendPattern(5, 5)
-	if _, err := Bipartition(bad, MethodMediumGrain, DefaultOptions(), rng); err == nil {
+	if _, err := bipartitionInline(bad, MethodMediumGrain, DefaultOptions(), rng); err == nil {
 		t.Fatal("invalid matrix accepted")
 	}
 }
 
 func TestBipartitionEmptyMatrix(t *testing.T) {
 	a := sparse.New(4, 4)
-	res, err := Bipartition(a, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(1)))
+	res, err := bipartitionInline(a, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestBipartitionSingleNonzero(t *testing.T) {
 	a := sparse.New(3, 3)
 	a.AppendPattern(1, 1)
 	for _, m := range allMethods() {
-		res, err := Bipartition(a, m, DefaultOptions(), rand.New(rand.NewSource(1)))
+		res, err := bipartitionInline(a, m, DefaultOptions(), rand.New(rand.NewSource(1)))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -221,7 +221,7 @@ func TestMediumGrainSplitVariants(t *testing.T) {
 	for _, s := range []SplitStrategy{SplitNNZ, SplitRandom, SplitAllAc, SplitAllAr} {
 		opts := DefaultOptions()
 		opts.Split = s
-		res, err := Bipartition(a, MethodMediumGrain, opts, rand.New(rand.NewSource(4)))
+		res, err := bipartitionInline(a, MethodMediumGrain, opts, rand.New(rand.NewSource(4)))
 		if err != nil {
 			t.Fatalf("split %v: %v", s, err)
 		}

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"mediumgrain/internal/gen"
+	"mediumgrain/internal/hgpart"
 	"mediumgrain/internal/metrics"
 	"mediumgrain/internal/pool"
 	"mediumgrain/internal/sparse"
@@ -20,37 +23,87 @@ func parallelTestMatrices() map[string]*sparse.Matrix {
 	}
 }
 
-// TestPartitionParallelEquivalence is the core determinism guarantee of
-// the worker-pool engine: for every method and seed, Partition with
-// Workers: N >= 1 returns bit-identical parts (hence identical volume
-// and imbalance) to the sequential execution of the same engine
-// (Workers: 1), for several worker counts.
+// partitionInline, bipartitionInline and the other *Inline helpers run
+// one request on an inline engine (a nil pool) — the same algorithm every
+// pool size runs — for tests that do not exercise concurrency.
+func partitionInline(a *sparse.Matrix, p int, method Method, opts Options, rng *rand.Rand) (*Result, error) {
+	return NewEngine(0).Partition(context.Background(), a, p, method, opts, rng)
+}
+
+func bipartitionInline(a *sparse.Matrix, method Method, opts Options, rng *rand.Rand) (*Result, error) {
+	return NewEngine(0).Bipartition(context.Background(), a, method, opts, rng)
+}
+
+func iterativeRefineInline(a *sparse.Matrix, parts []int, opts Options, rng *rand.Rand) []int {
+	out, _, _ := NewEngine(0).IterativeRefine(context.Background(), a, parts, opts, rng)
+	return out
+}
+
+func vCycleRefineInline(a *sparse.Matrix, parts []int, opts Options, rng *rand.Rand) []int {
+	out, _ := NewEngine(0).VCycleRefine(context.Background(), a, parts, opts, rng)
+	return out
+}
+
+func fullIterativeInline(a *sparse.Matrix, iterations int, opts Options, rng *rand.Rand) (*Result, error) {
+	return NewEngine(0).FullIterative(context.Background(), a, iterations, opts, rng)
+}
+
+// TestPartitionParallelEquivalence is the determinism contract of the
+// one partitioning algorithm: for every method, FM mode (default,
+// ExactFM, ParallelFM) and refinement setting, Engine.Partition returns
+// bit-identical parts per seed at every worker count — 0 (inline)
+// included — and every result is a valid p-way partitioning within ε
+// whose reported volume matches an independent recount.
 func TestPartitionParallelEquivalence(t *testing.T) {
+	const p = 8
+	methods := []Method{MethodRowNet, MethodColNet, MethodLocalBest, MethodFineGrain, MethodMediumGrain}
+	modes := map[string]func(*hgpart.Config){
+		"default":    func(*hgpart.Config) {},
+		"exactfm":    func(c *hgpart.Config) { c.ExactFM = true },
+		"parallelfm": func(c *hgpart.Config) { c.ParallelFM = true },
+	}
+	workerCounts := []int{0, 1, 2, 8}
+	engines := make([]*Engine, len(workerCounts))
+	for i, w := range workerCounts {
+		engines[i] = NewEngine(w)
+	}
+	seeds := []int64{1, 17}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
 	for name, a := range parallelTestMatrices() {
-		for _, method := range []Method{MethodMediumGrain, MethodFineGrain, MethodLocalBest} {
-			for _, seed := range []int64{1, 17, 424242} {
-				opts := DefaultOptions()
-				opts.Workers = 1
-				ref, err := Partition(a, 8, method, opts, rand.New(rand.NewSource(seed)))
-				if err != nil {
-					t.Fatalf("%s/%v/seed=%d: sequential run failed: %v", name, method, seed, err)
-				}
-				for _, workers := range []int{2, 4, 7} {
-					opts.Workers = workers
-					got, err := Partition(a, 8, method, opts, rand.New(rand.NewSource(seed)))
-					if err != nil {
-						t.Fatalf("%s/%v/seed=%d/w=%d: parallel run failed: %v", name, method, seed, workers, err)
-					}
-					if !reflect.DeepEqual(got.Parts, ref.Parts) {
-						t.Errorf("%s/%v/seed=%d: Workers=%d parts differ from Workers=1", name, method, seed, workers)
-					}
-					if got.Volume != ref.Volume {
-						t.Errorf("%s/%v/seed=%d: Workers=%d volume %d != sequential %d",
-							name, method, seed, workers, got.Volume, ref.Volume)
-					}
-					if gi, ri := metrics.Imbalance(got.Parts, 8), metrics.Imbalance(ref.Parts, 8); gi != ri {
-						t.Errorf("%s/%v/seed=%d: Workers=%d imbalance %g != sequential %g",
-							name, method, seed, workers, gi, ri)
+		for _, method := range methods {
+			for mode, set := range modes {
+				for _, refine := range []bool{false, true} {
+					for _, seed := range seeds {
+						opts := DefaultOptions()
+						set(&opts.Config)
+						opts.Refine = refine
+						tag := fmt.Sprintf("%s/%v/%s/refine=%v/seed=%d", name, method, mode, refine, seed)
+						var ref *Result
+						for i, eng := range engines {
+							res, err := eng.Partition(context.Background(), a, p, method, opts, rand.New(rand.NewSource(seed)))
+							if err != nil {
+								t.Fatalf("%s/w=%d: %v", tag, workerCounts[i], err)
+							}
+							if ref == nil {
+								ref = res
+								if err := metrics.ValidateParts(a, res.Parts, p); err != nil {
+									t.Errorf("%s: %v", tag, err)
+								}
+								if err := metrics.CheckBalance(res.Parts, p, opts.Eps); err != nil {
+									t.Errorf("%s: %v", tag, err)
+								}
+								if v := metrics.Volume(a, res.Parts, p); v != res.Volume {
+									t.Errorf("%s: reported volume %d != recount %d", tag, res.Volume, v)
+								}
+								continue
+							}
+							if !reflect.DeepEqual(res.Parts, ref.Parts) || res.Volume != ref.Volume {
+								t.Errorf("%s: workers=%d differs from workers=%d (volume %d vs %d)",
+									tag, workerCounts[i], workerCounts[0], res.Volume, ref.Volume)
+							}
+						}
 					}
 				}
 			}
@@ -59,15 +112,15 @@ func TestPartitionParallelEquivalence(t *testing.T) {
 }
 
 // TestPartitionParallelValid checks the engine against the paper's
-// constraints rather than against the sequential path: every parallel
-// partitioning must be a valid p-way assignment within the balance
-// budget, for non-power-of-two p too.
+// constraints: every partitioning on a GOMAXPROCS pool must be a valid
+// p-way assignment within the balance budget, for non-power-of-two p
+// too.
 func TestPartitionParallelValid(t *testing.T) {
+	eng := NewEngine(-1)
 	for name, a := range parallelTestMatrices() {
 		for _, p := range []int{2, 5, 16} {
 			opts := DefaultOptions()
-			opts.Workers = -1 // GOMAXPROCS
-			res, err := Partition(a, p, MethodMediumGrain, opts, rand.New(rand.NewSource(3)))
+			res, err := eng.Partition(context.Background(), a, p, MethodMediumGrain, opts, rand.New(rand.NewSource(3)))
 			if err != nil {
 				t.Fatalf("%s/p=%d: %v", name, p, err)
 			}
@@ -84,47 +137,24 @@ func TestPartitionParallelValid(t *testing.T) {
 	}
 }
 
-// TestPartitionLegacyPathUnchanged guards the Workers == 0 contract: the
-// zero value must run the historical sequential algorithms, which a
-// pool-of-one run of the new engine is free to differ from — but both
-// must be valid.
-func TestPartitionLegacyPathUnchanged(t *testing.T) {
-	a := parallelTestMatrices()["lap2d"]
-	legacy1, err := Partition(a, 4, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy2, err := Partition(a, 4, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy1.Parts, legacy2.Parts) {
-		t.Error("legacy path is not deterministic for a fixed seed")
-	}
-	if err := metrics.CheckBalance(legacy1.Parts, 4, 0.03); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestBipartitionParallelEquivalence covers the p = 2 entry point, where
-// the pool accelerates only the multilevel partitioner and the metric
-// evaluation.
+// the pool accelerates only the split, the multilevel partitioner and
+// the metric evaluation.
 func TestBipartitionParallelEquivalence(t *testing.T) {
 	for name, a := range parallelTestMatrices() {
 		for _, seed := range []int64{2, 29} {
-			opts := DefaultOptions()
-			opts.Workers = 1
-			ref, err := Bipartition(a, MethodMediumGrain, opts, rand.New(rand.NewSource(seed)))
+			ref, err := bipartitionInline(a, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(seed)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts.Workers = 4
-			got, err := Bipartition(a, MethodMediumGrain, opts, rand.New(rand.NewSource(seed)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.Parts, ref.Parts) || got.Volume != ref.Volume {
-				t.Errorf("%s/seed=%d: Workers=4 bipartition differs from Workers=1", name, seed)
+			for _, workers := range []int{1, 4} {
+				got, err := NewEngine(workers).Bipartition(context.Background(), a, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(seed)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Parts, ref.Parts) || got.Volume != ref.Volume {
+					t.Errorf("%s/seed=%d: workers=%d bipartition differs from inline", name, seed, workers)
+				}
 			}
 		}
 	}

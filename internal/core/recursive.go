@@ -8,32 +8,6 @@ import (
 	"mediumgrain/internal/sparse"
 )
 
-// Partition distributes the nonzeros of a over p parts by recursive
-// bisection with the chosen method (§IV: "the medium-grain method can
-// also be used in a recursive bisection scheme to obtain partitionings
-// into p parts"). The global imbalance budget ε is spread over the
-// ⌈log2 p⌉ bisection levels so the final partitioning satisfies eqn (1).
-//
-// With opts.Workers != 0 the recursion runs on a shared worker pool: the
-// two halves of every bisection are disjoint subproblems and execute
-// concurrently, each with its own RNG stream seeded from the parent
-// stream in a fixed order, so the result is bit-identical for every
-// worker count >= 1 (Workers == 0 keeps the legacy sequential path and
-// its historical per-seed results).
-//
-// Deprecated: construct a reusable Engine with NewEngine(opts.Workers)
-// and call its Partition with a context; this wrapper builds a
-// throwaway engine per call and cannot be canceled.
-func Partition(a *sparse.Matrix, p int, method Method, opts Options, rng *rand.Rand) (*Result, error) {
-	return NewEngine(opts.Workers).Partition(context.Background(), a, p, method, opts, rng)
-}
-
-// partitionMode is Partition with the subproblem-extraction mode
-// exposed for the compact-equivalence tests.
-func partitionMode(a *sparse.Matrix, p int, method Method, opts Options, rng *rand.Rand, compact bool) (*Result, error) {
-	return NewEngine(opts.Workers).partitionMode(context.Background(), a, p, method, opts, rng, compact, nil)
-}
-
 // runHooks carries a run's optional observation callbacks down the
 // bisection tree. A nil *runHooks (or a nil field) observes nothing and
 // costs nothing; the callbacks never influence results.
@@ -71,67 +45,26 @@ func (h *runHooks) split(vol int64) {
 	}
 }
 
-// bisectRec assigns parts [base, base+q) to the nonzeros listed in subset
-// (indices into a's COO arrays) on the sequential legacy path. ctx is
-// checked at every node, so cancellation lands within one bisection.
-func bisectRec(ctx context.Context, a *sparse.Matrix, subset []int, base, q int, parts []int, method Method, opts Options, delta float64, rng *rand.Rand, hooks *runHooks) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if q == 1 {
-		for _, k := range subset {
-			parts[k] = base
-		}
-		hooks.leaf(len(subset))
-		return nil
-	}
-	q0 := (q + 1) / 2
-	q1 := q - q0
-
-	sub, fwd := submatrix(a, subset)
-	localOpts := opts
-	localOpts.Eps = delta
-	localOpts.TargetFrac = float64(q0) / float64(q)
-	// The full-dimension submatrix keeps the root's shape, so this tie
-	// shape equals the root's and the draw sequence matches history.
-	res, err := bipartitionScratch(ctx, sub, tieShape{sub.Rows, sub.Cols}, method, localOpts, rng, nil, nil)
-	if err != nil {
-		return err
-	}
-	hooks.split(res.Volume)
-
-	var left, right []int
-	for sk, k := range fwd {
-		if res.Parts[sk] == 0 {
-			left = append(left, k)
-		} else {
-			right = append(right, k)
-		}
-	}
-	if err := bisectRec(ctx, a, left, base, q0, parts, method, opts, delta, rng, hooks); err != nil {
-		return err
-	}
-	return bisectRec(ctx, a, right, base+q0, q1, parts, method, opts, delta, rng, hooks)
-}
-
-// bisectRecPool is bisectRec on a shared worker pool. Each node draws
-// the two child seeds from its own rng in a fixed order before forking,
-// so every subtree owns an independent deterministic RNG stream and the
-// partitioning does not depend on scheduling. The two recursive calls
-// write disjoint index sets of parts, making the concurrent writes safe.
+// bisect assigns parts [base, base+q) to the nonzeros listed in subset
+// (indices into a's COO arrays) by recursive bisection on the shared
+// worker pool (nil = inline). Each node draws the two child seeds from
+// its own rng in a fixed order before forking, so every subtree owns an
+// independent deterministic RNG stream and the partitioning does not
+// depend on scheduling or pool size. The two recursive calls write
+// disjoint index sets of parts, making the concurrent writes safe.
 //
-// With compact extraction each node works on the subproblem relabeled to
-// its occupied rows and columns — O(nnz(sub)) per node instead of the
-// O(Rows+Cols) that full-dimension copies cost at every tree level. The
-// continuing branch keeps its scratch (the parent's buffers are dead once
-// left/right are computed); the forked branch checks one out of the
+// Each node works on its subproblem relabeled to the occupied rows and
+// columns (a compact view) — O(nnz(sub)) per node instead of the
+// O(Rows+Cols) a full-dimension copy would cost at every tree level.
+// The continuing branch keeps its scratch (the parent's buffers are dead
+// once left/right are computed); the forked branch checks one out of the
 // run's store, bounding live scratches by the pool's concurrency.
 //
 // Cancellation: ctx is checked at every node entry and threaded into the
 // multilevel engine below, so a cancel unwinds the whole tree promptly;
 // forked branches still join (Fork always joins) and every checked-out
 // scratch is returned on the way out, keeping the free list balanced.
-func bisectRecPool(ctx context.Context, a *sparse.Matrix, subset []int, base, q int, parts []int, method Method, opts Options, delta float64, rng *rand.Rand, pl *pool.Pool, st *scratchStore, sc *scratch, compact bool, hooks *runHooks) error {
+func bisect(ctx context.Context, a *sparse.Matrix, subset []int, base, q int, parts []int, method Method, opts Options, delta float64, rng *rand.Rand, pl *pool.Pool, st *scratchStore, sc *scratch, hooks *runHooks) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -145,25 +78,18 @@ func bisectRecPool(ctx context.Context, a *sparse.Matrix, subset []int, base, q 
 	q0 := (q + 1) / 2
 	q1 := q - q0
 
-	var sub *sparse.Matrix
-	var fwd []int
-	if compact {
-		view := sc.cpt.Compact(a, subset)
-		sub, fwd = view.A, view.NzOf
-	} else {
-		sub, fwd = submatrix(a, subset)
-	}
+	view := sc.cpt.Compact(a, subset)
 	localOpts := opts
 	localOpts.Eps = delta
 	localOpts.TargetFrac = float64(q0) / float64(q)
-	res, err := bipartitionScratch(ctx, sub, tieShape{a.Rows, a.Cols}, method, localOpts, rng, pl, sc)
+	res, err := bipartitionScratch(ctx, view.A, tieShape{a.Rows, a.Cols}, method, localOpts, rng, pl, sc)
 	if err != nil {
 		return err
 	}
 	hooks.split(res.Volume)
 
 	var left, right []int
-	for sk, k := range fwd {
+	for sk, k := range view.NzOf {
 		if res.Parts[sk] == 0 {
 			left = append(left, k)
 		} else {
@@ -173,31 +99,16 @@ func bisectRecPool(ctx context.Context, a *sparse.Matrix, subset []int, base, q 
 	seedL, seedR := rng.Int63(), rng.Int63()
 	var errL, errR error
 	pl.Fork(func() {
-		errL = bisectRecPool(ctx, a, left, base, q0, parts, method, opts, delta,
-			rand.New(rand.NewSource(seedL)), pl, st, sc, compact, hooks)
+		errL = bisect(ctx, a, left, base, q0, parts, method, opts, delta,
+			rand.New(rand.NewSource(seedL)), pl, st, sc, hooks)
 	}, func() {
 		sc2 := st.get()
-		errR = bisectRecPool(ctx, a, right, base+q0, q1, parts, method, opts, delta,
-			rand.New(rand.NewSource(seedR)), pl, st, sc2, compact, hooks)
+		errR = bisect(ctx, a, right, base+q0, q1, parts, method, opts, delta,
+			rand.New(rand.NewSource(seedR)), pl, st, sc2, hooks)
 		st.put(sc2)
 	})
 	if errL != nil {
 		return errL
 	}
 	return errR
-}
-
-// submatrix extracts the nonzeros listed in subset into a standalone
-// matrix with the same dimensions (empty rows/columns are harmless for
-// every model). fwd maps submatrix nonzero order back to positions in a.
-func submatrix(a *sparse.Matrix, subset []int) (*sparse.Matrix, []int) {
-	sub := sparse.New(a.Rows, a.Cols)
-	sub.RowIdx = make([]int, 0, len(subset))
-	sub.ColIdx = make([]int, 0, len(subset))
-	fwd := make([]int, 0, len(subset))
-	for _, k := range subset {
-		sub.AppendPattern(a.RowIdx[k], a.ColIdx[k])
-		fwd = append(fwd, k)
-	}
-	return sub, fwd
 }

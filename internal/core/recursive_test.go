@@ -12,7 +12,7 @@ import (
 func TestPartitionBasic(t *testing.T) {
 	a := gen.Laplacian2D(16, 16)
 	for _, p := range []int{2, 4, 8} {
-		res, err := Partition(a, p, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(1)))
+		res, err := partitionInline(a, p, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(1)))
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -37,7 +37,7 @@ func TestPartitionBasic(t *testing.T) {
 
 func TestPartitionP1(t *testing.T) {
 	a := gen.Tridiagonal(50)
-	res, err := Partition(a, 1, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(1)))
+	res, err := partitionInline(a, 1, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestPartitionP1(t *testing.T) {
 func TestPartitionNonPowerOfTwo(t *testing.T) {
 	a := gen.Laplacian2D(14, 14)
 	for _, p := range []int{3, 5, 6, 7} {
-		res, err := Partition(a, p, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(2)))
+		res, err := partitionInline(a, p, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(2)))
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -72,10 +72,10 @@ func TestPartitionNonPowerOfTwo(t *testing.T) {
 
 func TestPartitionRejectsBadP(t *testing.T) {
 	a := gen.Tridiagonal(10)
-	if _, err := Partition(a, 0, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(1))); err == nil {
+	if _, err := partitionInline(a, 0, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("p=0 accepted")
 	}
-	if _, err := Partition(a, -3, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(1))); err == nil {
+	if _, err := partitionInline(a, -3, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("negative p accepted")
 	}
 }
@@ -83,7 +83,7 @@ func TestPartitionRejectsBadP(t *testing.T) {
 func TestPartitionAllMethods(t *testing.T) {
 	a := gen.PowerLawGraph(rand.New(rand.NewSource(3)), 120, 3)
 	for _, m := range allMethods() {
-		res, err := Partition(a, 4, m, DefaultOptions(), rand.New(rand.NewSource(4)))
+		res, err := partitionInline(a, 4, m, DefaultOptions(), rand.New(rand.NewSource(4)))
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -97,11 +97,11 @@ func TestPartitionWithRefinement(t *testing.T) {
 	a := gen.Laplacian2D(12, 12)
 	opts := DefaultOptions()
 	opts.Refine = true
-	plain, err := Partition(a, 4, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(5)))
+	plain, err := partitionInline(a, 4, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := Partition(a, 4, MethodMediumGrain, opts, rand.New(rand.NewSource(5)))
+	refined, err := partitionInline(a, 4, MethodMediumGrain, opts, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestPartitionMorePartsThanNonzeros(t *testing.T) {
 	a.AppendPattern(1, 1)
 	a.Canonicalize()
 	// p = 4 > N = 2: must not fail; some parts stay empty
-	res, err := Partition(a, 4, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(6)))
+	res, err := partitionInline(a, 4, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(6)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,29 +131,15 @@ func TestPartitionMorePartsThanNonzeros(t *testing.T) {
 	}
 }
 
-func TestSubmatrixExtraction(t *testing.T) {
-	a := fig1Matrix()
-	subset := []int{0, 3, 5}
-	sub, fwd := submatrix(a, subset)
-	if sub.NNZ() != 3 || sub.Rows != a.Rows || sub.Cols != a.Cols {
-		t.Fatalf("submatrix %v", sub)
-	}
-	for sk, k := range fwd {
-		if sub.RowIdx[sk] != a.RowIdx[k] || sub.ColIdx[sk] != a.ColIdx[k] {
-			t.Fatal("submatrix mapping wrong")
-		}
-	}
-}
-
 func TestPartitionVolumeScalesWithP(t *testing.T) {
 	// more parts cannot help: V(p=8) >= V(p=2) on the same mesh (up to
 	// noise; use generous factor to avoid flakiness).
 	a := gen.Laplacian2D(20, 20)
-	r2, err := Partition(a, 2, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(7)))
+	r2, err := partitionInline(a, 2, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r8, err := Partition(a, 8, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(7)))
+	r8, err := partitionInline(a, 8, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"mediumgrain/internal/sparse"
 )
 
-// IterativeRefine implements Algorithm 2 of the paper: a cheap
+// iterativeRefineIndexed implements Algorithm 2 of the paper: a cheap
 // post-processing step applicable to any bipartitioning. The current
 // bipartition {A0, A1} is re-encoded as a medium-grain split — direction
 // 0 places A0 in Ar and A1 in Ac; direction 1 swaps them — the composite
@@ -17,26 +17,18 @@ import (
 // vertex bipartition, and a single Kernighan–Lin/FM run refines it. The
 // loop alternates directions whenever an iteration stops improving and
 // terminates when both directions are exhausted (V_k = V_{k−1} = V_{k−2}).
-//
 // The returned partition never has larger communication volume than the
 // input (the whole procedure is monotonically non-increasing), and the
 // balance constraint ε is maintained.
 //
-// Deprecated: use Engine.IterativeRefine, which runs under a context
-// and reuses the engine's scratch memory.
-func IterativeRefine(a *sparse.Matrix, parts []int, opts Options, rng *rand.Rand) []int {
-	refined, _ := iterativeRefineIndexed(context.Background(), a, parts, opts, rng, nil, nil)
-	return refined
-}
-
-// iterativeRefineIndexed is IterativeRefine sharing a caller-built index
-// of a across every iteration's model build and volume evaluation (nil
-// builds one once), with working memory drawn from sc. The returned
-// volume is the refined partition's — the loop tracks it anyway, so
-// callers never pay a separate evaluation. A canceled ctx stops the
-// loop at the next iteration (or FM-stride) boundary and returns the
-// best partition found so far — still never worse than the input;
-// callers that must distinguish report ctx.Err() themselves.
+// ix is a caller-built index of a shared by every iteration's model
+// build and volume evaluation (nil builds one once); working memory is
+// drawn from sc. The returned volume is the refined partition's — the
+// loop tracks it anyway, so callers never pay a separate evaluation. A
+// canceled ctx stops the loop at the next iteration (or FM-stride)
+// boundary and returns the best partition found so far — still never
+// worse than the input; callers that must distinguish report ctx.Err()
+// themselves.
 func iterativeRefineIndexed(ctx context.Context, a *sparse.Matrix, parts []int, opts Options, rng *rand.Rand, ix *sparse.Index, sc *scratch) ([]int, int64) {
 	if opts.TargetFrac == 0 {
 		opts.TargetFrac = 0.5
@@ -104,6 +96,10 @@ func refineOnce(ctx context.Context, a *sparse.Matrix, parts []int, dir int, opt
 	if err != nil {
 		return nil, false
 	}
-	hgpart.RefineBipartitionCapsScratch(ctx, bm.H, vparts, caps(a.NNZ(), opts), rng, opts.Config, sc.engine())
+	// Algorithm 2 is a single serial KL/FM run per encoding: the
+	// ParallelFM layers (try racing, speculative batches) stay off.
+	cfg := opts.Config
+	cfg.ParallelFM = false
+	hgpart.RefineBipartition(ctx, bm.H, vparts, caps(a.NNZ(), opts), rng, cfg, sc.engine())
 	return bm.NonzeroParts(vparts), true
 }

@@ -33,7 +33,7 @@ func TestIterativeRefineMonotone(t *testing.T) {
 		}
 		parts := feasibleRandomParts(rng, a.NNZ())
 		before := metrics.Volume(a, parts, 2)
-		refined := IterativeRefine(a, parts, DefaultOptions(), rng)
+		refined := iterativeRefineInline(a, parts, DefaultOptions(), rng)
 		after := metrics.Volume(a, refined, 2)
 		return after <= before
 	}
@@ -50,7 +50,7 @@ func TestIterativeRefineKeepsBalance(t *testing.T) {
 			return true
 		}
 		parts := feasibleRandomParts(rng, a.NNZ())
-		refined := IterativeRefine(a, parts, DefaultOptions(), rng)
+		refined := iterativeRefineInline(a, parts, DefaultOptions(), rng)
 		return metrics.CheckBalance(refined, 2, 0.03) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -63,7 +63,7 @@ func TestIterativeRefineDoesNotTouchInput(t *testing.T) {
 	a := gen.Laplacian2D(8, 8)
 	parts := feasibleRandomParts(rng, a.NNZ())
 	orig := append([]int(nil), parts...)
-	IterativeRefine(a, parts, DefaultOptions(), rng)
+	iterativeRefineInline(a, parts, DefaultOptions(), rng)
 	for k := range parts {
 		if parts[k] != orig[k] {
 			t.Fatal("IterativeRefine mutated its input")
@@ -78,7 +78,7 @@ func TestIterativeRefineImprovesRandomPartition(t *testing.T) {
 	a := gen.Laplacian2D(16, 16)
 	parts := feasibleRandomParts(rng, a.NNZ())
 	before := metrics.Volume(a, parts, 2)
-	refined := IterativeRefine(a, parts, DefaultOptions(), rng)
+	refined := iterativeRefineInline(a, parts, DefaultOptions(), rng)
 	after := metrics.Volume(a, refined, 2)
 	if after >= before {
 		t.Fatalf("IR made no progress on a random mesh partition: %d -> %d", before, after)
@@ -95,9 +95,9 @@ func TestIterativeRefineFixedPoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := gen.PowerLawGraph(rng, 150, 3)
 	parts := feasibleRandomParts(rng, a.NNZ())
-	once := IterativeRefine(a, parts, DefaultOptions(), rng)
+	once := iterativeRefineInline(a, parts, DefaultOptions(), rng)
 	v1 := metrics.Volume(a, once, 2)
-	twice := IterativeRefine(a, once, DefaultOptions(), rng)
+	twice := iterativeRefineInline(a, once, DefaultOptions(), rng)
 	v2 := metrics.Volume(a, twice, 2)
 	if v2 > v1 {
 		t.Fatalf("second IR increased volume: %d -> %d", v1, v2)
@@ -126,7 +126,7 @@ func TestIterativeRefineZeroVolumeStable(t *testing.T) {
 		t.Fatal("setup: expected zero volume")
 	}
 	rng := rand.New(rand.NewSource(8))
-	refined := IterativeRefine(a, parts, DefaultOptions(), rng)
+	refined := iterativeRefineInline(a, parts, DefaultOptions(), rng)
 	if v := metrics.Volume(a, refined, 2); v != 0 {
 		t.Fatalf("IR broke a perfect partition: volume %d", v)
 	}
@@ -139,13 +139,13 @@ func TestIterativeRefineTinyInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	// empty
 	a := sparse.New(2, 2)
-	if got := IterativeRefine(a, nil, DefaultOptions(), rng); len(got) != 0 {
+	if got := iterativeRefineInline(a, nil, DefaultOptions(), rng); len(got) != 0 {
 		t.Fatal("empty refine produced parts")
 	}
 	// single nonzero
 	b := sparse.New(2, 2)
 	b.AppendPattern(0, 0)
-	got := IterativeRefine(b, []int{0}, DefaultOptions(), rng)
+	got := iterativeRefineInline(b, []int{0}, DefaultOptions(), rng)
 	if len(got) != 1 {
 		t.Fatal("single-nonzero refine wrong length")
 	}

@@ -21,7 +21,7 @@ func TestMillionNonzeroScale(t *testing.T) {
 	if a.NNZ() < 1_000_000 {
 		t.Fatalf("setup: only %d nonzeros", a.NNZ())
 	}
-	res, err := Bipartition(a, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(1)))
+	res, err := bipartitionInline(a, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}

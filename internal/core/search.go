@@ -115,7 +115,7 @@ func (s *searchState) merge(try int, res *Result) (best int64, bestTry int) {
 // with spec.VaryFM, odd tries flip the FM mode) — and returns the best
 // result under the deterministic tie-break (lowest volume, then lowest
 // try index). Tries fan out over the engine's existing worker budget:
-// at most Workers() tries run at once (one on a sequential engine), and
+// at most Workers() tries run at once (one on an inline engine), and
 // each try's internal parallelism shares the same pool.
 //
 // Pruning: the sum of completed split volumes is a monotone lower bound
@@ -154,10 +154,7 @@ func (e *Engine) PartitionSearch(ctx context.Context, a *sparse.Matrix, p int, m
 	// At most `limit` tries race at once; each try's root goroutine works
 	// inline besides the pool's helpers (the mgserve runner pattern), so
 	// the engine's worker budget is the fan-out bound, not multiplied.
-	limit := 1
-	if e.pl != nil {
-		limit = e.pl.Workers()
-	}
+	limit := e.pl.Workers() // 1 for an inline engine
 	if limit > tries {
 		limit = tries
 	}
@@ -191,7 +188,7 @@ func (e *Engine) PartitionSearch(ctx context.Context, a *sparse.Matrix, p int, m
 			if hooks != nil && hooks.OnLeaf != nil {
 				rh.onLeaf = func(nnz int) { hooks.OnLeaf(i+1, nnz) }
 			}
-			res, err := e.partitionMode(ctxs[i], a, p, method, tryOpts, rand.New(rand.NewSource(seed+int64(i))), true, rh)
+			res, err := e.partition(ctxs[i], a, p, method, tryOpts, rand.New(rand.NewSource(seed+int64(i))), rh)
 			// Release the context's resources; the cause (if any) is kept.
 			defer mon.cancel(nil)
 			switch {

@@ -267,8 +267,9 @@ func TestSearchBudget(t *testing.T) {
 	searchEqual(t, "budgeted", res, want)
 }
 
-// TestSearchSequentialEngine: a Workers == 0 engine races tries one at a
-// time and stays deterministic.
+// TestSearchSequentialEngine: an inline (workers 0) engine races tries
+// one at a time, stays deterministic, and crowns the same winner as a
+// pooled engine.
 func TestSearchSequentialEngine(t *testing.T) {
 	a := gen.Laplacian2D(20, 20)
 	eng := NewEngine(0)
@@ -285,4 +286,12 @@ func TestSearchSequentialEngine(t *testing.T) {
 		t.Fatalf("sequential winner try unstable: %d then %d", rep1.WinnerTry, rep2.WinnerTry)
 	}
 	searchEqual(t, "sequential", first, second)
+	pooled, rep3, err := NewEngine(2).PartitionSearch(context.Background(), a, 4, MethodMediumGrain, DefaultOptions(), 1, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep3.WinnerTry != rep1.WinnerTry {
+		t.Fatalf("pooled winner try %d != inline %d", rep3.WinnerTry, rep1.WinnerTry)
+	}
+	searchEqual(t, "pooled", pooled, first)
 }

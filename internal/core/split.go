@@ -68,60 +68,8 @@ func Split(a *sparse.Matrix, strategy SplitStrategy, rng *rand.Rand) []bool {
 		}
 		return inRow
 	default:
-		return splitNNZ(a, rng, true)
+		return SplitParallelPool(a, rng, nil)
 	}
-}
-
-// splitNNZ is Algorithm 1 plus (optionally) the one-off post-pass
-// described at the end of §III-B.
-func splitNNZ(a *sparse.Matrix, rng *rand.Rand, postPass bool) []bool {
-	return splitNNZShape(a, rng, a.Rows, a.Cols, postPass)
-}
-
-// splitNNZShape is splitNNZ with the global tie orientation decided from
-// the given logical shape instead of a's own dimensions. Recursive
-// bisection passes the root matrix's shape: a compacted subproblem drops
-// empty rows and columns, but its split must make the exact tie choices
-// (and consume the rng identically) that the legacy full-dimension
-// extraction made, or compact and legacy partitionings would diverge.
-func splitNNZShape(a *sparse.Matrix, rng *rand.Rand, shapeRows, shapeCols int, postPass bool) []bool {
-	nzr := a.RowCounts()
-	nzc := a.ColCounts()
-
-	// Global preference for ties (Algorithm 1 lines 2–7): with more rows
-	// than columns prefer Ar, with fewer prefer Ac, random for square.
-	var tieRow bool
-	switch {
-	case shapeRows > shapeCols:
-		tieRow = true
-	case shapeRows < shapeCols:
-		tieRow = false
-	default:
-		tieRow = rng.Intn(2) == 0
-	}
-
-	inRow := make([]bool, a.NNZ())
-	for k := range a.RowIdx {
-		i, j := a.RowIdx[k], a.ColIdx[k]
-		switch {
-		case nzc[j] == 1:
-			// A singleton column is never cut; free its row by keeping
-			// the nonzero with the row group.
-			inRow[k] = true
-		case nzr[i] == 1:
-			inRow[k] = false
-		case nzr[i] < nzc[j]:
-			inRow[k] = true
-		case nzr[i] > nzc[j]:
-			inRow[k] = false
-		default:
-			inRow[k] = tieRow
-		}
-	}
-	if postPass {
-		oneOffPostPass(a, inRow, nzr, nzc)
-	}
-	return inRow
 }
 
 // oneOffPostPass implements the final improvement of §III-B: if a row has

@@ -8,6 +8,13 @@ import (
 	"mediumgrain/internal/sparse"
 )
 
+// splitNoPostPass is Algorithm 1's scoring rules alone, without the
+// one-off post-pass that could otherwise move the nonzero under test.
+func splitNoPostPass(a *sparse.Matrix) []bool {
+	inRow, _, _ := scoreSplit(a, rand.New(rand.NewSource(1)), a.Rows, a.Cols, nil)
+	return inRow
+}
+
 func randomPattern(rng *rand.Rand, rows, cols, maxNNZ int) *sparse.Matrix {
 	a := sparse.New(rows, cols)
 	n := rng.Intn(maxNNZ + 1)
@@ -71,7 +78,7 @@ func TestSplitSingletonRowRule(t *testing.T) {
 	a.AppendPattern(2, 0)
 	a.AppendPattern(2, 1)
 	a.Canonicalize()
-	inRow := splitNNZ(a, rand.New(rand.NewSource(1)), false) // no post-pass
+	inRow := splitNoPostPass(a)
 	for k := range a.RowIdx {
 		if a.RowIdx[k] == 1 && a.ColIdx[k] == 0 && inRow[k] {
 			t.Fatal("singleton row nonzero not placed in Ac")
@@ -93,7 +100,7 @@ func TestSplitScoreComparison(t *testing.T) {
 	a.AppendPattern(3, 1)
 	a.Canonicalize()
 	// every row has 2, every column has 4: rows win (sr < sc) => Ar
-	inRow := splitNNZ(a, rand.New(rand.NewSource(1)), false)
+	inRow := splitNoPostPass(a)
 	for k, b := range inRow {
 		if !b {
 			t.Fatalf("nonzero %d should be in Ar (row score 2 < col score 4)", k)
@@ -110,7 +117,7 @@ func TestSplitTieGlobalPreference(t *testing.T) {
 		}
 	}
 	a.Canonicalize()
-	inRow := splitNNZ(a, rand.New(rand.NewSource(1)), false)
+	inRow := splitNoPostPass(a)
 	for k, b := range inRow {
 		if b {
 			t.Fatalf("nonzero %d should be in Ac (col score 2 < row score 4)", k)
@@ -125,7 +132,7 @@ func TestSplitTieGlobalPreference(t *testing.T) {
 		}
 	}
 	sq.Canonicalize()
-	inRow = splitNNZ(sq, rand.New(rand.NewSource(1)), false)
+	inRow = splitNoPostPass(sq)
 	first := inRow[0]
 	for k, b := range inRow {
 		if b != first {
@@ -147,14 +154,14 @@ func TestSplitRectangularTieDirection(t *testing.T) {
 	a.AppendPattern(1, 1)
 	a.Canonicalize()
 	// rows 0,1 score 2; cols score 2 → tie; m=4 > n=2 → Ar
-	inRow := splitNNZ(a, rand.New(rand.NewSource(1)), false)
+	inRow := splitNoPostPass(a)
 	for k, b := range inRow {
 		if !b {
 			t.Fatalf("tie nonzero %d should go to Ar for tall matrices", k)
 		}
 	}
 	at := a.Transpose()
-	inRow = splitNNZ(at, rand.New(rand.NewSource(1)), false)
+	inRow = splitNoPostPass(at)
 	for k, b := range inRow {
 		if b {
 			t.Fatalf("tie nonzero %d should go to Ac for wide matrices", k)

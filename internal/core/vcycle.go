@@ -10,28 +10,17 @@ import (
 	"mediumgrain/internal/sparse"
 )
 
-// VCycleRefine is the hMetis-style alternative to IterativeRefine that
+// vCycleRefineOn is the hMetis-style alternative to Algorithm 2 that
 // the paper contrasts with in §III-C: instead of a single flat KL/FM run
 // per encoding, each iteration performs multilevel V-cycle refinement
 // (restricted coarsening that respects the current bipartition, then FM
-// at every level) on the composite hypergraph. It is more expensive than
-// Algorithm 2 but can escape local minima that a single-level pass
-// cannot; like Algorithm 2 it is monotonically non-increasing in the
-// communication volume and alternates encoding directions until both are
-// exhausted.
-//
-// Deprecated: use Engine.VCycleRefine, which runs under a context on
-// the engine's shared pool.
-func VCycleRefine(a *sparse.Matrix, parts []int, opts Options, rng *rand.Rand) []int {
-	// With opts.Workers != 0 the restricted matching runs as
-	// deterministic proposal rounds on a shared pool (identical results
-	// for every worker count); Workers == 0 keeps the sequential matcher.
-	return vCycleRefineOn(context.Background(), a, parts, opts, rng, opts.newPool())
-}
-
-// vCycleRefineOn is VCycleRefine on a caller-held pool, stopping at the
-// next iteration boundary — with the best partition found so far, never
-// worse than the input — when ctx is canceled.
+// at every level) on the composite hypergraph, on pl. It is more
+// expensive than Algorithm 2 but can escape local minima that a
+// single-level pass cannot; like Algorithm 2 it is monotonically
+// non-increasing in the communication volume and alternates encoding
+// directions until both are exhausted. A canceled ctx stops it at the
+// next iteration boundary with the best partition found so far, never
+// worse than the input.
 func vCycleRefineOn(ctx context.Context, a *sparse.Matrix, parts []int, opts Options, rng *rand.Rand, pl *pool.Pool) []int {
 	if opts.TargetFrac == 0 {
 		opts.TargetFrac = 0.5
@@ -85,6 +74,6 @@ func vcycleOnce(ctx context.Context, a *sparse.Matrix, parts []int, dir int, opt
 	if err != nil {
 		return nil, false
 	}
-	hgpart.VCycleRefinePool(ctx, bm.H, vparts, caps(a.NNZ(), opts), rng, opts.engineConfig(), pl)
+	hgpart.VCycleRefine(ctx, bm.H, vparts, caps(a.NNZ(), opts), rng, opts.Config, pl)
 	return bm.NonzeroParts(vparts), true
 }

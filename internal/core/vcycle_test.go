@@ -18,7 +18,7 @@ func TestVCycleRefineMonotone(t *testing.T) {
 		}
 		parts := feasibleRandomParts(rng, a.NNZ())
 		before := metrics.Volume(a, parts, 2)
-		refined := VCycleRefine(a, parts, DefaultOptions(), rng)
+		refined := vCycleRefineInline(a, parts, DefaultOptions(), rng)
 		after := metrics.Volume(a, refined, 2)
 		return after <= before && metrics.CheckBalance(refined, 2, 0.03) == nil
 	}
@@ -32,7 +32,7 @@ func TestVCycleRefineImprovesMesh(t *testing.T) {
 	a := gen.Laplacian2D(16, 16)
 	parts := feasibleRandomParts(rng, a.NNZ())
 	before := metrics.Volume(a, parts, 2)
-	refined := VCycleRefine(a, parts, DefaultOptions(), rng)
+	refined := vCycleRefineInline(a, parts, DefaultOptions(), rng)
 	after := metrics.Volume(a, refined, 2)
 	if after >= before {
 		t.Fatalf("V-cycle made no progress: %d -> %d", before, after)
@@ -44,7 +44,7 @@ func TestVCycleRefineDoesNotTouchInput(t *testing.T) {
 	a := gen.Laplacian2D(8, 8)
 	parts := feasibleRandomParts(rng, a.NNZ())
 	orig := append([]int(nil), parts...)
-	VCycleRefine(a, parts, DefaultOptions(), rng)
+	vCycleRefineInline(a, parts, DefaultOptions(), rng)
 	for k := range parts {
 		if parts[k] != orig[k] {
 			t.Fatal("VCycleRefine mutated its input")
@@ -60,8 +60,8 @@ func TestVCycleVsFlatIR(t *testing.T) {
 	a := gen.Laplacian2D(14, 14)
 	parts := feasibleRandomParts(rng, a.NNZ())
 	before := metrics.Volume(a, parts, 2)
-	flat := metrics.Volume(a, IterativeRefine(a, parts, DefaultOptions(), rand.New(rand.NewSource(5))), 2)
-	vc := metrics.Volume(a, VCycleRefine(a, parts, DefaultOptions(), rand.New(rand.NewSource(5))), 2)
+	flat := metrics.Volume(a, iterativeRefineInline(a, parts, DefaultOptions(), rand.New(rand.NewSource(5))), 2)
+	vc := metrics.Volume(a, vCycleRefineInline(a, parts, DefaultOptions(), rand.New(rand.NewSource(5))), 2)
 	if flat > before || vc > before {
 		t.Fatalf("refinement regressed: start %d, flat %d, vcycle %d", before, flat, vc)
 	}

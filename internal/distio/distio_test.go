@@ -1,6 +1,7 @@
 package distio
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -16,7 +17,7 @@ import (
 func partitionedBundle(t *testing.T) *Bundle {
 	t.Helper()
 	a := gen.Laplacian2D(8, 8)
-	res, err := core.Partition(a, 4, core.MethodMediumGrain, core.DefaultOptions(), rand.New(rand.NewSource(1)))
+	res, err := core.NewEngine(0).Partition(context.Background(), a, 4, core.MethodMediumGrain, core.DefaultOptions(), rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,13 +64,11 @@ type RunOptions struct {
 	Seed int64
 	// Workers runs matrices concurrently (0 = GOMAXPROCS).
 	Workers int
-	// EngineWorkers is threaded into core.Options.Workers for every
-	// partitioning call: 0 keeps the sequential legacy engine (the
-	// historical per-seed results), any other value runs each matrix's
-	// partitioning on the worker-pool engine. Sweeps over one large
-	// matrix set Workers to 1 and EngineWorkers to the core count, so the
-	// pool parallelizes inside the single partitioning instead of across
-	// matrices.
+	// EngineWorkers sizes the pool of the sweep's shared core.Engine
+	// (0 = inline, negative = GOMAXPROCS); it never changes a result.
+	// Sweeps over one large matrix set Workers to 1 and EngineWorkers to
+	// the core count, so the pool parallelizes inside the single
+	// partitioning instead of across matrices.
 	EngineWorkers int
 }
 
@@ -142,7 +140,7 @@ func runOne(eng *core.Engine, in corpus.Instance, specs []MethodSpec, opts RunOp
 		var sumTime time.Duration
 		for r := 0; r < opts.Runs; r++ {
 			rng := rand.New(rand.NewSource(seed + int64(m)*131 + int64(r)*17))
-			o := core.Options{Eps: opts.Eps, Refine: spec.Refine, Config: opts.Config, Workers: opts.EngineWorkers}
+			o := core.Options{Eps: opts.Eps, Refine: spec.Refine, Config: opts.Config}
 			start := time.Now()
 			var parts []int
 			var vol int64
@@ -317,7 +315,7 @@ func RunFig3(runs int, seed int64, eps float64, cfg hgpart.Config) (*Fig3Result,
 		{"mediumgrain", core.MethodMediumGrain},
 	}
 	res := &Fig3Result{BestVolume: map[string]int64{}, Runs: runs}
-	eng := core.NewEngine(0) // sequential: the historical per-seed results
+	eng := core.NewEngine(0) // inline; results do not depend on the worker count
 	var mgVols []int64
 	for _, spec := range methods {
 		best := int64(-1)

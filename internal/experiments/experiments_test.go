@@ -234,11 +234,10 @@ func TestRunSymVec(t *testing.T) {
 	}
 }
 
-// TestRunEngineWorkersDeterministic: threading core.Options.Workers
-// through RunOptions switches each partitioning call onto the pool
-// engine, whose results are bit-identical for every worker count; the
-// averaged sweep results must therefore agree between EngineWorkers 1
-// and 4 (single-matrix concurrency) exactly.
+// TestRunEngineWorkersDeterministic: EngineWorkers only sizes the shared
+// engine's pool, and results are bit-identical for every worker count,
+// so the averaged sweep results must agree exactly between EngineWorkers
+// 0 (inline), 1 and 4 (single-matrix concurrency).
 func TestRunEngineWorkersDeterministic(t *testing.T) {
 	specs := []MethodSpec{{"MG", core.MethodMediumGrain, false}}
 	opts := DefaultRunOptions()
@@ -249,19 +248,21 @@ func TestRunEngineWorkersDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.EngineWorkers = 4
-	got, err := Run(tinyInstances(), specs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ref) {
-		t.Fatalf("result count mismatch: %d vs %d", len(got), len(ref))
-	}
-	for i := range got {
-		for m := range got[i].AvgVolume {
-			if got[i].AvgVolume[m] != ref[i].AvgVolume[m] {
-				t.Errorf("%s: EngineWorkers=4 volume %g != EngineWorkers=1 volume %g",
-					got[i].Name, got[i].AvgVolume[m], ref[i].AvgVolume[m])
+	for _, ew := range []int{0, 4} {
+		opts.EngineWorkers = ew
+		got, err := Run(tinyInstances(), specs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(ref) {
+			t.Fatalf("result count mismatch: %d vs %d", len(got), len(ref))
+		}
+		for i := range got {
+			for m := range got[i].AvgVolume {
+				if got[i].AvgVolume[m] != ref[i].AvgVolume[m] {
+					t.Errorf("%s: EngineWorkers=%d volume %g != EngineWorkers=1 volume %g",
+						got[i].Name, ew, got[i].AvgVolume[m], ref[i].AvgVolume[m])
+				}
 			}
 		}
 	}

@@ -53,7 +53,7 @@ func RunOptStudy(instances, maxNNZ, runs int, seed int64, cfg hgpart.Config) ([]
 
 	rng := rand.New(rand.NewSource(seed))
 	made := 0
-	eng := core.NewEngine(0) // sequential: the historical per-seed results
+	eng := core.NewEngine(0) // inline; results do not depend on the worker count
 	for made < instances {
 		a := tinyMatrix(rng, maxNNZ)
 		if a.NNZ() < 4 {

@@ -40,7 +40,7 @@ func (r SymVecResult) Overhead() float64 {
 // evaluates both distribution regimes.
 func RunSymVec(instances []corpus.Instance, p int, seed int64, cfg hgpart.Config) ([]SymVecResult, error) {
 	var out []SymVecResult
-	eng := core.NewEngine(0) // sequential: the historical per-seed results
+	eng := core.NewEngine(0) // inline; results do not depend on the worker count
 	for idx, in := range instances {
 		if !in.A.IsSquare() {
 			continue

@@ -19,7 +19,7 @@ func BenchmarkBipartitionMondriaanLike(b *testing.B) {
 	h := benchHypergraph(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Bipartition(h, 0.03, rand.New(rand.NewSource(int64(i))), ConfigMondriaanLike())
+		bipartition(h, 0.03, rand.New(rand.NewSource(int64(i))), ConfigMondriaanLike())
 	}
 }
 
@@ -27,7 +27,7 @@ func BenchmarkBipartitionAlt(b *testing.B) {
 	h := benchHypergraph(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Bipartition(h, 0.03, rand.New(rand.NewSource(int64(i))), ConfigAlt())
+		bipartition(h, 0.03, rand.New(rand.NewSource(int64(i))), ConfigAlt())
 	}
 }
 
@@ -56,17 +56,17 @@ func BenchmarkCoarsenOneLevel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vmap, numCoarse := match(h, rng, cfg, maxClusterWt, nil, nil)
-		contract(h, vmap, numCoarse, cfg, nil, nil)
+		contract(h, vmap, numCoarse, nil, nil)
 	}
 }
 
 func BenchmarkVCycleRefine(b *testing.B) {
 	h := benchHypergraph(b)
 	maxW := balancedCaps(h.TotalWeight(), 0.03)
-	base, _ := Bipartition(h, 0.03, rand.New(rand.NewSource(4)), ConfigMondriaanLike())
+	base, _ := bipartition(h, 0.03, rand.New(rand.NewSource(4)), ConfigMondriaanLike())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		parts := append([]int(nil), base...)
-		VCycleRefine(h, parts, maxW, rand.New(rand.NewSource(int64(i))), ConfigMondriaanLike())
+		VCycleRefine(context.Background(), h, parts, maxW, rand.New(rand.NewSource(int64(i))), ConfigMondriaanLike(), nil)
 	}
 }

@@ -25,11 +25,11 @@ type level struct {
 // match pairs up vertices and returns the fine→coarse vertex map and the
 // number of coarse vertices. maxClusterWt bounds merged weights so no
 // coarse vertex becomes unplaceable under the balance constraint. The
-// mate and connectivity arrays come from sc; the returned vmap is always
-// freshly allocated because the caller keeps it per level.
+// mate array comes from sc; the returned vmap is always freshly
+// allocated because the caller keeps it per level.
 func match(h *hypergraph.Hypergraph, rng *rand.Rand, cfg Config, maxClusterWt int64, pl *pool.Pool, sc *Scratch) ([]int32, int) {
 	nv := h.NumVerts
-	mate, conn := sc.matchBuffers(nv)
+	mate := sc.mateBuffer(nv)
 	order := sc.perm(rng, nv)
 
 	netLimit := cfg.MatchingNetLimit
@@ -37,13 +37,10 @@ func match(h *hypergraph.Hypergraph, rng *rand.Rand, cfg Config, maxClusterWt in
 		netLimit = defaultMatchingNetLimit
 	}
 
-	switch {
-	case cfg.RandomMatching:
+	if cfg.RandomMatching {
 		matchRandom(h, order, mate, netLimit, maxClusterWt)
-	case cfg.Workers != 0:
+	} else {
 		matchProposal(h, order, mate, nil, netLimit, maxClusterWt, pl)
-	default:
-		matchHeavyConnectivity(h, order, mate, conn, netLimit, maxClusterWt)
 	}
 
 	// Assign coarse ids; unmatched vertices map alone.
@@ -64,49 +61,6 @@ func match(h *hypergraph.Hypergraph, rng *rand.Rand, cfg Config, maxClusterWt in
 		next++
 	}
 	return vmap, int(next)
-}
-
-// matchHeavyConnectivity matches each unmatched vertex with the unmatched
-// neighbor it shares the most nets with (ties go to the first-seen
-// candidate in the randomized sweep). Nets larger than netLimit are
-// skipped: they connect nearly everything and only slow matching down.
-// conn is a zeroed scratch array of length NumVerts; every touched entry
-// is reset before returning.
-func matchHeavyConnectivity(h *hypergraph.Hypergraph, order []int, mate, conn []int32, netLimit int, maxClusterWt int64) {
-	cand := make([]int32, 0, 64)
-	for _, vi := range order {
-		v := int32(vi)
-		if mate[v] >= 0 {
-			continue
-		}
-		cand = cand[:0]
-		for _, n := range h.NetsOf(int(v)) {
-			if h.NetSize(int(n)) > netLimit {
-				continue
-			}
-			for _, u := range h.NetPins(int(n)) {
-				if u == v || mate[u] >= 0 {
-					continue
-				}
-				if conn[u] == 0 {
-					cand = append(cand, u)
-				}
-				conn[u]++
-			}
-		}
-		var best int32 = -1
-		var bestConn int32
-		for _, u := range cand {
-			if conn[u] > bestConn && h.VertWt[v]+h.VertWt[u] <= maxClusterWt {
-				best, bestConn = u, conn[u]
-			}
-			conn[u] = 0 // reset scratch
-		}
-		if best >= 0 {
-			mate[v] = best
-			mate[best] = v
-		}
-	}
 }
 
 // matchRandom pairs each unmatched vertex with a random unmatched
@@ -146,15 +100,15 @@ func matchRandom(h *hypergraph.Hypergraph, order []int, mate []int32, netLimit i
 // coarser level). The coarse hypergraph's own arrays are freshly
 // allocated (it outlives the scratch turnover: the V-cycle revisits every
 // level on the way back up); only the dedup stamp and the per-net pin
-// accumulator come from sc. With cfg.Workers != 0 the pin-building loop
-// runs in parallel over the pool; its output is bit-identical to the
-// sequential loop (see contractParallel), so turning workers on or off
-// never changes a partitioning result through this function.
-func contract(h *hypergraph.Hypergraph, vmap []int32, numCoarse int, cfg Config, pl *pool.Pool, sc *Scratch) *hypergraph.Hypergraph {
+// accumulator come from sc. On a pool of more than one worker the
+// pin-building loop runs in parallel; its output is bit-identical to the
+// sequential loop (see contractParallel), so the pool size never changes
+// a partitioning result through this function.
+func contract(h *hypergraph.Hypergraph, vmap []int32, numCoarse int, pl *pool.Pool, sc *Scratch) *hypergraph.Hypergraph {
 	// The two-pass parallel loop deduplicates every net twice; with a
 	// single-worker pool that is pure overhead for an identical result,
 	// so fall through to the sequential loop.
-	if cfg.Workers != 0 && pl.Workers() > 1 {
+	if pl.Workers() > 1 {
 		return contractParallel(h, vmap, numCoarse, pl, sc)
 	}
 	wt := make([]int64, numCoarse)
@@ -302,7 +256,7 @@ func coarsen(ctx context.Context, h *hypergraph.Hypergraph, eps float64, rng *ra
 		if float64(numCoarse) > stall*float64(cur.NumVerts) {
 			break // matching stalled; further levels would not shrink
 		}
-		coarse := contract(cur, vmap, numCoarse, cfg, pl, sc)
+		coarse := contract(cur, vmap, numCoarse, pl, sc)
 		levels = append(levels, level{coarse: coarse, map_: vmap})
 		cur = coarse
 	}

@@ -29,7 +29,7 @@ func TestContractParallelMatchesSequential(t *testing.T) {
 		h := randomHypergraph(rng, 60, 50)
 		vmap, numCoarse := match(h, rng, ConfigMondriaanLike(), h.TotalWeight(), nil, nil)
 
-		want := contract(h, vmap, numCoarse, Config{}, nil, nil)
+		want := contract(h, vmap, numCoarse, nil, nil)
 		for _, workers := range []int{1, 2, 4, 7} {
 			pl := pool.New(workers)
 			got := contractParallel(h, vmap, numCoarse, pl, nil)
@@ -50,14 +50,14 @@ func TestContractParallelMatchesSequential(t *testing.T) {
 }
 
 // TestContractDispatchesOnWorkers checks the contract entry point routes
-// to the parallel path without changing results.
+// a multi-worker pool to the parallel path without changing results.
 func TestContractDispatchesOnWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := randomHypergraph(rng, 50, 40)
 	vmap, numCoarse := match(h, rng, ConfigMondriaanLike(), h.TotalWeight(), nil, nil)
-	seq := contract(h, vmap, numCoarse, Config{}, nil, nil)
-	par := contract(h, vmap, numCoarse, Config{Workers: 3}, pool.New(3), nil)
+	seq := contract(h, vmap, numCoarse, nil, nil)
+	par := contract(h, vmap, numCoarse, pool.New(3), nil)
 	if !equalHypergraphs(seq, par) {
-		t.Fatal("contract with Workers != 0 diverged from the sequential result")
+		t.Fatal("contract on a 3-worker pool diverged from the sequential result")
 	}
 }

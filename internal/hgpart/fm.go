@@ -481,14 +481,14 @@ func selectMove(s *bipState, buckets *gainBuckets, slack int64) int32 {
 // seed their buckets from the boundary alone and their cost tracks the
 // boundary size instead of the hypergraph size.
 //
-// With cfg.ParallelFM set (parallel engine only), refinement itself
+// With cfg.ParallelFM set, refinement itself
 // spends the worker budget: coarse levels (nv <= raceMaxVerts) race
 // raceTries independent pass sequences and keep the best, fine levels
 // (nv >= specMinVerts) run the speculative boundary prepass before the
 // serial passes. Both layers are bit-identical per seed at every pool
 // size; see fmpar.go.
 func refine(ctx context.Context, h *hypergraph.Hypergraph, parts []int, maxW [2]int64, rng *rand.Rand, cfg Config, pl *pool.Pool, sc *Scratch) int64 {
-	if parallelFMOn(cfg) && h.NumVerts > 0 && h.NumVerts <= raceMaxVerts {
+	if cfg.ParallelFM && h.NumVerts > 0 && h.NumVerts <= raceMaxVerts {
 		return refineRace(ctx, h, parts, maxW, rng, cfg, pl, sc)
 	}
 	s := newBipStateScratch(h, parts, maxW, sc)
@@ -496,7 +496,7 @@ func refine(ctx context.Context, h *hypergraph.Hypergraph, parts []int, maxW [2]
 	if passes <= 0 {
 		passes = defaultMaxPasses
 	}
-	if parallelFMOn(cfg) && h.NumVerts >= specMinVerts {
+	if cfg.ParallelFM && h.NumVerts >= specMinVerts {
 		speculativePrepass(ctx, s, rng, pl, sc)
 	}
 	for i := 0; i < passes; i++ {
@@ -514,24 +514,12 @@ func refine(ctx context.Context, h *hypergraph.Hypergraph, parts []int, maxW [2]
 // RefineBipartition performs a single Kernighan–Lin/FM run (repeated
 // passes until no improvement) on an existing bipartition — the
 // refinement primitive used by the paper's iterative refinement
-// (Algorithm 2, line 16). parts is modified in place; the cut-net value
-// after refinement is returned. The cut never increases.
-func RefineBipartition(h *hypergraph.Hypergraph, parts []int, eps float64, rng *rand.Rand, cfg Config) int64 {
-	return refine(context.Background(), h, parts, balancedCaps(h.TotalWeight(), eps), rng, cfg, nil, nil)
-}
-
-// RefineBipartitionCaps is RefineBipartition with explicit per-part
-// weight caps (for uneven targets during recursive bisection).
-func RefineBipartitionCaps(h *hypergraph.Hypergraph, parts []int, maxW [2]int64, rng *rand.Rand, cfg Config) int64 {
-	return RefineBipartitionCapsScratch(context.Background(), h, parts, maxW, rng, cfg, nil)
-}
-
-// RefineBipartitionCapsScratch is RefineBipartitionCaps reusing a
-// caller-held Scratch for the FM working arrays; the paper's iterative
-// refinement calls it once per encode/refine/decode round. A canceled
-// ctx stops the FM passes between moves; parts stays a consistent
-// bipartition either way.
-func RefineBipartitionCapsScratch(ctx context.Context, h *hypergraph.Hypergraph, parts []int, maxW [2]int64, rng *rand.Rand, cfg Config, sc *Scratch) int64 {
+// (Algorithm 2, line 16) — within the per-part weight caps maxW. parts
+// is modified in place; the cut-net value after refinement is returned
+// and never exceeds the input's. Working arrays come from sc (nil
+// allocates). A canceled ctx stops the FM passes between moves; parts
+// stays a consistent bipartition either way.
+func RefineBipartition(ctx context.Context, h *hypergraph.Hypergraph, parts []int, maxW [2]int64, rng *rand.Rand, cfg Config, sc *Scratch) int64 {
 	return refine(ctx, h, parts, maxW, rng, cfg, nil, sc)
 }
 

@@ -157,7 +157,7 @@ func TestRefineBipartitionMonotone(t *testing.T) {
 		before := h.ConnectivityMinusOne(parts, 2)
 		caps := balancedCaps(h.TotalWeight(), 0.5)
 		feasBefore := newBipState(h, append([]int(nil), parts...), caps).overload() == 0
-		after := RefineBipartition(h, parts, 0.5, rng, Config{})
+		after := refineBipartition(h, parts, 0.5, rng, Config{})
 		if after != h.ConnectivityMinusOne(parts, 2) {
 			return false // returned cut must match the partition
 		}
@@ -193,7 +193,7 @@ func TestRefineFindsObviousImprovement(t *testing.T) {
 		parts[i] = i % 2
 	}
 	rng := rand.New(rand.NewSource(1))
-	cut := RefineBipartition(h, parts, 0.0, rng, Config{})
+	cut := refineBipartition(h, parts, 0.0, rng, Config{})
 	if cut != 1 {
 		t.Fatalf("refined chain cut = %d, want 1", cut)
 	}

@@ -41,14 +41,6 @@ const (
 	specMaxRounds = 4
 )
 
-// parallelFMOn reports whether cfg enables the parallel refinement
-// layers: the ParallelFM flag on the parallel engine (Workers != 0).
-// The sequential legacy engine ignores the flag — its contract is the
-// exact historical move sequence, which racing would change.
-func parallelFMOn(cfg Config) bool {
-	return cfg.ParallelFM && cfg.Workers != 0
-}
-
 // refineRace is coarse-level FM try racing (ParallelFM layer 1): it
 // runs raceTries FM pass sequences — each on its own copy of parts and
 // its own Scratch — concurrently on pl, and keeps the best result by

@@ -16,7 +16,7 @@ import (
 func runBip(h *hypergraph.Hypergraph, cfg Config, pl *pool.Pool, seed int64) ([]int, int64) {
 	rng := rand.New(rand.NewSource(seed))
 	maxW := balancedCaps(h.TotalWeight(), 0.05)
-	return BipartitionCapsPoolScratch(context.Background(), h, maxW, rng, cfg, pl, &Scratch{})
+	return Bipartition(context.Background(), h, maxW, rng, cfg, pl, &Scratch{})
 }
 
 // TestParallelFMDeterministicAcrossPoolSizes is the core contract of the
@@ -28,7 +28,6 @@ func TestParallelFMDeterministicAcrossPoolSizes(t *testing.T) {
 	h := gridHypergraph(3 * specMinVerts / 2)
 	for _, parallelFM := range []bool{false, true} {
 		cfg := ConfigMondriaanLike()
-		cfg.Workers = 1
 		cfg.ParallelFM = parallelFM
 		refParts, refCut := runBip(h, cfg, nil, 42)
 		for _, workers := range []int{1, 2, 8} {
@@ -48,7 +47,6 @@ func TestParallelFMDeterministicRandomInstances(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		h := randomHypergraph(rng, 200, 150)
 		cfg := ConfigMondriaanLike()
-		cfg.Workers = 1
 		cfg.ParallelFM = true
 		refParts, refCut := runBip(h, cfg, nil, seed)
 		for _, workers := range []int{2, 5} {
@@ -64,27 +62,8 @@ func TestParallelFMDeterministicRandomInstances(t *testing.T) {
 	}
 }
 
-// TestParallelFMIgnoredOnSequentialEngine pins down the gating: with
-// Workers == 0 the ParallelFM flag is inert, and the legacy sequential
-// engine produces its exact historical result regardless of the flag.
-func TestParallelFMIgnoredOnSequentialEngine(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		h := randomHypergraph(rng, 120, 90)
-		off := ConfigMondriaanLike()
-		on := off
-		on.ParallelFM = true
-		offParts, offCut := runBip(h, off, nil, seed)
-		onParts, onCut := runBip(h, on, nil, seed)
-		return offCut == onCut && reflect.DeepEqual(offParts, onParts)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestParallelFMOffUnchanged guards the default path: ParallelFM = false
-// on the parallel engine must be bit-identical to the same config before
+// must be bit-identical to the same config before
 // this mode existed — i.e. the flag off is a true no-op, not a third
 // behaviour. (The expectation is cross-checked structurally: the off run
 // must equal itself across pool sizes, which the dispatch only preserves
@@ -94,7 +73,6 @@ func TestParallelFMOffUnchanged(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		h := randomHypergraph(rng, 150, 100)
 		cfg := ConfigMondriaanLike()
-		cfg.Workers = 1
 		refParts, refCut := runBip(h, cfg, nil, seed)
 		parts, cut := runBip(h, cfg, pool.New(4), seed)
 		return cut == refCut && reflect.DeepEqual(parts, refParts)
@@ -117,7 +95,6 @@ func TestRefineRaceImprovesOrMatchesSerial(t *testing.T) {
 		maxW := balancedCaps(h.TotalWeight(), 0.2)
 		parts := randomBipartitionOf(rng, h)
 		cfg := ConfigMondriaanLike()
-		cfg.Workers = 1
 		cfg.ParallelFM = true
 
 		// Twin RNG streams: rngRace feeds refineRace, rngSerial feeds a
@@ -196,7 +173,6 @@ func TestParallelFMStressRace(t *testing.T) {
 	}
 	h := gridHypergraph(2 * specMinVerts)
 	cfg := ConfigMondriaanLike()
-	cfg.Workers = 1
 	cfg.ParallelFM = true
 	pl := pool.New(8)
 	var refParts []int

@@ -1,6 +1,7 @@
 package hgpart
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -234,7 +235,7 @@ func TestRefineBoundaryVsExactBothValid(t *testing.T) {
 		for _, exact := range []bool{false, true} {
 			cfg := Config{ExactFM: exact}
 			p := append([]int(nil), parts...)
-			cut := RefineBipartitionCaps(h, p, caps, rand.New(rand.NewSource(seed+1)), cfg)
+			cut := RefineBipartition(context.Background(), h, p, caps, rand.New(rand.NewSource(seed+1)), cfg, nil)
 			if cut != h.ConnectivityMinusOne(p, 2) {
 				t.Fatalf("seed %d exact=%v: returned cut %d does not match partition", seed, exact, cut)
 			}

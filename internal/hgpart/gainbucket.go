@@ -44,7 +44,7 @@
 // the quality delta at <= 5% volume per grid point. Within each mode,
 // results remain bit-identical for a given seed at every worker count.
 //
-// Coarse-level try racing (Config.ParallelFM, parallel engine only).
+// Coarse-level try racing (Config.ParallelFM).
 // Refine calls on hypergraphs of at most raceMaxVerts vertices — the
 // cheap coarse levels, where workers would otherwise idle through the
 // serial upstroke — race raceTries FM pass sequences, each on its own
@@ -57,9 +57,9 @@
 // trajectory. Redundant work buys quality (best-of-K) and occupancy
 // at once.
 //
-// Speculative boundary batches (Config.ParallelFM, parallel engine
-// only). On fine levels (>= specMinVerts vertices) a prepass of up to
-// specMaxRounds optimistic rounds runs before the serial passes: the
+// Speculative boundary batches (Config.ParallelFM). On fine levels
+// (>= specMinVerts vertices) a prepass of up to specMaxRounds
+// optimistic rounds runs before the serial passes: the
 // boundary worklist, collected in permutation order, is cut into
 // fixed-size batches whose move gains are computed concurrently
 // against the current state as a read-only snapshot; commits are then
@@ -74,10 +74,8 @@
 // seed at every worker count, pool size, and scheduling (batch
 // boundaries and try seeds are fixed, never derived from the live pool;
 // commit order is worklist order). ExactFM and ParallelFM are mode
-// switches — per-seed results differ between modes, never within one —
-// and ParallelFM is inert on the sequential legacy engine
-// (Config.Workers == 0), whose contract is the exact historical move
-// sequence.
+// switches — per-seed results differ between modes, never within one,
+// and a nil pool runs the same layers inline.
 //
 // Zero-allocation pass setup. All per-pass working memory — the
 // permutation (a scratch-backed Fisher–Yates reproducing rand.Perm's

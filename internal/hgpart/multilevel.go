@@ -52,8 +52,7 @@ type Config struct {
 	// so its per-seed partitions (not their feasibility) may differ from
 	// ExactFM's; the bench suite gates the quality delta at <= 5% volume.
 	ExactFM bool
-	// ParallelFM spends the worker budget inside refinement itself (it
-	// requires the parallel engine and is ignored when Workers == 0):
+	// ParallelFM spends the worker budget inside refinement itself:
 	// coarse levels race independent FM pass sequences and keep the best
 	// result, fine levels run speculative boundary move batches —
 	// snapshot gains computed concurrently, commits validated serially
@@ -64,12 +63,9 @@ type Config struct {
 	// a nil pool); the bench suite gates the quality delta at <= 5%
 	// volume. Default off.
 	ParallelFM bool
-	// Workers selects the parallel engine: 0 keeps the legacy sequential
-	// algorithms; any other value switches matching to deterministic
-	// proposal rounds and initial partitioning to independent seeded
-	// tries, both of which produce identical results for every worker
-	// count (execution is spread over the pool passed to
-	// BipartitionCapsPool, or runs inline when that pool is nil).
+	// Workers is not read: the pool passed to Bipartition sets the
+	// parallelism, and results are identical for every pool size. The
+	// field stays so existing configurations keep compiling.
 	Workers int
 }
 
@@ -103,35 +99,25 @@ func ConfigAlt() Config {
 	}
 }
 
-// Bipartition splits the hypergraph into two parts with weight caps
-// (1+eps)·W/2 and returns the per-vertex parts and the cut-net count
-// (= λ−1 volume for p = 2).
-func Bipartition(h *hypergraph.Hypergraph, eps float64, rng *rand.Rand, cfg Config) ([]int, int64) {
-	return BipartitionCaps(h, balancedCaps(h.TotalWeight(), eps), rng, cfg)
-}
-
-// BipartitionCaps is Bipartition with explicit per-part weight caps,
-// needed by recursive bisection with uneven targets.
-func BipartitionCaps(h *hypergraph.Hypergraph, maxW [2]int64, rng *rand.Rand, cfg Config) ([]int, int64) {
-	return BipartitionCapsPool(h, maxW, rng, cfg, nil)
-}
-
-// BipartitionCapsPool is BipartitionCaps executing on a shared worker
-// pool. The pool only affects wall-clock time: for a given cfg and rng
-// seed the result is bit-identical whether pl is nil (inline execution)
-// or any pool size, because all randomized choices are drawn from rng in
-// a fixed order before work is fanned out.
+// BipartitionCapsPool is Bipartition without a context or scratch.
 func BipartitionCapsPool(h *hypergraph.Hypergraph, maxW [2]int64, rng *rand.Rand, cfg Config, pl *pool.Pool) ([]int, int64) {
-	return BipartitionCapsPoolScratch(context.Background(), h, maxW, rng, cfg, pl, nil)
+	return Bipartition(context.Background(), h, maxW, rng, cfg, pl, nil)
 }
 
-// BipartitionCapsPoolScratch is BipartitionCapsPool drawing its working
-// arrays — matching and contraction buffers, FM pin counts and gain
-// buckets — from a caller-held Scratch, so a driver running many
-// bipartitions back to back (recursive bisection) reuses one set of
-// buffers per worker instead of reallocating per multilevel run. The
-// scratch never influences results: for any sc (including nil) the
-// output is bit-identical.
+// Bipartition splits the hypergraph into two parts whose weights stay
+// within the per-part caps maxW, and returns the per-vertex parts and
+// the cut-net count (= λ−1 volume for p = 2). It runs the multilevel
+// V-cycle: coarsen, partition the coarsest level, then project back up
+// refining at every level.
+//
+// The pool only affects wall-clock time: for a given cfg and rng seed
+// the result is bit-identical whether pl is nil (inline execution) or
+// any pool size, because all randomized choices are drawn from rng in a
+// fixed order before work is fanned out. Working arrays — matching and
+// contraction buffers, FM pin counts and gain buckets — come from a
+// caller-held Scratch, so a driver running many bipartitions back to
+// back (recursive bisection) reuses one set of buffers per worker; the
+// scratch never influences results either (nil allocates fresh).
 //
 // Cancellation is cooperative: ctx is checked at every coarsening
 // level, initial-partition try, FM pass, and projection level (and
@@ -139,7 +125,7 @@ func BipartitionCapsPool(h *hypergraph.Hypergraph, maxW [2]int64, rng *rand.Rand
 // run bails out with whatever partial parts it holds; the caller must
 // check ctx.Err() before trusting the result. An uncanceled ctx never
 // changes any result bit.
-func BipartitionCapsPoolScratch(ctx context.Context, h *hypergraph.Hypergraph, maxW [2]int64, rng *rand.Rand, cfg Config, pl *pool.Pool, sc *Scratch) ([]int, int64) {
+func Bipartition(ctx context.Context, h *hypergraph.Hypergraph, maxW [2]int64, rng *rand.Rand, cfg Config, pl *pool.Pool, sc *Scratch) ([]int, int64) {
 	parts := make([]int, h.NumVerts)
 	if h.NumVerts == 0 {
 		return parts, 0
@@ -162,7 +148,7 @@ func BipartitionCapsPoolScratch(ctx context.Context, h *hypergraph.Hypergraph, m
 
 	// Weight caps carry over unchanged: contraction preserves total
 	// weight.
-	cparts := initialPartition(ctx, coarsest, maxW, rng, cfg, pl, sc)
+	cparts := initialPartition(ctx, coarsest, maxW, rng, cfg, pl)
 	refine(ctx, coarsest, cparts, maxW, rng, cfg, pl, sc)
 
 	// Project back up, refining at every level (the V-cycle downstroke).
@@ -217,81 +203,58 @@ func minInt64(a, b int64) int64 {
 
 // initialPartition tries cfg.InitTries initial bipartitions of the
 // coarsest hypergraph, FM-refines each, and keeps the best by
-// (overload, cut). With cfg.Workers != 0 the tries run as independent
-// subproblems on the pool, each with its own RNG stream seeded from rng
-// in try order; the winner (lowest try index among ties) is therefore
-// the same for every pool size.
-func initialPartition(ctx context.Context, h *hypergraph.Hypergraph, maxW [2]int64, rng *rand.Rand, cfg Config, pl *pool.Pool, sc *Scratch) []int {
+// (overload, cut). The tries run as independent subproblems on the pool,
+// each with its own RNG stream seeded from rng in try order; the winner
+// (lowest try index among ties) is therefore the same for every pool
+// size.
+func initialPartition(ctx context.Context, h *hypergraph.Hypergraph, maxW [2]int64, rng *rand.Rand, cfg Config, pl *pool.Pool) []int {
 	tries := cfg.InitTries
 	if tries <= 0 {
 		tries = defaultInitTries
 	}
-	if cfg.Workers != 0 {
-		seeds := make([]int64, tries)
-		for t := range seeds {
-			seeds[t] = rng.Int63()
-		}
-		type try struct {
-			parts     []int
-			cut, over int64
-		}
-		results := make([]try, tries)
-		pl.ForEach(tries, func(lo, hi int) {
-			// The pool is already saturated with whole tries; the inner
-			// refinement runs inline, and the tries execute concurrently,
-			// so none of them may touch the caller's scratch. A private
-			// per-chunk scratch still collapses the per-pass and
-			// per-state allocations of every try in the chunk (the
-			// scratch never influences results). The canceled-path
-			// result is discarded by the caller, but every try still
-			// writes a placeholder so the winner scan below stays in
-			// bounds.
-			var chunkSc Scratch
-			// Each try is already an independent racing attempt; a nested
-			// refineRace inside it would quadruple the coarse-level work
-			// for no extra diversity, so the inner refinement runs plain.
-			tcfg := cfg
-			tcfg.ParallelFM = false
-			for t := lo; t < hi; t++ {
-				rt := rand.New(rand.NewSource(seeds[t]))
-				var parts []int
-				if cfg.GreedyInit {
-					parts = greedyGrow(h, maxW, rt)
-				} else {
-					parts = randomAssign(h, maxW, rt)
-				}
-				cut := refine(ctx, h, parts, maxW, rt, tcfg, nil, &chunkSc)
-				results[t] = try{parts, cut, overloadOf(h, parts, maxW)}
-			}
-		})
-		best := 0
-		for t := 1; t < tries; t++ {
-			if better(results[t].cut, results[t].over, results[best].cut, results[best].over) {
-				best = t
-			}
-		}
-		return results[best].parts
+	seeds := make([]int64, tries)
+	for t := range seeds {
+		seeds[t] = rng.Int63()
 	}
-	var bestParts []int
-	var bestCut, bestOver int64
-	for t := 0; t < tries; t++ {
-		var parts []int
-		if cfg.GreedyInit {
-			parts = greedyGrow(h, maxW, rng)
-		} else {
-			parts = randomAssign(h, maxW, rng)
+	type try struct {
+		parts     []int
+		cut, over int64
+	}
+	results := make([]try, tries)
+	pl.ForEach(tries, func(lo, hi int) {
+		// The pool is already saturated with whole tries; the inner
+		// refinement runs inline, and the tries execute concurrently, so
+		// none of them may touch the caller's scratch. A private
+		// per-chunk scratch still collapses the per-pass and per-state
+		// allocations of every try in the chunk (the scratch never
+		// influences results). The canceled-path result is discarded by
+		// the caller, but every try still writes a placeholder so the
+		// winner scan below stays in bounds.
+		var chunkSc Scratch
+		// Each try is already an independent racing attempt; a nested
+		// refineRace inside it would quadruple the coarse-level work for
+		// no extra diversity, so the inner refinement runs plain.
+		tcfg := cfg
+		tcfg.ParallelFM = false
+		for t := lo; t < hi; t++ {
+			rt := rand.New(rand.NewSource(seeds[t]))
+			var parts []int
+			if cfg.GreedyInit {
+				parts = greedyGrow(h, maxW, rt)
+			} else {
+				parts = randomAssign(h, maxW, rt)
+			}
+			cut := refine(ctx, h, parts, maxW, rt, tcfg, nil, &chunkSc)
+			results[t] = try{parts, cut, overloadOf(h, parts, maxW)}
 		}
-		cut := refine(ctx, h, parts, maxW, rng, cfg, nil, sc)
-		over := overloadOf(h, parts, maxW)
-		if bestParts == nil || better(cut, over, bestCut, bestOver) {
-			bestParts = parts
-			bestCut, bestOver = cut, over
-		}
-		if ctx.Err() != nil {
-			break
+	})
+	best := 0
+	for t := 1; t < tries; t++ {
+		if better(results[t].cut, results[t].over, results[best].cut, results[best].over) {
+			best = t
 		}
 	}
-	return bestParts
+	return results[best].parts
 }
 
 // randomAssign distributes vertices in random order, placing each into

@@ -27,11 +27,23 @@ func gridHypergraph(n int) *hypergraph.Hypergraph {
 	return hypergraph.RowNet(a)
 }
 
+// bipartition is Bipartition at an even split with imbalance eps, inline
+// and without a scratch: the one-shot form most tests need.
+func bipartition(h *hypergraph.Hypergraph, eps float64, rng *rand.Rand, cfg Config) ([]int, int64) {
+	return Bipartition(context.Background(), h, balancedCaps(h.TotalWeight(), eps), rng, cfg, nil, nil)
+}
+
+// refineBipartition is RefineBipartition at an even split with imbalance
+// eps, without a scratch.
+func refineBipartition(h *hypergraph.Hypergraph, parts []int, eps float64, rng *rand.Rand, cfg Config) int64 {
+	return RefineBipartition(context.Background(), h, parts, balancedCaps(h.TotalWeight(), eps), rng, cfg, nil)
+}
+
 func TestBipartitionReturnsConsistentCut(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := randomHypergraph(rng, 40, 30)
-		parts, cut := Bipartition(h, 0.1, rng, ConfigMondriaanLike())
+		parts, cut := bipartition(h, 0.1, rng, ConfigMondriaanLike())
 		if len(parts) != h.NumVerts {
 			return false
 		}
@@ -52,7 +64,7 @@ func TestBipartitionRespectsBalance(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		h := randomHypergraph(rng, 60, 40)
 		eps := 0.1
-		parts, _ := Bipartition(h, eps, rng, ConfigMondriaanLike())
+		parts, _ := bipartition(h, eps, rng, ConfigMondriaanLike())
 		w := h.PartWeights(parts, 2)
 		caps := balancedCaps(h.TotalWeight(), eps)
 		return w[0] <= caps[0] && w[1] <= caps[1]
@@ -64,8 +76,8 @@ func TestBipartitionRespectsBalance(t *testing.T) {
 
 func TestBipartitionDeterministicPerSeed(t *testing.T) {
 	h := gridHypergraph(200)
-	p1, c1 := Bipartition(h, 0.03, rand.New(rand.NewSource(5)), ConfigMondriaanLike())
-	p2, c2 := Bipartition(h, 0.03, rand.New(rand.NewSource(5)), ConfigMondriaanLike())
+	p1, c1 := bipartition(h, 0.03, rand.New(rand.NewSource(5)), ConfigMondriaanLike())
+	p2, c2 := bipartition(h, 0.03, rand.New(rand.NewSource(5)), ConfigMondriaanLike())
 	if c1 != c2 {
 		t.Fatalf("cuts differ: %d vs %d", c1, c2)
 	}
@@ -80,7 +92,7 @@ func TestBipartitionChainQuality(t *testing.T) {
 	// A 1D chain has a 1-cut bisection; the multilevel engine must find
 	// something very close.
 	h := gridHypergraph(500)
-	_, cut := Bipartition(h, 0.03, rand.New(rand.NewSource(3)), ConfigMondriaanLike())
+	_, cut := bipartition(h, 0.03, rand.New(rand.NewSource(3)), ConfigMondriaanLike())
 	if cut > 4 {
 		t.Fatalf("chain cut = %d, want <= 4", cut)
 	}
@@ -88,7 +100,7 @@ func TestBipartitionChainQuality(t *testing.T) {
 
 func TestBipartitionAltConfig(t *testing.T) {
 	h := gridHypergraph(300)
-	parts, cut := Bipartition(h, 0.03, rand.New(rand.NewSource(4)), ConfigAlt())
+	parts, cut := bipartition(h, 0.03, rand.New(rand.NewSource(4)), ConfigAlt())
 	if cut != h.ConnectivityMinusOne(parts, 2) {
 		t.Fatal("alt config cut inconsistent")
 	}
@@ -107,7 +119,7 @@ func TestBipartitionCapsUneven(t *testing.T) {
 	total := h.TotalWeight()
 	// 1/4 - 3/4 split
 	maxW := [2]int64{total/4 + total/40, 3*total/4 + total/40}
-	parts, _ := BipartitionCaps(h, maxW, rand.New(rand.NewSource(6)), ConfigMondriaanLike())
+	parts, _ := Bipartition(context.Background(), h, maxW, rand.New(rand.NewSource(6)), ConfigMondriaanLike(), nil, nil)
 	w := h.PartWeights(parts, 2)
 	if w[0] > maxW[0] || w[1] > maxW[1] {
 		t.Fatalf("uneven caps violated: %v > %v", w, maxW)
@@ -119,13 +131,13 @@ func TestBipartitionCapsUneven(t *testing.T) {
 
 func TestBipartitionEmptyAndTiny(t *testing.T) {
 	empty := hypergraph.NewBuilder(0, nil).Build()
-	parts, cut := Bipartition(empty, 0.03, rand.New(rand.NewSource(1)), Config{})
+	parts, cut := bipartition(empty, 0.03, rand.New(rand.NewSource(1)), Config{})
 	if len(parts) != 0 || cut != 0 {
 		t.Fatal("empty hypergraph mishandled")
 	}
 
 	single := hypergraph.NewBuilder(1, []int64{5}).Build()
-	parts, cut = Bipartition(single, 0.03, rand.New(rand.NewSource(1)), Config{})
+	parts, cut = bipartition(single, 0.03, rand.New(rand.NewSource(1)), Config{})
 	if len(parts) != 1 || cut != 0 {
 		t.Fatal("single vertex mishandled")
 	}
@@ -133,7 +145,7 @@ func TestBipartitionEmptyAndTiny(t *testing.T) {
 	b := hypergraph.NewBuilder(2, []int64{1, 1})
 	b.AddNetInts([]int{0, 1})
 	two := b.Build()
-	parts, cut = Bipartition(two, 0.03, rand.New(rand.NewSource(1)), Config{})
+	parts, cut = bipartition(two, 0.03, rand.New(rand.NewSource(1)), Config{})
 	// the only balanced bipartition cuts the single net
 	if parts[0] == parts[1] {
 		t.Fatalf("two-vertex hypergraph not split: %v", parts)
@@ -192,7 +204,7 @@ func TestContractPreservesWeightAndCut(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		h := randomHypergraph(rng, 20, 15)
 		vmap, numCoarse := match(h, rng, ConfigMondriaanLike(), h.TotalWeight(), nil, nil)
-		coarse := contract(h, vmap, numCoarse, Config{}, nil, nil)
+		coarse := contract(h, vmap, numCoarse, nil, nil)
 		if coarse.Validate() != nil {
 			return false
 		}
@@ -303,7 +315,7 @@ func TestZeroWeightVerticesHandled(t *testing.T) {
 	b.AddNetInts([]int{1, 2})
 	b.AddNetInts([]int{2, 4})
 	h := b.Build()
-	parts, cut := Bipartition(h, 0.2, rand.New(rand.NewSource(3)), ConfigMondriaanLike())
+	parts, cut := bipartition(h, 0.2, rand.New(rand.NewSource(3)), ConfigMondriaanLike())
 	if cut != h.ConnectivityMinusOne(parts, 2) {
 		t.Fatal("cut inconsistent with zero-weight vertices")
 	}

@@ -91,8 +91,8 @@ func TestMatchProposalMatchesMostVertices(t *testing.T) {
 }
 
 // TestBipartitionCapsPoolEquivalence verifies the full multilevel
-// pipeline with cfg.Workers set: identical parts and cut for nil pool
-// and any pool size, on both engine presets.
+// pipeline: identical parts and cut for nil pool and any pool size, on
+// both engine presets.
 func TestBipartitionCapsPoolEquivalence(t *testing.T) {
 	h := parmatchHypergraph(9, 800, 500, 6)
 	for _, preset := range []struct {
@@ -103,7 +103,6 @@ func TestBipartitionCapsPoolEquivalence(t *testing.T) {
 		{"alt", ConfigAlt()},
 	} {
 		cfg := preset.cfg
-		cfg.Workers = 1
 		maxW := balancedCaps(h.TotalWeight(), 0.05)
 		refParts, refCut := BipartitionCapsPool(h, maxW, rand.New(rand.NewSource(13)), cfg, nil)
 		for _, workers := range []int{1, 3, 8} {
@@ -112,20 +111,5 @@ func TestBipartitionCapsPoolEquivalence(t *testing.T) {
 				t.Errorf("%s/workers=%d: pooled bipartition differs (cut %d vs %d)", preset.name, workers, cut, refCut)
 			}
 		}
-	}
-}
-
-// TestConfigWorkersZeroKeepsLegacyMatching ensures the zero value stays
-// on the historical greedy sweep, byte-for-byte.
-func TestConfigWorkersZeroKeepsLegacyMatching(t *testing.T) {
-	h := parmatchHypergraph(21, 500, 250, 5)
-	cfg := ConfigMondriaanLike()
-	run := func() ([]int32, int) {
-		return match(h, rand.New(rand.NewSource(5)), cfg, h.TotalWeight(), nil, nil)
-	}
-	vmapA, nA := run()
-	vmapB, nB := run()
-	if nA != nB || !reflect.DeepEqual(vmapA, vmapB) {
-		t.Error("legacy matching is not deterministic for a fixed seed")
 	}
 }

@@ -17,7 +17,6 @@ import "mediumgrain/internal/sparse"
 type Scratch struct {
 	// Matching.
 	mate []int32
-	conn []int32
 	// Contraction.
 	stamp []int
 	pins  []int32
@@ -57,7 +56,6 @@ func (sc *Scratch) reserve(numVerts, numNets int) {
 		return
 	}
 	sc.mate = sparse.Resize(sc.mate, numVerts)
-	sc.conn = sparse.Resize(sc.conn, numVerts)
 	sc.stamp = sparse.Resize(sc.stamp, numVerts)
 	sc.ctSizes = sparse.Resize(sc.ctSizes, numNets)
 	sc.ctOff = sparse.Resize(sc.ctOff, numNets)
@@ -79,23 +77,20 @@ func (sc *Scratch) reserve(numVerts, numNets int) {
 	// entry would read as "vertex 0".
 }
 
-// matchBuffers returns the mate array (filled with -1) and the zeroed
-// connectivity counter for a matching sweep over nv vertices.
-func (sc *Scratch) matchBuffers(nv int) (mate, conn []int32) {
+// mateBuffer returns the mate array (filled with -1) for a matching
+// over nv vertices.
+func (sc *Scratch) mateBuffer(nv int) []int32 {
+	var mate []int32
 	if sc == nil {
 		mate = make([]int32, nv)
-		for i := range mate {
-			mate[i] = -1
-		}
-		return mate, make([]int32, nv)
+	} else {
+		sc.mate = sparse.Resize(sc.mate, nv)
+		mate = sc.mate
 	}
-	sc.mate = sparse.Resize(sc.mate, nv)
-	for i := range sc.mate {
-		sc.mate[i] = -1
+	for i := range mate {
+		mate[i] = -1
 	}
-	sc.conn = sparse.Resize(sc.conn, nv)
-	clear(sc.conn)
-	return sc.mate, sc.conn
+	return mate
 }
 
 // contractBuffers returns the stamp array (filled with -1) and an empty

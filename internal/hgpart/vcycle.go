@@ -19,21 +19,16 @@ import (
 // like every other refinement: boundary-driven by default, exact
 // all-vertex passes when set (see the package comment).
 //
+// The restricted matching runs as deterministic proposal rounds on pl
+// (the same matchProposal engine as unrestricted coarsening,
+// side-restricted), so the result is identical for every pool size,
+// nil included. A canceled ctx stops the cycle at the next level (or
+// FM-move stride) boundary; because every FM pass rolls back to its best
+// prefix and projection only copies parts, the caller's parts remain a
+// valid bipartition whose cut is never worse than the input.
+//
 // parts is modified in place; the final cut is returned.
-func VCycleRefine(h *hypergraph.Hypergraph, parts []int, maxW [2]int64, rng *rand.Rand, cfg Config) int64 {
-	return VCycleRefinePool(context.Background(), h, parts, maxW, rng, cfg, nil)
-}
-
-// VCycleRefinePool is VCycleRefine executing on a shared worker pool.
-// With cfg.Workers != 0 the restricted matching runs as deterministic
-// proposal rounds (the same matchProposal engine as unrestricted
-// coarsening, side-restricted), so the result is identical for every
-// pool size; cfg.Workers == 0 keeps the sequential greedy sweep and its
-// historical results. A canceled ctx stops the cycle at the next level
-// (or FM-move stride) boundary; because every FM pass rolls back to its
-// best prefix and projection only copies parts, the caller's parts
-// remain a valid bipartition whose cut is never worse than the input.
-func VCycleRefinePool(ctx context.Context, h *hypergraph.Hypergraph, parts []int, maxW [2]int64, rng *rand.Rand, cfg Config, pl *pool.Pool) int64 {
+func VCycleRefine(ctx context.Context, h *hypergraph.Hypergraph, parts []int, maxW [2]int64, rng *rand.Rand, cfg Config, pl *pool.Pool) int64 {
 	type restrictedLevel struct {
 		coarse *hypergraph.Hypergraph
 		map_   []int32
@@ -66,7 +61,7 @@ func VCycleRefinePool(ctx context.Context, h *hypergraph.Hypergraph, parts []int
 		if float64(numCoarse) > stall*float64(cur.NumVerts) {
 			break
 		}
-		coarse := contract(cur, vmap, numCoarse, cfg, pl, nil)
+		coarse := contract(cur, vmap, numCoarse, pl, nil)
 		cparts := make([]int, numCoarse)
 		for v := 0; v < cur.NumVerts; v++ {
 			cparts[vmap[v]] = curParts[v]
@@ -96,10 +91,8 @@ func VCycleRefinePool(ctx context.Context, h *hypergraph.Hypergraph, parts []int
 }
 
 // matchRestricted is heavy-connectivity matching that only pairs vertices
-// currently on the same side, so the partition projects exactly. With
-// cfg.Workers != 0 it delegates to the side-restricted proposal-round
-// matcher (fanning the proposal scans over pl); otherwise it keeps the
-// sequential greedy sweep.
+// currently on the same side, so the partition projects exactly: the
+// side-restricted proposal-round matcher, fanning its scans over pl.
 func matchRestricted(h *hypergraph.Hypergraph, parts []int, rng *rand.Rand, cfg Config, maxClusterWt int64, pl *pool.Pool) ([]int32, int) {
 	nv := h.NumVerts
 	mate := make([]int32, nv)
@@ -112,11 +105,7 @@ func matchRestricted(h *hypergraph.Hypergraph, parts []int, rng *rand.Rand, cfg 
 		netLimit = defaultMatchingNetLimit
 	}
 
-	if cfg.Workers != 0 {
-		matchProposal(h, order, mate, parts, netLimit, maxClusterWt, pl)
-	} else {
-		matchRestrictedSweep(h, parts, order, mate, netLimit, maxClusterWt)
-	}
+	matchProposal(h, order, mate, parts, netLimit, maxClusterWt, pl)
 
 	vmap := make([]int32, nv)
 	for i := range vmap {
@@ -135,43 +124,4 @@ func matchRestricted(h *hypergraph.Hypergraph, parts []int, rng *rand.Rand, cfg 
 		next++
 	}
 	return vmap, int(next)
-}
-
-// matchRestrictedSweep is the sequential greedy restricted matching.
-func matchRestrictedSweep(h *hypergraph.Hypergraph, parts []int, order []int, mate []int32, netLimit int, maxClusterWt int64) {
-	conn := make([]int32, h.NumVerts)
-	cand := make([]int32, 0, 64)
-	for _, vi := range order {
-		v := int32(vi)
-		if mate[v] >= 0 {
-			continue
-		}
-		cand = cand[:0]
-		for _, n := range h.NetsOf(int(v)) {
-			if h.NetSize(int(n)) > netLimit {
-				continue
-			}
-			for _, u := range h.NetPins(int(n)) {
-				if u == v || mate[u] >= 0 || parts[u] != parts[v] {
-					continue
-				}
-				if conn[u] == 0 {
-					cand = append(cand, u)
-				}
-				conn[u]++
-			}
-		}
-		var best int32 = -1
-		var bestConn int32
-		for _, u := range cand {
-			if conn[u] > bestConn && h.VertWt[v]+h.VertWt[u] <= maxClusterWt {
-				best, bestConn = u, conn[u]
-			}
-			conn[u] = 0
-		}
-		if best >= 0 {
-			mate[v] = best
-			mate[best] = v
-		}
-	}
 }

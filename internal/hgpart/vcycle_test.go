@@ -18,7 +18,7 @@ func TestVCycleMonotoneAndConsistent(t *testing.T) {
 		maxW := balancedCaps(h.TotalWeight(), 0.3)
 		feasBefore := newBipState(h, append([]int(nil), parts...), maxW).overload() == 0
 		before := h.ConnectivityMinusOne(parts, 2)
-		after := VCycleRefine(h, parts, maxW, rng, ConfigMondriaanLike())
+		after := VCycleRefine(context.Background(), h, parts, maxW, rng, ConfigMondriaanLike(), nil)
 		if after != h.ConnectivityMinusOne(parts, 2) {
 			return false
 		}
@@ -60,7 +60,7 @@ func TestVCycleImprovesChain(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(4))
 	maxW := balancedCaps(h.TotalWeight(), 0.03)
-	after := VCycleRefine(h, parts, maxW, rng, ConfigMondriaanLike())
+	after := VCycleRefine(context.Background(), h, parts, maxW, rng, ConfigMondriaanLike(), nil)
 	if after > 10 {
 		t.Fatalf("v-cycle left chain cut at %d", after)
 	}
@@ -76,19 +76,18 @@ func TestVCycleSmallHypergraph(t *testing.T) {
 	h := randomHypergraph(rng, 10, 8)
 	parts := randomBipartitionOf(rng, h)
 	before := h.ConnectivityMinusOne(parts, 2)
-	after := VCycleRefine(h, parts, balancedCaps(h.TotalWeight(), 1.0), rng, ConfigMondriaanLike())
+	after := VCycleRefine(context.Background(), h, parts, balancedCaps(h.TotalWeight(), 1.0), rng, ConfigMondriaanLike(), nil)
 	if after > before {
 		t.Fatalf("cut rose %d -> %d", before, after)
 	}
 }
 
-// TestVCycleRefinePoolDeterministicAcrossPools: with cfg.Workers != 0
-// the restricted matching runs as proposal rounds; like every parallel
-// algorithm here, the result must be identical for every pool size
-// (including nil = inline), and still monotone in the cut.
+// TestVCycleRefinePoolDeterministicAcrossPools: the restricted matching
+// runs as proposal rounds; like every parallel algorithm here, the
+// result must be identical for every pool size (including nil =
+// inline), and still monotone in the cut.
 func TestVCycleRefinePoolDeterministicAcrossPools(t *testing.T) {
 	cfg := ConfigMondriaanLike()
-	cfg.Workers = 2
 	h := gridHypergraph(400)
 	base := make([]int, h.NumVerts)
 	for v := range base {
@@ -99,7 +98,7 @@ func TestVCycleRefinePoolDeterministicAcrossPools(t *testing.T) {
 
 	run := func(pl *pool.Pool) ([]int, int64) {
 		parts := append([]int(nil), base...)
-		cut := VCycleRefinePool(context.Background(), h, parts, maxW, rand.New(rand.NewSource(9)), cfg, pl)
+		cut := VCycleRefine(context.Background(), h, parts, maxW, rand.New(rand.NewSource(9)), cfg, pl)
 		return parts, cut
 	}
 	refParts, refCut := run(nil)
@@ -114,15 +113,14 @@ func TestVCycleRefinePoolDeterministicAcrossPools(t *testing.T) {
 	}
 }
 
-// TestVCycleRestrictedProposalPreservesSides mirrors the sequential
-// restricted-matching invariant for the proposal-round matcher: no
-// coarse vertex may mix sides.
+// TestVCycleRestrictedProposalPreservesSides checks the restricted
+// proposal-round matcher on a multi-worker pool: no coarse vertex may
+// mix sides.
 func TestVCycleRestrictedProposalPreservesSides(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	h := randomHypergraph(rng, 80, 50)
 	parts := randomBipartitionOf(rng, h)
 	cfg := ConfigMondriaanLike()
-	cfg.Workers = 3
 	vmap, numCoarse := matchRestricted(h, parts, rng, cfg, h.TotalWeight(), pool.New(3))
 	sideOf := make([]int, numCoarse)
 	for i := range sideOf {

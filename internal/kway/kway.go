@@ -29,16 +29,17 @@ type Options struct {
 	// (default 8); each pass applies every positive-gain feasible move
 	// it encounters.
 	MaxPasses int
-	// Workers parallelizes the per-row/per-column count construction and
-	// the final volume evaluation (0 = sequential). The greedy move loop
-	// itself stays sequential, so results are identical for every worker
-	// count.
-	Workers int
 }
 
-// Refine improves parts in place and returns the resulting volume. The
-// volume never increases; balance (within eps) is preserved for inputs
-// that satisfy it and never worsened otherwise.
+// RefineOn improves parts in place and returns the resulting volume.
+// The volume never increases; balance (within eps) is preserved for
+// inputs that satisfy it and never worsened otherwise.
+//
+// The per-row/per-column count construction and the final volume
+// evaluation run on pl (nil = inline); the greedy move loop itself stays
+// sequential, so results are identical for every pool size. Long-lived
+// engines thread their shared pool through here instead of paying pool
+// construction per refinement.
 //
 // Cancellation is cooperative: ctx is checked at every pass boundary
 // and every few thousand candidate moves within a pass. Because each
@@ -46,18 +47,6 @@ type Options struct {
 // still leaves parts valid and never worse than the input; the returned
 // volume is however computed from a possibly canceled scan, so callers
 // with a cancellable ctx must check ctx.Err() before trusting it.
-func Refine(ctx context.Context, a *sparse.Matrix, parts []int, p int, opts Options, rng *rand.Rand) int64 {
-	var pl *pool.Pool
-	if opts.Workers != 0 {
-		pl = pool.New(opts.Workers)
-	}
-	return RefineOn(ctx, a, parts, p, opts, rng, pl)
-}
-
-// RefineOn is Refine executing on a caller-held worker pool (nil =
-// inline; opts.Workers then only selects the count-construction
-// algorithm). Long-lived engines thread their shared pool through here
-// instead of paying pool construction per refinement.
 func RefineOn(ctx context.Context, a *sparse.Matrix, parts []int, p int, opts Options, rng *rand.Rand, pl *pool.Pool) int64 {
 	n := a.NNZ()
 	if n == 0 || p < 2 {

@@ -43,7 +43,7 @@ func TestRefineMonotone(t *testing.T) {
 		p := 2 + rng.Intn(4)
 		parts := balancedRandomParts(rng, a.NNZ(), p)
 		before := metrics.Volume(a, parts, p)
-		after := Refine(context.Background(), a, parts, p, Options{Eps: 0.03}, rng)
+		after := RefineOn(context.Background(), a, parts, p, Options{Eps: 0.03}, rng, nil)
 		if after != metrics.Volume(a, parts, p) {
 			return false
 		}
@@ -63,7 +63,7 @@ func TestRefineKeepsBalance(t *testing.T) {
 		}
 		p := 2 + rng.Intn(3)
 		parts := balancedRandomParts(rng, a.NNZ(), p)
-		Refine(context.Background(), a, parts, p, Options{Eps: 0.03}, rng)
+		RefineOn(context.Background(), a, parts, p, Options{Eps: 0.03}, rng, nil)
 		return metrics.CheckBalance(parts, p, 0.03) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -76,7 +76,7 @@ func TestRefineImprovesRandomPartition(t *testing.T) {
 	a := gen.Laplacian2D(16, 16)
 	parts := balancedRandomParts(rng, a.NNZ(), 4)
 	before := metrics.Volume(a, parts, 4)
-	after := Refine(context.Background(), a, parts, 4, Options{Eps: 0.03}, rng)
+	after := RefineOn(context.Background(), a, parts, 4, Options{Eps: 0.03}, rng, nil)
 	if after >= before {
 		t.Fatalf("no improvement: %d -> %d", before, after)
 	}
@@ -90,12 +90,12 @@ func TestRefineAfterRecursiveBisection(t *testing.T) {
 	// and usually trims a little volume.
 	rng := rand.New(rand.NewSource(2))
 	a := gen.PowerLawGraph(rng, 300, 4)
-	res, err := core.Partition(a, 8, core.MethodMediumGrain, core.DefaultOptions(), rng)
+	res, err := core.NewEngine(0).Partition(context.Background(), a, 8, core.MethodMediumGrain, core.DefaultOptions(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parts := append([]int(nil), res.Parts...)
-	after := Refine(context.Background(), a, parts, 8, Options{Eps: 0.03}, rng)
+	after := RefineOn(context.Background(), a, parts, 8, Options{Eps: 0.03}, rng, nil)
 	if after > res.Volume {
 		t.Fatalf("k-way refinement worsened volume %d -> %d", res.Volume, after)
 	}
@@ -106,12 +106,12 @@ func TestRefineAfterRecursiveBisection(t *testing.T) {
 
 func TestRefineTrivialInputs(t *testing.T) {
 	a := sparse.New(3, 3)
-	if v := Refine(context.Background(), a, nil, 4, Options{Eps: 0.03}, rand.New(rand.NewSource(3))); v != 0 {
+	if v := RefineOn(context.Background(), a, nil, 4, Options{Eps: 0.03}, rand.New(rand.NewSource(3)), nil); v != 0 {
 		t.Fatal("empty refine nonzero volume")
 	}
 	b := gen.Tridiagonal(10)
 	parts := make([]int, b.NNZ())
-	if v := Refine(context.Background(), b, parts, 1, Options{Eps: 0.03}, rand.New(rand.NewSource(3))); v != 0 {
+	if v := RefineOn(context.Background(), b, parts, 1, Options{Eps: 0.03}, rand.New(rand.NewSource(3)), nil); v != 0 {
 		t.Fatal("p=1 refine nonzero volume")
 	}
 }
@@ -128,7 +128,7 @@ func TestRefinePerfectPartitionStable(t *testing.T) {
 	if metrics.Volume(a, parts, 2) != 0 {
 		t.Fatal("setup broken")
 	}
-	after := Refine(context.Background(), a, parts, 2, Options{Eps: 0.03}, rand.New(rand.NewSource(5)))
+	after := RefineOn(context.Background(), a, parts, 2, Options{Eps: 0.03}, rand.New(rand.NewSource(5)), nil)
 	if after != 0 {
 		t.Fatalf("perfect partition disturbed: volume %d", after)
 	}
@@ -139,7 +139,7 @@ func TestRefineDefaultPasses(t *testing.T) {
 	a := gen.Laplacian2D(8, 8)
 	parts := balancedRandomParts(rng, a.NNZ(), 2)
 	// MaxPasses 0 coerces to the default
-	Refine(context.Background(), a, parts, 2, Options{Eps: 0.03, MaxPasses: 0}, rng)
+	RefineOn(context.Background(), a, parts, 2, Options{Eps: 0.03, MaxPasses: 0}, rng, nil)
 	if err := metrics.CheckBalance(parts, 2, 0.03); err != nil {
 		t.Fatal(err)
 	}

@@ -6,15 +6,16 @@ import (
 	"reflect"
 	"testing"
 
+	"mediumgrain/internal/pool"
 	"mediumgrain/internal/sparse"
 
 	. "mediumgrain/internal/kway"
 )
 
 // TestRefineWorkersEquivalence: the greedy move loop is sequential by
-// design, so Workers must only change how the count tables and the final
-// volume are computed — the refined parts and volume must be identical
-// for every worker count.
+// design, so the pool must only change how the count tables and the
+// final volume are computed — the refined parts and volume must be
+// identical for every pool size, nil (inline) included.
 func TestRefineWorkersEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := sparse.New(120, 90)
@@ -33,8 +34,12 @@ func TestRefineWorkersEquivalence(t *testing.T) {
 	}
 
 	run := func(workers int) ([]int, int64) {
+		var pl *pool.Pool
+		if workers != 0 {
+			pl = pool.New(workers)
+		}
 		parts := append([]int(nil), base...)
-		vol := Refine(context.Background(), a, parts, p, Options{Eps: 0.1, Workers: workers}, rand.New(rand.NewSource(5)))
+		vol := RefineOn(context.Background(), a, parts, p, Options{Eps: 0.1}, rand.New(rand.NewSource(5)), pl)
 		return parts, vol
 	}
 	refParts, refVol := run(0)

@@ -1,6 +1,7 @@
 package optimal
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -156,7 +157,7 @@ func TestHeuristicsReachOptimal(t *testing.T) {
 		opts := core.DefaultOptions()
 		opts.Refine = true
 		for run := int64(0); run < 8; run++ {
-			res, err := core.Bipartition(a, core.MethodMediumGrain, opts, rand.New(rand.NewSource(run)))
+			res, err := core.NewEngine(0).Bipartition(context.Background(), a, core.MethodMediumGrain, opts, rand.New(rand.NewSource(run)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -30,10 +30,9 @@ type CachedResult struct {
 	// computed under (0/absent = single run); WinnerTry is the 1-based
 	// index of the winning seed variant. All three ride into the
 	// persisted meta file (schema-additive: old meta decodes them as 0).
-	Tries     int    `json:"tries,omitempty"`
-	BudgetMS  int    `json:"budget_ms,omitempty"`
-	WinnerTry int    `json:"winner_try,omitempty"`
-	Engine    string `json:"engine"`
+	Tries     int `json:"tries,omitempty"`
+	BudgetMS  int `json:"budget_ms,omitempty"`
+	WinnerTry int `json:"winner_try,omitempty"`
 	// Origin is empty for results this node computed itself and
 	// "peer:<addr>" for entries adopted from a cluster peer (fetch or
 	// replication); it rides into the persisted meta so provenance

@@ -64,19 +64,18 @@ func TestMatrixHashIsContentAddressed(t *testing.T) {
 func TestCacheKeySensitivity(t *testing.T) {
 	in := corpus.Build(corpus.DefaultOptions())
 	h := MatrixHash(in[0].A)
-	base := CacheKey(h, 4, "MG", 42, 0.03, false, false, false, enginePar, 1, 0)
+	base := CacheKey(h, 4, "MG", 42, 0.03, false, false, false, 1, 0)
 	variants := []string{
-		CacheKey(h, 8, "MG", 42, 0.03, false, false, false, enginePar, 1, 0),
-		CacheKey(h, 4, "FG", 42, 0.03, false, false, false, enginePar, 1, 0),
-		CacheKey(h, 4, "MG", 43, 0.03, false, false, false, enginePar, 1, 0),
-		CacheKey(h, 4, "MG", 42, 0.1, false, false, false, enginePar, 1, 0),
-		CacheKey(h, 4, "MG", 42, 0.03, true, false, false, enginePar, 1, 0),
-		CacheKey(h, 4, "MG", 42, 0.03, false, true, false, enginePar, 1, 0),
-		CacheKey(h, 4, "MG", 42, 0.03, false, false, true, enginePar, 1, 0),
-		CacheKey(h, 4, "MG", 42, 0.03, false, false, false, engineSeq, 1, 0),
-		CacheKey(MatrixHash(in[1].A), 4, "MG", 42, 0.03, false, false, false, enginePar, 1, 0),
-		CacheKey(h, 4, "MG", 42, 0.03, false, false, false, enginePar, 8, 0),
-		CacheKey(h, 4, "MG", 42, 0.03, false, false, false, enginePar, 8, 500),
+		CacheKey(h, 8, "MG", 42, 0.03, false, false, false, 1, 0),
+		CacheKey(h, 4, "FG", 42, 0.03, false, false, false, 1, 0),
+		CacheKey(h, 4, "MG", 43, 0.03, false, false, false, 1, 0),
+		CacheKey(h, 4, "MG", 42, 0.1, false, false, false, 1, 0),
+		CacheKey(h, 4, "MG", 42, 0.03, true, false, false, 1, 0),
+		CacheKey(h, 4, "MG", 42, 0.03, false, true, false, 1, 0),
+		CacheKey(h, 4, "MG", 42, 0.03, false, false, true, 1, 0),
+		CacheKey(MatrixHash(in[1].A), 4, "MG", 42, 0.03, false, false, false, 1, 0),
+		CacheKey(h, 4, "MG", 42, 0.03, false, false, false, 8, 0),
+		CacheKey(h, 4, "MG", 42, 0.03, false, false, false, 8, 500),
 	}
 	seen := map[string]bool{base: true}
 	for i, v := range variants {
@@ -85,7 +84,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 		}
 		seen[v] = true
 	}
-	if base != CacheKey(h, 4, "MG", 42, 0.03, false, false, false, enginePar, 1, 0) {
+	if base != CacheKey(h, 4, "MG", 42, 0.03, false, false, false, 1, 0) {
 		t.Fatal("key not deterministic")
 	}
 }

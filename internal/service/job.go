@@ -36,13 +36,6 @@ func badSpec(format string, args ...any) error {
 // submissions identically to every shard.
 type JobSpec = cluster.JobSpec
 
-// Engine classes of the cache key: all Workers >= 1 runs share "par"
-// (bit-identical results), Workers == 0 is the legacy "seq" path.
-const (
-	engineSeq = cluster.EngineSeq
-	enginePar = cluster.EnginePar
-)
-
 // maxTries re-exports the race-to-best width bound (see
 // cluster.MaxTries) under its historical in-package name.
 const maxTries = cluster.MaxTries
@@ -57,7 +50,6 @@ type resolvedSpec struct {
 	matrix *sparse.Matrix
 	name   string // corpus name, or "upload"
 	hash   string // matrix content hash
-	engine string
 	key    string // cache key
 }
 
@@ -110,7 +102,6 @@ func (s *Server) resolve(spec JobSpec) (*resolvedSpec, error) {
 		return nil, badSpec("p = %d exceeds the matrix's %d nonzeros", spec.P, a.NNZ())
 	}
 
-	engine := norm.Engine
 	// Named instances carry a precomputed hash; only uploads pay the
 	// O(nnz) rehash on the submission path.
 	hash, ok := s.hashes[name]
@@ -125,8 +116,7 @@ func (s *Server) resolve(spec JobSpec) (*resolvedSpec, error) {
 		matrix: a,
 		name:   name,
 		hash:   hash,
-		engine: engine,
-		key:    CacheKey(hash, spec.P, method.String(), spec.Seed, eps, spec.Refine, spec.ExactFM, spec.ParallelFM, engine, tries, spec.BudgetMS),
+		key:    CacheKey(hash, spec.P, method.String(), spec.Seed, eps, spec.Refine, spec.ExactFM, spec.ParallelFM, tries, spec.BudgetMS),
 	}, nil
 }
 
@@ -175,7 +165,6 @@ type JobView struct {
 	P       int     `json:"p"`
 	Method  string  `json:"method"`
 	Seed    int64   `json:"seed"`
-	Engine  string  `json:"engine"`
 	QueueMS float64 `json:"queue_ms"`
 	RunMS   float64 `json:"run_ms"`
 	TotalMS float64 `json:"total_ms"`
@@ -202,10 +191,9 @@ type ResultView struct {
 	// Tries/BudgetMS echo the job's race-to-best search spec (absent for
 	// single-run jobs); WinnerTry is the 1-based winning variant, whose
 	// seed is Seed+WinnerTry-1.
-	Tries     int    `json:"tries,omitempty"`
-	BudgetMS  int    `json:"budget_ms,omitempty"`
-	WinnerTry int    `json:"winner_try,omitempty"`
-	Engine    string `json:"engine"`
+	Tries     int `json:"tries,omitempty"`
+	BudgetMS  int `json:"budget_ms,omitempty"`
+	WinnerTry int `json:"winner_try,omitempty"`
 	// Origin is empty for locally computed results; "peer:<addr>" when
 	// the entry arrived over the cluster peer-fetch or replication path.
 	Origin    string           `json:"origin,omitempty"`
@@ -365,7 +353,6 @@ func (st *jobStore) View(j *Job) JobView {
 		P:      rs.spec.P,
 		Method: rs.method.String(),
 		Seed:   rs.spec.Seed,
-		Engine: rs.engine,
 	}
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 	switch j.state {
@@ -416,7 +403,6 @@ func (st *jobStore) Result(j *Job) (ResultView, bool) {
 		Tries:      r.Tries,
 		BudgetMS:   r.BudgetMS,
 		WinnerTry:  r.WinnerTry,
-		Engine:     r.Engine,
 		Origin:     r.Origin,
 		Volume:     r.Volume,
 		Imbalance:  r.Imbalance,

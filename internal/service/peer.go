@@ -219,7 +219,7 @@ func (s *Server) adoptEntryTar(r io.Reader, key, from string) (*CachedResult, *s
 		tries = 1 // stored as 0 for single runs; the key uses >= 1
 	}
 	derived := cluster.CacheKey(res.MatrixHash, res.P, res.Method, res.Seed, res.Eps,
-		res.Refine, res.ExactFM, res.ParallelFM, res.Engine, tries, res.BudgetMS)
+		res.Refine, res.ExactFM, res.ParallelFM, tries, res.BudgetMS)
 	if derived != key {
 		return nil, nil, fmt.Errorf("service: peer entry %s: fields derive key %s", key, derived)
 	}

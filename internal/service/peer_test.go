@@ -29,6 +29,8 @@ func startClusterShard(t *testing.T, ring *cluster.Ring, ln net.Listener, self s
 	for _, w := range warns {
 		t.Fatalf("shard %s: %v", self, w)
 	}
+	// Drain before TempDir's removal (cleanups run last-in first-out).
+	t.Cleanup(s.Drain)
 	hs := &http.Server{Handler: s.Handler()}
 	go hs.Serve(ln)
 	t.Cleanup(func() { hs.Close() })

@@ -26,12 +26,12 @@
 //	                                 // choice is part of the cache key
 //	  "parallel_fm": false,          // parallel refinement layers (coarse-level
 //	                                 // try racing + speculative boundary move
-//	                                 // batches) inside each run; requires
-//	                                 // workers != 0. Per-seed results differ
-//	                                 // from the serial-refinement default, so
-//	                                 // the choice is part of the cache key
-//	  "workers":    1,               // 0 = sequential legacy engine; != 0 = parallel
-//	                                 // engine on the server's shared pool
+//	                                 // batches) inside each run. Per-seed
+//	                                 // results differ from the serial-
+//	                                 // refinement default, so the choice is
+//	                                 // part of the cache key
+//	  "workers":    1,               // accepted and ignored: every job runs on
+//	                                 // the server's shared engine
 //	  "tries":      1,               // > 1 races that many deterministic seed
 //	                                 // variants (seed..seed+N-1) and keeps the
 //	                                 // lowest-volume result; 0/1 = single run.
@@ -62,10 +62,8 @@
 // DELETE /jobs/{id} — cancel a queued or running job. The job moves to
 // state "canceled"; when it was the last job interested in its
 // computation, the computation's context is canceled and the work
-// stops (unless the server runs with salvage-on-cancel, which lets it
-// finish in the background and keeps the result in the cache). Answers
-// the job view with 200; 404 for unknown ids; 409 when the job already
-// finished.
+// stops. Answers the job view with 200; 404 for unknown ids; 409 when
+// the job already finished.
 //
 // GET /jobs/{id}/result — the full result once the job is done:
 // matrix facts (name, content hash, rows, cols, nnz), the resolved
@@ -99,15 +97,13 @@
 // # Determinism and the cache key
 //
 // Results are content-addressed by (matrix hash, p, method, seed, eps,
-// refine, exact_fm, parallel_fm, engine, tries, budget_ms), where engine is "seq"
-// for workers == 0 and "par" otherwise: the library guarantees
-// bit-identical results for every Workers >= 1, so all parallel worker
-// counts share one cache slot, while the legacy sequential path — which
-// may produce different (but equally valid) partitionings — is
-// addressed separately. The race-to-best search spec is part of the key
-// because a best-of-N volume must never answer a single-run request (or
-// a different N), and a budgeted race is not deterministic; tries 0 and
-// 1 are normalized to one slot. Uploading a matrix that byte-for-byte
+// refine, exact_fm, parallel_fm, tries, budget_ms). The worker count is
+// not part of the key: the library guarantees bit-identical results at
+// every worker count, so a spec's "workers" field is ignored and all
+// submissions of one spec share one cache slot. The race-to-best search
+// spec is part of the key because a best-of-N volume must never answer
+// a single-run request (or a different N), and a budgeted race is not
+// deterministic; tries 0 and 1 are normalized to one slot. Uploading a matrix that byte-for-byte
 // equals a corpus instance hits the same cache entries as jobs naming
 // that instance. Single-flight deduplication is keyed on the same full
 // key, so only identical search specs share one computation.
@@ -133,12 +129,7 @@
 // Per-job timeouts and DELETE cancellation act through the
 // computation's context: the engine observes it at bisection, multilevel
 // and scan boundaries, so the work stops within milliseconds, the
-// runner is freed, and nothing leaks. With Config.SalvageOnCancel the
-// pre-context behavior is retained instead: the computation is
-// abandoned to the background — within the Config.MaxAbandoned budget,
-// beyond which runners block before starting new work — and its
-// eventual result is salvaged into the cache (counted in /stats as
-// "salvaged") so a re-submission hits instead of recomputing.
+// runner is freed, and nothing leaks.
 //
 // Cache eviction garbage-collects the persisted bundle and meta file of
 // the evicted key, so the data directory tracks the cache instead of
@@ -168,7 +159,8 @@ import (
 
 // Config sizes the daemon.
 type Config struct {
-	// Workers is the shared engine pool size (<= 0 selects GOMAXPROCS).
+	// Workers is the shared engine pool size (<= 0 selects GOMAXPROCS);
+	// it never changes a result.
 	// Each runner's root goroutine computes inline besides the pool's
 	// helpers, so total compute threads peak at Workers + Runners - 1.
 	Workers int
@@ -182,20 +174,6 @@ type Config struct {
 	// (default 4096); older finished jobs age out FIFO so a long-running
 	// daemon's memory is bounded. Queued/running jobs are never evicted.
 	JobHistory int
-	// SalvageOnCancel retains the pre-context timeout behavior: a
-	// timed-out or canceled job's computation is not interrupted but
-	// abandoned to the background, and its eventual result is salvaged
-	// into the cache. Off by default — timeouts and DELETE cancel the
-	// computation's context and the work stops.
-	SalvageOnCancel bool
-	// MaxAbandoned bounds how many abandoned computations may still be
-	// running beyond the Runners budget (default = Runners); it only
-	// applies with SalvageOnCancel, where a timeout frees the runner
-	// while the computation finishes in the background. When this extra
-	// budget is exhausted, runners block before starting new work —
-	// backpressure that fills the queue and sheds load with 503s instead
-	// of letting abandoned computations pile up unboundedly.
-	MaxAbandoned int
 	// DataDir persists completed results as distio bundles and
 	// rehydrates them on startup; empty disables persistence.
 	DataDir string
@@ -227,7 +205,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
-		c.Workers = -1 // GOMAXPROCS; 0 would select the sequential engine
+		c.Workers = -1 // GOMAXPROCS; 0 would compute on the runners alone
 	}
 	if c.Runners <= 0 {
 		c.Runners = 2
@@ -240,9 +218,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JobHistory <= 0 {
 		c.JobHistory = 4096
-	}
-	if c.MaxAbandoned <= 0 {
-		c.MaxAbandoned = c.Runners
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 5 * time.Minute
@@ -273,7 +248,7 @@ type flight struct {
 	// need it for the flight's whole lifetime.
 	matrix *sparse.Matrix
 	// cancel stops the computation's context; set once a runner claims
-	// the flight (and never, under SalvageOnCancel).
+	// the flight.
 	cancel context.CancelFunc
 	// running marks the flight claimed by a runner; done marks its
 	// outcome delivered (or every job canceled), after which the flight
@@ -290,25 +265,19 @@ type Server struct {
 	// instance, so a named-instance submission — the cache-hit hot path
 	// — never rehashes an immutable matrix.
 	hashes map[string]string
-	// engine executes every parallel-class job; seqEngine is its
-	// sequential sibling for workers == 0 specs (legacy bit-path). Both
-	// are long-lived and safe for concurrent jobs.
-	engine    *core.Engine
-	seqEngine *core.Engine
-	cache     *Cache
-	sched     *scheduler
-	jobs      *jobStore
-	stats     *statsRecorder
+	// engine executes every job; it is long-lived and safe for
+	// concurrent jobs.
+	engine *core.Engine
+	cache  *Cache
+	sched  *scheduler
+	jobs   *jobStore
+	stats  *statsRecorder
 
 	// flights deduplicates identical in-flight computations by cache
 	// key; see flight.
 	flightMu sync.Mutex
 	flights  map[string]*flight
 
-	// compSem bounds live computations (running + abandoned) at
-	// Runners + MaxAbandoned under SalvageOnCancel; unused otherwise
-	// (cancellation keeps live computations <= Runners by itself).
-	compSem chan struct{}
 	// persistMu serializes disk persists and eviction garbage
 	// collection: distio writes bundle files in place, so two runners
 	// completing the same key concurrently must not interleave — the
@@ -347,7 +316,6 @@ func New(cfg Config) (*Server, []error) {
 		cfg:       cfg,
 		instances: corpus.Build(corpus.Options{Scale: cfg.CorpusScale, Seed: cfg.CorpusSeed}),
 		engine:    core.NewEngine(cfg.Workers),
-		seqEngine: core.NewEngine(0),
 		cache:     newCache(cfg.CacheEntries),
 		jobs:      newJobStore(cfg.JobHistory),
 		stats:     newStatsRecorder(),
@@ -358,7 +326,6 @@ func New(cfg Config) (*Server, []error) {
 	for _, in := range s.instances {
 		s.hashes[in.Name] = MatrixHash(in.A)
 	}
-	s.compSem = make(chan struct{}, cfg.Runners+cfg.MaxAbandoned)
 	s.sched = newScheduler(cfg.Runners, cfg.QueueDepth, s.execute)
 	var warns []error
 	if cfg.DataDir != "" {
@@ -480,8 +447,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 
 // Cancel moves a queued or running job to the canceled state. When it
 // was the computation's last interested job, the computation's context
-// is canceled too (except under SalvageOnCancel, which lets it finish
-// and keeps the result). ok is false for unknown ids; canceled reports
+// is canceled too. ok is false for unknown ids; canceled reports
 // whether the job is (now or already) canceled — false means it had
 // finished first.
 func (s *Server) Cancel(id string) (job *Job, ok, canceled bool) {
@@ -507,14 +473,13 @@ func (s *Server) Cancel(id string) (job *Job, ok, canceled bool) {
 		}
 		if len(f.jobs) == 0 {
 			// Nobody is interested anymore: stop the computation (its
-			// runner observes ctx and returns) — or, under
-			// salvage-on-cancel, let it finish into the cache. A flight
-			// that never started is retired here; a claimed one is
-			// retired by its runner's finish.
+			// runner observes ctx and returns). A flight that never
+			// started is retired here; a claimed one is retired by its
+			// runner's finish.
 			if !f.running {
 				f.done = true
 				delete(s.flights, f.key)
-			} else if f.cancel != nil && !s.cfg.SalvageOnCancel {
+			} else if f.cancel != nil {
 				f.cancel()
 			}
 		}
@@ -549,14 +514,13 @@ type outcome struct {
 
 // finishFlight retires a flight and delivers its outcome to every still
 // attached job. Successful results enter the cache (and disk) even when
-// every job has moved on — that is the salvage path, counted when the
-// flight was already retired.
+// every job has been canceled meanwhile: the work is done, and a
+// re-submission should hit.
 func (s *Server) finishFlight(f *flight, o outcome, matrix *sparse.Matrix) {
 	if o.err == nil {
 		s.keepResult(o.res, matrix)
 	}
 	s.flightMu.Lock()
-	already := f.done
 	f.done = true
 	members := f.jobs
 	f.jobs = nil
@@ -564,12 +528,6 @@ func (s *Server) finishFlight(f *flight, o outcome, matrix *sparse.Matrix) {
 		delete(s.flights, f.key)
 	}
 	s.flightMu.Unlock()
-	if already {
-		if o.err == nil {
-			s.stats.salvaged()
-		}
-		return
-	}
 	for _, j := range members {
 		switch {
 		case o.err == nil:
@@ -584,24 +542,6 @@ func (s *Server) finishFlight(f *flight, o outcome, matrix *sparse.Matrix) {
 			s.stats.failed()
 			s.jobs.fail(j, o.err.Error())
 		}
-	}
-}
-
-// abandonFlight fails (or cancels) every attached job now while the
-// computation keeps running; its eventual outcome is salvaged by
-// finishFlight.
-func (s *Server) abandonFlight(f *flight, msg string) {
-	s.flightMu.Lock()
-	f.done = true
-	members := f.jobs
-	f.jobs = nil
-	if s.flights[f.key] == f {
-		delete(s.flights, f.key)
-	}
-	s.flightMu.Unlock()
-	for _, j := range members {
-		s.stats.failed()
-		s.jobs.fail(j, msg)
 	}
 }
 
@@ -625,11 +565,6 @@ func (s *Server) execute(job *Job) {
 	// latter as soon as the submitting job reaches any terminal state
 	// (e.g. a DELETE while queued), which can precede this computation.
 	matrix := f.matrix
-
-	if s.cfg.SalvageOnCancel {
-		s.executeSalvage(f, rs, matrix, members, timeout)
-		return
-	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -677,52 +612,6 @@ func (s *Server) ownsKey(key string) bool {
 	return slices.Contains(s.ring().Replicas(key), s.clu.Self)
 }
 
-// executeSalvage is the pre-context execution path, kept behind
-// Config.SalvageOnCancel: the computation cannot be interrupted, a
-// timeout abandons it to the background (bounded by compSem), and its
-// eventual result is salvaged into the cache.
-func (s *Server) executeSalvage(f *flight, rs *resolvedSpec, matrix *sparse.Matrix, members []*Job, timeout time.Duration) {
-	// The budget clock covers the wait for a computation slot too, so a
-	// job's timeout fires on schedule even while abandoned computations
-	// hold the extra budget.
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-
-	// Blocks while abandoned computations hold the extra budget: the
-	// runner stalls, the queue backs up, and overload becomes 503s
-	// instead of an unbounded pile of live computations.
-	select {
-	case s.compSem <- struct{}{}:
-	case <-timer.C:
-		s.abandonFlight(f, fmt.Sprintf("timeout after %s waiting for a computation slot", timeout))
-		return
-	}
-	// Marked running only once a computation slot is held, so the
-	// queue/run split in job views stays honest when runners block on
-	// the abandoned-computation budget.
-	for _, j := range members {
-		s.jobs.markRunning(j)
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		defer func() { <-s.compSem }()
-		res, err := s.partition(context.Background(), rs, matrix)
-		done <- outcome{res, err}
-	}()
-
-	select {
-	case o := <-done:
-		s.finishFlight(f, o, matrix)
-	case <-timer.C:
-		s.abandonFlight(f, fmt.Sprintf("timeout after %s (computation abandoned)", timeout))
-		// The salvage goroutine may outlive a drain; the meta-last write
-		// order keeps a cut-off persist harmless.
-		go func() {
-			s.finishFlight(f, <-done, matrix)
-		}()
-	}
-}
-
 // keepResult enters a completed result into the cache (and disk, when
 // persistence is on) and garbage-collects the files of the entry the
 // insert evicted, so the data directory tracks the cache.
@@ -745,11 +634,11 @@ func (s *Server) keepResult(res *CachedResult, matrix *sparse.Matrix) {
 	}
 }
 
-// partition executes the resolved spec on the engine its workers field
-// selects and assembles the cacheable result. The matrix is passed
-// explicitly (not read from rs): the job store releases rs.matrix when
-// the job reaches a terminal state, which for a timed-out job happens
-// while this computation is still running.
+// partition executes the resolved spec on the server's engine and
+// assembles the cacheable result. The matrix is passed explicitly (not
+// read from rs): the job store releases rs.matrix when the job reaches a
+// terminal state, which for a canceled job can happen while this
+// computation is still unwinding.
 func (s *Server) partition(ctx context.Context, rs *resolvedSpec, a *sparse.Matrix) (*CachedResult, error) {
 	opts := core.DefaultOptions()
 	opts.Eps = rs.eps
@@ -758,10 +647,6 @@ func (s *Server) partition(ctx context.Context, rs *resolvedSpec, a *sparse.Matr
 	opts.Config.ParallelFM = rs.spec.ParallelFM
 	rng := rand.New(rand.NewSource(rs.spec.Seed))
 
-	eng := s.engine
-	if rs.engine == engineSeq {
-		eng = s.seqEngine
-	}
 	start := time.Now()
 	var (
 		res       *core.Result
@@ -776,11 +661,11 @@ func (s *Server) partition(ctx context.Context, rs *resolvedSpec, a *sparse.Matr
 			Budget: time.Duration(rs.spec.BudgetMS) * time.Millisecond,
 		}
 		var rep core.SearchReport
-		res, rep, err = eng.PartitionSearch(ctx, a, rs.spec.P, rs.method, opts, rs.spec.Seed, spec, nil)
+		res, rep, err = s.engine.PartitionSearch(ctx, a, rs.spec.P, rs.method, opts, rs.spec.Seed, spec, nil)
 		winnerTry = rep.WinnerTry
 		s.stats.search(rs.tries)
 	} else {
-		res, err = eng.Partition(ctx, a, rs.spec.P, rs.method, opts, rng)
+		res, err = s.engine.Partition(ctx, a, rs.spec.P, rs.method, opts, rng)
 	}
 	if err != nil {
 		return nil, err
@@ -808,7 +693,6 @@ func (s *Server) partition(ctx context.Context, rs *resolvedSpec, a *sparse.Matr
 		Tries:      tries,
 		BudgetMS:   rs.spec.BudgetMS,
 		WinnerTry:  winnerTry,
-		Engine:     rs.engine,
 		Volume:     res.Volume,
 		Imbalance:  metrics.Imbalance(res.Parts, rs.spec.P),
 		WallMS:     wallMS,

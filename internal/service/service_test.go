@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -97,8 +98,8 @@ func getResult(t *testing.T, ts *httptest.Server, id string) ResultView {
 	return rv
 }
 
-// offlineParts computes the library's own answer for a spec, matching
-// the engine class the server would use.
+// offlineParts computes the library's own answer for a spec; any worker
+// count reproduces the server's.
 func offlineParts(t *testing.T, a *sparse.Matrix, spec JobSpec) []int {
 	t.Helper()
 	m, err := core.ParseMethod(spec.Method)
@@ -110,12 +111,7 @@ func offlineParts(t *testing.T, a *sparse.Matrix, spec JobSpec) []int {
 		opts.Eps = *spec.Eps
 	}
 	opts.Refine = spec.Refine
-	if spec.Workers == 0 {
-		opts.Workers = 0
-	} else {
-		opts.Workers = 1 // any Workers >= 1 is bit-identical
-	}
-	res, err := core.Partition(a, spec.P, m, opts, rand.New(rand.NewSource(spec.Seed)))
+	res, err := core.NewEngine(0).Partition(context.Background(), a, spec.P, m, opts, rand.New(rand.NewSource(spec.Seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +166,11 @@ func TestCacheHitOnResubmitAndStats(t *testing.T) {
 		t.Fatal("cached result differs from computed result")
 	}
 
-	// workers=4 shares the "par" engine slot of workers=1.
+	// The workers field is ignored: workers=4 shares the slot of workers=1.
 	spec.Workers = 4
 	v3, code := postJob(t, ts, spec)
 	if code != http.StatusOK || !v3.Cached {
-		t.Fatalf("different parallel worker count must share the cache slot: code=%d %+v", code, v3)
+		t.Fatalf("different worker count must share the cache slot: code=%d %+v", code, v3)
 	}
 
 	st := s.Stats()
@@ -204,17 +200,19 @@ func TestUploadedMatrixSharesCacheWithCorpus(t *testing.T) {
 	}
 }
 
-func TestSequentialEngineIsSeparatelyAddressed(t *testing.T) {
+// TestWorkersShareOneCacheSlot: results are bit-identical at every
+// worker count, so a spec sent with workers 0 and with workers 4 keys to
+// one cache slot and the second submission is a hit.
+func TestWorkersShareOneCacheSlot(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
-	par := JobSpec{Corpus: "tridiag", P: 2, Seed: 5, Workers: 1}
-	seq := JobSpec{Corpus: "tridiag", P: 2, Seed: 5, Workers: 0}
-	v1, _ := postJob(t, ts, par)
+	zero := JobSpec{Corpus: "tridiag", P: 2, Seed: 5, Workers: 0}
+	four := JobSpec{Corpus: "tridiag", P: 2, Seed: 5, Workers: 4}
+	v1, _ := postJob(t, ts, zero)
 	waitDone(t, ts, v1.ID)
-	v2, code := postJob(t, ts, seq)
-	if code != http.StatusAccepted || v2.Cached {
-		t.Fatalf("seq engine must not share the par cache slot: code=%d %+v", code, v2)
+	v2, code := postJob(t, ts, four)
+	if code != http.StatusOK || !v2.Cached || v2.Key != v1.Key {
+		t.Fatalf("workers 0 and 4 must share one cache slot: code=%d %+v vs %+v", code, v2, v1)
 	}
-	waitDone(t, ts, v2.ID)
 }
 
 func TestBadSpecs(t *testing.T) {
@@ -490,34 +488,6 @@ func TestUploadCanonicalization(t *testing.T) {
 		if !v.Cached {
 			t.Fatalf("upload %d: reordered pattern missed the cache", i)
 		}
-	}
-}
-
-func TestTimeoutSalvagesResult(t *testing.T) {
-	cfg := testConfig()
-	// Salvage is opt-in since timeouts cancel the computation's context;
-	// with it on, the timed-out computation runs to completion in the
-	// background and its result lands in the cache.
-	cfg.SalvageOnCancel = true
-	s, ts := newTestServer(t, cfg)
-	spec := JobSpec{Corpus: "lap2d-24", P: 64, Seed: 21, Workers: 1, TimeoutMS: 1}
-	v, _ := postJob(t, ts, spec)
-	if done := waitDone(t, ts, v.ID); done.State != StateFailed {
-		t.Skipf("machine too fast: job finished inside 1ms (%+v)", done)
-	}
-	// The abandoned computation keeps running; once it lands, its
-	// result must be in the cache so a re-submission hits.
-	deadline := time.Now().Add(60 * time.Second)
-	for s.Stats().Salvaged == 0 {
-		if !time.Now().Before(deadline) {
-			t.Fatal("timed-out job's result never salvaged")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	spec.TimeoutMS = 0
-	v2, code := postJob(t, ts, spec)
-	if code != http.StatusOK || !v2.Cached {
-		t.Fatalf("re-submission after salvage must hit the cache: code=%d %+v", code, v2)
 	}
 }
 

@@ -23,7 +23,6 @@ type statsRecorder struct {
 	cacheHitN   atomic.Int64
 	cacheMissN  atomic.Int64
 	persistErrN atomic.Int64
-	salvagedN   atomic.Int64
 	searchJobsN atomic.Int64
 	searchTryN  atomic.Int64
 
@@ -82,7 +81,6 @@ func (st *statsRecorder) deduped()    { st.dedupedN.Add(1) }
 func (st *statsRecorder) cacheHit()   { st.cacheHitN.Add(1) }
 func (st *statsRecorder) cacheMiss()  { st.cacheMissN.Add(1) }
 func (st *statsRecorder) persistErr() { st.persistErrN.Add(1) }
-func (st *statsRecorder) salvaged()   { st.salvagedN.Add(1) }
 
 func (st *statsRecorder) peerFetchOK()      { st.peerFetchOKN.Add(1) }
 func (st *statsRecorder) peerFetchFailed()  { st.peerFetchFailN.Add(1) }
@@ -209,10 +207,6 @@ type StatsView struct {
 	// computation instead of queueing their own.
 	Canceled     int64 `json:"canceled"`
 	Deduplicated int64 `json:"deduplicated"`
-	// Salvaged counts timed-out or canceled jobs whose abandoned
-	// computation later finished and was kept in the cache anyway
-	// (salvage-on-cancel mode).
-	Salvaged int64 `json:"salvaged"`
 	// SearchJobs counts computations that ran a race-to-best search
 	// (tries > 1); SearchTries is the total number of variants they
 	// raced, so SearchTries/SearchJobs is the mean search width.
@@ -280,7 +274,6 @@ func (s *Server) Stats() StatsView {
 		Rejected:     s.stats.rejectedN.Load(),
 		Canceled:     s.stats.canceledN.Load(),
 		Deduplicated: s.stats.dedupedN.Load(),
-		Salvaged:     s.stats.salvagedN.Load(),
 		SearchJobs:   s.stats.searchJobsN.Load(),
 		SearchTries:  s.stats.searchTryN.Load(),
 		PersistErrs:  s.stats.persistErrN.Load(),

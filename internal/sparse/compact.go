@@ -12,10 +12,9 @@ import "slices"
 // The relabeling is order preserving: compact row r corresponds to the
 // (r+1)-th occupied original row in increasing original order, and the
 // nonzeros keep the order of the selecting subset. Because of that, the
-// hypergraph models built from the view are identical (up to harmless
-// empty nets) to the models built from a full-dimension copy, which is
-// what keeps compact-path partitionings bit-identical to the legacy
-// extraction per seed.
+// nonzero-vertex hypergraph models (medium-grain, fine-grain) built from
+// the view are identical, up to harmless empty nets, to the models built
+// from a full-dimension copy.
 type Compact struct {
 	// A is the compact matrix: A.Rows/A.Cols are the occupied counts.
 	A *Matrix

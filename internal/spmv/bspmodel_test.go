@@ -1,6 +1,7 @@
 package spmv
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -42,7 +43,7 @@ func TestPredictValidates(t *testing.T) {
 func TestPredictSpeedupGrowsWithGoodPartitioning(t *testing.T) {
 	a := gen.Laplacian2D(24, 24)
 	rng := rand.New(rand.NewSource(1))
-	res, err := core.Partition(a, 4, core.MethodMediumGrain, core.DefaultOptions(), rng)
+	res, err := core.NewEngine(0).Partition(context.Background(), a, 4, core.MethodMediumGrain, core.DefaultOptions(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package spmv
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -187,7 +188,7 @@ func TestPartitionedSpMVEndToEnd(t *testing.T) {
 	// multiply, verify numerics and traffic
 	rng := rand.New(rand.NewSource(7))
 	a := gen.WithRandomValues(rng, gen.Laplacian2D(12, 12))
-	res, err := core.Partition(a, 4, core.MethodMediumGrain, core.DefaultOptions(), rng)
+	res, err := core.NewEngine(0).Partition(context.Background(), a, 4, core.MethodMediumGrain, core.DefaultOptions(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,41 +24,38 @@
 // safe for concurrent use, and honors its context: canceling ctx stops
 // the computation cooperatively (recursive bisection nodes, multilevel
 // coarsening levels, FM passes, and metric scan chunks all observe it),
-// returns ctx.Err() promptly, and leaks nothing. Requests are seeded —
-// equal seeds give bit-identical results at every worker count — which
-// replaces the *rand.Rand threading of the deprecated free functions.
-//
-// The free functions (Bipartition, Partition, IterativeRefine, ...) and
-// their *Parallel forks predate the Engine; they survive as thin
-// deprecated wrappers that build a throwaway engine per call and cannot
-// be canceled. New code should not use them; each carries a migration
-// note.
+// returns ctx.Err() promptly, and leaks nothing. Requests are seeded:
+// equal seeds give bit-identical results at every worker count.
 //
 // # Parallel execution
 //
-// An Engine's worker count selects the execution engine:
+// There is one partitioning algorithm; an Engine's worker count only
+// decides how many goroutines execute it:
 //
-//   - Workers == 0 (the zero value) is the sequential legacy path; it
-//     preserves the exact per-seed results of earlier versions.
 //   - Workers == N >= 1 runs on a pool of N goroutines; N < 0 selects
 //     runtime.GOMAXPROCS(0).
+//   - Workers == 0 (the zero value) runs the same algorithm inline on
+//     the calling goroutine.
 //
 // The pool is a counting semaphore threaded through the whole run.
 // Recursive bisection fans the two disjoint halves of every split out
 // over it (Partition on p parts exposes up to p-way task parallelism);
-// inside each bisection, the multilevel hypergraph partitioner matches
-// vertices with concurrent proposal rounds, runs its initial-partition
-// tries as independent subproblems, and initializes FM gains in
-// parallel; metric and k-way evaluation split their row/column scans.
+// inside each bisection, the medium-grain split scores nonzeros in
+// parallel, and the multilevel hypergraph partitioner matches vertices
+// with concurrent proposal rounds, contracts levels over net ranges,
+// runs its initial-partition tries as independent subproblems, and
+// initializes FM gains in parallel; metric and k-way evaluation split
+// their row/column scans.
 //
-// Determinism: with Workers >= 1 every random choice is drawn from a
-// deterministic stream — child subproblems receive RNG streams seeded
-// from the parent stream in a fixed order before the fork — so a given
-// seed produces bit-identical partitionings for every worker count and
-// any scheduling. Results may differ from the Workers == 0 legacy
-// algorithms (a different, parallel-friendly matching order), but both
-// paths are individually deterministic per seed. InitialSplitParallel
-// remains bit-identical to InitialSplit for equal seeds.
+// Determinism: every random choice is drawn from a deterministic
+// stream — child subproblems receive RNG streams seeded from the parent
+// stream in a fixed order before the fork, and parallel phases draw
+// their randomness before fanning out — so a given seed produces
+// bit-identical partitionings for every worker count, 0 included, and
+// any scheduling. Where the pool size does select between two
+// implementations (sequential or two-pass contraction, inline or
+// parallel gain initialization, fused or per-row k-way counts), both
+// produce the same bits.
 //
 // # FM refinement modes
 //
@@ -74,26 +71,25 @@
 //     cost tracks the partition boundary instead of the hypergraph
 //     size. PartitionerConfig.ExactFM restores the historical exact
 //     all-vertex passes.
-//   - Coarse-level try racing (PartitionerConfig.ParallelFM, parallel
-//     engine only): small coarse levels race several FM sequences
-//     across the worker pool — the serial continuation plus extra
-//     tries on side substreams — and keep the best by (overload, cut,
-//     try index), so an extra try displaces the serial result only
-//     when strictly better.
-//   - Speculative boundary batches (ParallelFM, parallel engine only):
-//     large fine levels run optimistic prepass rounds — boundary move
-//     gains computed concurrently in fixed-size batches against a
-//     read-only snapshot, then committed serially in deterministic
-//     order under a touched-net conflict set, with conflicted residue
-//     falling back to the serial passes.
+//   - Coarse-level try racing (PartitionerConfig.ParallelFM): small
+//     coarse levels race several FM sequences across the worker pool —
+//     the serial continuation plus extra tries on side substreams — and
+//     keep the best by (overload, cut, try index), so an extra try
+//     displaces the serial result only when strictly better.
+//   - Speculative boundary batches (ParallelFM): large fine levels run
+//     optimistic prepass rounds — boundary move gains computed
+//     concurrently in fixed-size batches against a read-only snapshot,
+//     then committed serially in deterministic order under a
+//     touched-net conflict set, with conflicted residue falling back to
+//     the serial passes.
 //
 // Determinism contract: ExactFM and ParallelFM are mode switches.
 // Per-seed results differ between modes — the bench suite gates every
 // mode's quality delta at <= 5% volume per grid point — but within
 // each mode results are bit-identical for a given seed at every worker
-// count and pool size. ParallelFM requires the parallel engine and is
-// ignored when Workers == 0; the sequential legacy path always
-// reproduces its exact historical move sequence.
+// count, 0 included. ParallelFM shapes the multilevel bisections only:
+// the paper's iterative refinement (Request.Refine, Algorithm 2) is a
+// single serial KL/FM run per encoding in every mode.
 //
 // # Race-to-best search
 //
@@ -114,30 +110,22 @@
 //
 // # Memory model
 //
-// The parallel engine keeps the per-node cost of recursive bisection at
-// O(nnz(sub)): every bisection node extracts its subproblem as a
-// *compact view* — nonzeros relabeled onto the occupied rows and
-// columns, with back-maps to the parent's coordinates — instead of a
-// full-dimension copy, and all working memory (the compaction maps, the
-// CSR/CSC index shared by model build and metric evaluation, hypergraph
-// build arrays, the multilevel engine's matching/contraction/FM
-// buffers) comes from an explicit per-worker scratch that is reused
-// level to level. Scratches are handed out by the recursion — the
-// continuing branch keeps its scratch, the forked branch checks one out
-// of a free list bounded by the worker count — so buffer reuse is
-// deterministic, unlike sync.Pool.
+// Recursive bisection keeps the per-node cost at O(nnz(sub)): every
+// bisection node extracts its subproblem as a *compact view* — nonzeros
+// relabeled onto the occupied rows and columns, with back-maps to the
+// parent's coordinates — instead of a full-dimension copy, and all
+// working memory (the compaction maps, the CSR/CSC index shared by
+// model build and metric evaluation, hypergraph build arrays, the
+// multilevel engine's matching/contraction/FM buffers) comes from an
+// explicit per-worker scratch that is reused level to level. Scratches
+// are handed out by the recursion — the continuing branch keeps its
+// scratch, the forked branch checks one out of a free list bounded by
+// the worker count — so buffer reuse is deterministic, unlike
+// sync.Pool, and an inline engine reuses a single scratch.
 //
-// Determinism of compaction: the relabeling is order preserving, so the
-// hypergraphs of the nonzero-vertex models (medium-grain, fine-grain)
-// are invariant under it up to empty nets, and the split's global tie
-// choice is made from the root matrix's shape. Compact-path
-// partitionings with those methods are therefore bit-identical per seed
-// to the legacy full-dimension extraction (the equivalence tests prove
-// it). The 1D models (row-net, column-net, localbest) have matrix
-// columns/rows as hypergraph vertices; compaction drops their empty
-// vertices, so their per-seed results differ from earlier releases at
-// Workers >= 1 — still deterministic and of equivalent quality, with
-// the Workers == 0 path preserving the historical results exactly.
+// Compaction never changes a tie: the relabeling is order preserving,
+// and the medium-grain split's global tie orientation is decided from
+// the root matrix's shape at every node.
 //
 // # Benchmarking
 //
@@ -166,7 +154,6 @@
 package mediumgrain
 
 import (
-	"context"
 	"math/rand"
 	"os"
 
@@ -174,7 +161,6 @@ import (
 	"mediumgrain/internal/core"
 	"mediumgrain/internal/distio"
 	"mediumgrain/internal/hgpart"
-	"mediumgrain/internal/kway"
 	"mediumgrain/internal/metrics"
 	"mediumgrain/internal/sparse"
 	"mediumgrain/internal/spmv"
@@ -278,87 +264,11 @@ func WriteMatrixMarketFile(path string, a *Matrix) error {
 	return f.Close()
 }
 
-// Bipartition splits the nonzeros of a into two parts with the given
-// method. The result satisfies the load-balance constraint
-// max|A_i| ≤ (1+ε)·N/2 and reports the communication volume V.
-//
-// Deprecated: use Engine.Bipartition — New(EngineConfig{Workers:
-// opts.Workers}).Bipartition(ctx, Request{Matrix: a, Method: method,
-// Seed: s}) is bit-identical for rng = NewRNG(s) — which reuses pool
-// and scratch memory across calls and honors its context.
-func Bipartition(a *Matrix, method Method, opts Options, rng *rand.Rand) (*Result, error) {
-	return core.Bipartition(a, method, opts, rng)
-}
-
-// Partition distributes the nonzeros of a over p parts by recursive
-// bisection with the given method. With opts.Workers set, the disjoint
-// subproblems of the bisection tree run concurrently on the worker-pool
-// engine (see the package comment for the determinism guarantees).
-//
-// Deprecated: use Engine.Partition — New(EngineConfig{Workers:
-// opts.Workers}).Partition(ctx, Request{Matrix: a, P: p, Method:
-// method, Seed: s}) is bit-identical for rng = NewRNG(s) — which reuses
-// pool and scratch memory across calls and honors its context.
-func Partition(a *Matrix, p int, method Method, opts Options, rng *rand.Rand) (*Result, error) {
-	return core.Partition(a, p, method, opts, rng)
-}
-
-// IterativeRefine applies the paper's Algorithm 2 to an existing
-// bipartitioning of a (parts[k] ∈ {0,1} per nonzero) and returns an
-// improved partitioning with never-larger communication volume. It can
-// post-process the output of any method.
-//
-// Deprecated: use Engine.Refine with Request.Parts set and P = 2; it
-// runs under a context and returns the refined volume alongside the
-// parts.
-func IterativeRefine(a *Matrix, parts []int, opts Options, rng *rand.Rand) []int {
-	return core.IterativeRefine(a, parts, opts, rng)
-}
-
-// VCycleRefine is the hMetis-style multilevel alternative to
-// IterativeRefine discussed in §III-C of the paper: restricted
-// coarsening that respects the current bipartition followed by FM at all
-// levels, alternating medium-grain encoding directions. More expensive
-// than IterativeRefine, sometimes stronger; also monotone.
-//
-// Deprecated: construct an Engine and use its VCycleRefine-backed
-// refinement via the internal core engine, or keep Engine.Refine for
-// the paper's cheaper Algorithm 2; this wrapper builds a throwaway pool
-// per call and cannot be canceled.
-func VCycleRefine(a *Matrix, parts []int, opts Options, rng *rand.Rand) []int {
-	return core.VCycleRefine(a, parts, opts, rng)
-}
-
-// FullIterative runs the paper's future-work "full iterative method"
-// (§V): every iteration re-encodes the best bipartitioning found so far
-// as a medium-grain split and performs a complete multilevel partitioning
-// of the composite hypergraph, trading computation time for quality. The
-// best result over `iterations` rounds is returned; one round equals a
-// plain medium-grain run.
-//
-// Deprecated: this wrapper builds a throwaway engine per call and
-// cannot be canceled; long-lived callers should hold an Engine and a
-// future Engine method will expose the full iterative method directly.
-func FullIterative(a *Matrix, iterations int, opts Options, rng *rand.Rand) (*Result, error) {
-	return core.FullIterative(a, iterations, opts, rng)
-}
-
 // InitialSplit computes the medium-grain split A = Ar + Ac (Algorithm 1
 // for SplitNNZ); inRow[k] is true when nonzero k belongs to the row
 // group Ar.
 func InitialSplit(a *Matrix, strategy SplitStrategy, rng *rand.Rand) []bool {
 	return core.Split(a, strategy, rng)
-}
-
-// InitialSplitParallel is the multi-goroutine formulation of Algorithm 1
-// sketched in the paper's §V; its output is identical to
-// InitialSplit(a, SplitNNZ, rng) for equal rng seeds.
-//
-// Deprecated: the split runs in parallel automatically inside every
-// parallel Engine's medium-grain partitioning; callers that only need
-// the split itself should use InitialSplit, whose output is identical.
-func InitialSplitParallel(a *Matrix, rng *rand.Rand, workers int) []bool {
-	return core.SplitParallel(a, rng, workers)
 }
 
 // Volume returns the communication volume (eqn (3) of the paper) of a
@@ -375,32 +285,6 @@ func BSPCost(a *Matrix, parts []int, p int) int64 {
 // Imbalance returns the achieved load imbalance ε' of a partitioning:
 // max_i |A_i| = (1+ε')·N/p.
 func Imbalance(parts []int, p int) float64 { return metrics.Imbalance(parts, p) }
-
-// KWayRefine post-processes a p-way partitioning with direct k-way
-// greedy refinement under the λ−1 metric: individual nonzeros move
-// between any pair of parts when that reduces volume and keeps balance.
-// Useful after recursive bisection, whose splits are optimized in
-// isolation. parts is modified in place; the final volume is returned.
-//
-// Deprecated: use Engine.Refine with Request.Parts and Request.P set;
-// it runs under a context, never mutates the request's parts, and
-// reuses the engine's pool.
-func KWayRefine(a *Matrix, parts []int, p int, eps float64, rng *rand.Rand) int64 {
-	return kway.Refine(context.Background(), a, parts, p, kway.Options{Eps: eps}, rng)
-}
-
-// KWayRefineParallel is KWayRefine with the count construction and
-// volume evaluation spread over `workers` goroutines (0 = sequential,
-// negative = GOMAXPROCS). The greedy move loop is sequential either
-// way, so the refined parts and returned volume are identical to
-// KWayRefine for equal seeds.
-//
-// Deprecated: use Engine.Refine on an Engine built with the desired
-// worker count; this fork exists only because the legacy API had no
-// handle to hang a pool on.
-func KWayRefineParallel(a *Matrix, parts []int, p int, eps float64, workers int, rng *rand.Rand) int64 {
-	return kway.Refine(context.Background(), a, parts, p, kway.Options{Eps: eps, Workers: workers}, rng)
-}
 
 // CartesianResult is a coarse-grain p×q Cartesian partitioning (rows
 // into p stripes, columns into q under multi-constraint balance).

@@ -1,6 +1,7 @@
 package mediumgrain_test
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -9,6 +10,10 @@ import (
 	"mediumgrain"
 	"mediumgrain/internal/gen"
 )
+
+// inline is the zero-config engine the tests share: the one
+// partitioning algorithm, run on the calling goroutine.
+var inline = mediumgrain.New(mediumgrain.EngineConfig{})
 
 func gridMatrix() *mediumgrain.Matrix {
 	return gen.Laplacian2D(14, 14)
@@ -21,7 +26,7 @@ func TestPublicBipartitionAllMethods(t *testing.T) {
 		mediumgrain.MethodLocalBest, mediumgrain.MethodFineGrain,
 		mediumgrain.MethodMediumGrain,
 	} {
-		res, err := mediumgrain.Bipartition(a, m, mediumgrain.DefaultOptions(), mediumgrain.NewRNG(1))
+		res, err := inline.Bipartition(context.Background(), mediumgrain.Request{Matrix: a, Method: m, Seed: 1})
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -36,8 +41,7 @@ func TestPublicBipartitionAllMethods(t *testing.T) {
 
 func TestPublicPartitionAndBSP(t *testing.T) {
 	a := gridMatrix()
-	res, err := mediumgrain.Partition(a, 8, mediumgrain.MethodMediumGrain,
-		mediumgrain.DefaultOptions(), mediumgrain.NewRNG(2))
+	res, err := inline.Partition(context.Background(), mediumgrain.Request{Matrix: a, P: 8, Method: mediumgrain.MethodMediumGrain, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +57,11 @@ func TestPublicIterativeRefine(t *testing.T) {
 		parts[k] = k % 2
 	}
 	before := mediumgrain.Volume(a, parts, 2)
-	refined := mediumgrain.IterativeRefine(a, parts, mediumgrain.DefaultOptions(), mediumgrain.NewRNG(3))
-	after := mediumgrain.Volume(a, refined, 2)
+	res, err := inline.Refine(context.Background(), mediumgrain.Request{Matrix: a, Parts: parts, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := mediumgrain.Volume(a, res.Parts, 2)
 	if after > before {
 		t.Fatalf("IR increased volume %d -> %d", before, after)
 	}
@@ -65,9 +72,8 @@ func TestPublicConfigs(t *testing.T) {
 	for _, cfg := range []mediumgrain.PartitionerConfig{
 		mediumgrain.MondriaanLikeConfig(), mediumgrain.AltConfig(),
 	} {
-		opts := mediumgrain.DefaultOptions()
-		opts.Config = cfg
-		if _, err := mediumgrain.Bipartition(a, mediumgrain.MethodMediumGrain, opts, mediumgrain.NewRNG(4)); err != nil {
+		eng := mediumgrain.New(mediumgrain.EngineConfig{Partitioner: cfg})
+		if _, err := eng.Bipartition(context.Background(), mediumgrain.Request{Matrix: a, Method: mediumgrain.MethodMediumGrain, Seed: 4}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,8 +111,7 @@ func TestPublicMatrixMarketFileRoundTrip(t *testing.T) {
 
 func TestPublicSpMVPipeline(t *testing.T) {
 	a := gen.WithRandomValues(mediumgrain.NewRNG(5), gridMatrix())
-	res, err := mediumgrain.Partition(a, 4, mediumgrain.MethodMediumGrain,
-		mediumgrain.DefaultOptions(), mediumgrain.NewRNG(6))
+	res, err := inline.Partition(context.Background(), mediumgrain.Request{Matrix: a, P: 4, Method: mediumgrain.MethodMediumGrain, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +148,11 @@ func TestPublicClassConstants(t *testing.T) {
 
 func TestDeterminismAcrossCalls(t *testing.T) {
 	a := gridMatrix()
-	r1, err := mediumgrain.Bipartition(a, mediumgrain.MethodMediumGrain, mediumgrain.DefaultOptions(), mediumgrain.NewRNG(7))
+	r1, err := inline.Bipartition(context.Background(), mediumgrain.Request{Matrix: a, Method: mediumgrain.MethodMediumGrain, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := mediumgrain.Bipartition(a, mediumgrain.MethodMediumGrain, mediumgrain.DefaultOptions(), mediumgrain.NewRNG(7))
+	r2, err := inline.Bipartition(context.Background(), mediumgrain.Request{Matrix: a, Method: mediumgrain.MethodMediumGrain, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
