@@ -141,9 +141,10 @@ func MatrixHash(a *sparse.Matrix) string {
 // results, so both are part of the key, and so is the full race-to-best
 // search spec (tries, budgetMS): a best-of-N result must never answer a
 // single-run request or a different N, and a budgeted race is not even
-// deterministic. The version tag ("mgserve/5") is bumped with every
-// key-shape change so results computed under older semantics can never
-// answer a current request. Callers pass tries normalized (>= 1) and
+// deterministic. The version tag ("mgserve/6") is bumped with every
+// key-shape change and every algorithm change that moves per-seed
+// results, so results computed under older semantics can never answer a
+// current request. Callers pass tries normalized (>= 1) and
 // budgetMS >= 0.
 //
 // The same key is the cluster routing key: Ring ownership, router
@@ -151,7 +152,7 @@ func MatrixHash(a *sparse.Matrix) string {
 // shards by it.
 func CacheKey(matrixHash string, p int, method string, seed int64, eps float64, refine, exactFM, parallelFM bool, tries, budgetMS int) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "mgserve/5|%s|p=%d|m=%s|seed=%d|eps=%g|refine=%t|exactfm=%t|parallelfm=%t|tries=%d|budget=%dms",
+	fmt.Fprintf(h, "mgserve/6|%s|p=%d|m=%s|seed=%d|eps=%g|refine=%t|exactfm=%t|parallelfm=%t|tries=%d|budget=%dms",
 		matrixHash, p, method, seed, eps, refine, exactFM, parallelFM, tries, budgetMS)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }

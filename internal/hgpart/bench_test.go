@@ -55,9 +55,32 @@ func BenchmarkCoarsenOneLevel(b *testing.B) {
 	maxClusterWt := balancedCaps(h.TotalWeight(), 0.03)[0] / 3
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vmap, numCoarse := match(h, rng, cfg, maxClusterWt, nil, nil)
-		contract(h, vmap, numCoarse, nil, nil)
+		vmap, numCoarse := match(h, rng, cfg, maxClusterWt, nil)
+		contract(h, vmap, numCoarse, nil)
 	}
+}
+
+// BenchmarkCoarsenHierarchy runs the whole coarsening hierarchy of the
+// fine-grain model of a 120x120 Laplacian, as one multilevel bipartition
+// does before initial partitioning. Unlike the row-net model above,
+// this instance fills its coarse levels with nets that share a pin set,
+// so the coarse-pins metric (summed over every coarse level) shows how
+// much each level hands to the next.
+func BenchmarkCoarsenHierarchy(b *testing.B) {
+	h := hypergraph.FineGrain(gen.Laplacian2D(120, 120))
+	cfg := ConfigMondriaanLike()
+	var sc Scratch
+	var pins int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.reserve(h.NumVerts, h.NumNets)
+		levels := coarsen(context.Background(), h, 0.03, rand.New(rand.NewSource(3)), cfg, &sc)
+		for _, l := range levels {
+			pins += l.coarse.NumPins()
+		}
+	}
+	b.ReportMetric(float64(pins)/float64(b.N), "coarse-pins/op")
 }
 
 func BenchmarkVCycleRefine(b *testing.B) {

@@ -5,14 +5,17 @@ import (
 	"math/rand"
 
 	"mediumgrain/internal/hypergraph"
-	"mediumgrain/internal/pool"
 )
 
 // Multilevel coarsening: vertices are pairwise matched — by default with
 // the heavy-connectivity criterion (match the neighbor sharing the most
-// nets), the unweighted analogue of Mondriaan's inner-product matching —
-// and contracted into a coarser hypergraph until the instance is small
-// enough for direct initial partitioning.
+// net weight), the analogue of Mondriaan's inner-product matching, in
+// one greedy sweep as Mondriaan does — and contracted into a coarser
+// hypergraph until the instance is small enough for direct initial
+// partitioning. Contraction merges nets whose coarse pin sets coincide
+// into one net carrying their summed weight, so coarse levels do not
+// fill up with parallel nets. Both steps run sequentially on the
+// calling goroutine.
 
 // level records one coarsening step: the coarse hypergraph plus the map
 // from fine vertices to coarse vertices, so partitions can be projected
@@ -22,29 +25,34 @@ type level struct {
 	map_   []int32 // fine vertex -> coarse vertex
 }
 
+// matchingNetLimit returns cfg.MatchingNetLimit or its default.
+func matchingNetLimit(cfg Config) int {
+	if cfg.MatchingNetLimit <= 0 {
+		return defaultMatchingNetLimit
+	}
+	return cfg.MatchingNetLimit
+}
+
 // match pairs up vertices and returns the fine→coarse vertex map and the
 // number of coarse vertices. maxClusterWt bounds merged weights so no
 // coarse vertex becomes unplaceable under the balance constraint. The
-// mate array comes from sc; the returned vmap is always freshly
-// allocated because the caller keeps it per level.
-func match(h *hypergraph.Hypergraph, rng *rand.Rand, cfg Config, maxClusterWt int64, pl *pool.Pool, sc *Scratch) ([]int32, int) {
-	nv := h.NumVerts
-	mate := sc.mateBuffer(nv)
-	order := sc.perm(rng, nv)
-
-	netLimit := cfg.MatchingNetLimit
-	if netLimit <= 0 {
-		netLimit = defaultMatchingNetLimit
-	}
-
+// mate, rank, and connectivity arrays come from sc; the returned vmap is
+// always freshly allocated because the caller keeps it per level.
+func match(h *hypergraph.Hypergraph, rng *rand.Rand, cfg Config, maxClusterWt int64, sc *Scratch) ([]int32, int) {
+	mate := sc.mateBuffer(h.NumVerts)
+	order := sc.perm(rng, h.NumVerts)
 	if cfg.RandomMatching {
-		matchRandom(h, order, mate, netLimit, maxClusterWt)
+		matchRandom(h, order, mate, matchingNetLimit(cfg), maxClusterWt)
 	} else {
-		matchProposal(h, order, mate, nil, netLimit, maxClusterWt, pl)
+		matchHeavy(h, order, mate, nil, matchingNetLimit(cfg), maxClusterWt, sc)
 	}
+	return clusterIDs(order, mate)
+}
 
-	// Assign coarse ids; unmatched vertices map alone.
-	vmap := make([]int32, nv)
+// clusterIDs numbers the coarse vertices in order of their first member
+// in the randomized order; unmatched vertices map alone.
+func clusterIDs(order []int, mate []int32) ([]int32, int) {
+	vmap := make([]int32, len(order))
 	for i := range vmap {
 		vmap[i] = -1
 	}
@@ -94,143 +102,160 @@ func matchRandom(h *hypergraph.Hypergraph, order []int, mate []int32, netLimit i
 	}
 }
 
-// contract builds the coarse hypergraph induced by vmap: vertex weights
-// are summed, net pins are mapped and deduplicated, and nets that shrink
-// to a single pin are dropped (they can never be cut at this or any
-// coarser level). The coarse hypergraph's own arrays are freshly
-// allocated (it outlives the scratch turnover: the V-cycle revisits every
-// level on the way back up); only the dedup stamp and the per-net pin
-// accumulator come from sc. On a pool of more than one worker the
-// pin-building loop runs in parallel; its output is bit-identical to the
-// sequential loop (see contractParallel), so the pool size never changes
-// a partitioning result through this function.
-func contract(h *hypergraph.Hypergraph, vmap []int32, numCoarse int, pl *pool.Pool, sc *Scratch) *hypergraph.Hypergraph {
-	// The two-pass parallel loop deduplicates every net twice; with a
-	// single-worker pool that is pure overhead for an identical result,
-	// so fall through to the sequential loop.
-	if pl.Workers() > 1 {
-		return contractParallel(h, vmap, numCoarse, pl, sc)
+// matchHeavy is greedy heavy-connectivity matching: one sweep over the
+// randomized order pairs each still-unmatched vertex with the unmatched
+// neighbor sharing the most net weight, ties broken toward the earlier
+// position in the order, among neighbors whose merged weight stays
+// within maxClusterWt. Nets larger than netLimit are not scanned. A
+// non-nil sideOf restricts matching to vertices with equal sideOf
+// values — the restricted matching of V-cycle refinement, which must
+// never merge across the current bipartition.
+func matchHeavy(h *hypergraph.Hypergraph, order []int, mate []int32, sideOf []int, netLimit int, maxClusterWt int64, sc *Scratch) {
+	// rank[v] is v's position in the randomized order, the tie-breaker;
+	// conn accumulates shared net weight and is all-zero between
+	// vertices.
+	rank, conn, cand := sc.matchBuffers(h.NumVerts)
+	for i, v := range order {
+		rank[v] = int32(i)
 	}
+	for _, vi := range order {
+		v := int32(vi)
+		if mate[v] >= 0 {
+			continue
+		}
+		cand = cand[:0]
+		for _, n := range h.NetsOf(vi) {
+			if h.NetSize(int(n)) > netLimit {
+				continue
+			}
+			w := h.NetWeight(int(n))
+			for _, u := range h.NetPins(int(n)) {
+				if u == v || mate[u] >= 0 {
+					continue
+				}
+				if sideOf != nil && sideOf[u] != sideOf[v] {
+					continue
+				}
+				if conn[u] == 0 {
+					cand = append(cand, u)
+				}
+				conn[u] += w
+			}
+		}
+		var best int32 = -1
+		var bestConn int32
+		for _, u := range cand {
+			if h.VertWt[v]+h.VertWt[u] <= maxClusterWt &&
+				(conn[u] > bestConn || (conn[u] == bestConn && best >= 0 && rank[u] < rank[best])) {
+				best, bestConn = u, conn[u]
+			}
+			conn[u] = 0 // restore the all-zero invariant
+		}
+		if best >= 0 {
+			mate[v] = best
+			mate[best] = v
+		}
+	}
+	sc.keepMatchCand(cand)
+}
+
+// pinHash scrambles a coarse vertex id (the splitmix64 finalizer). A
+// net's fingerprint is the wrapping sum of its pins' hashes, so it does
+// not depend on pin order.
+func pinHash(v int32) uint64 {
+	x := uint64(v) + 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// contract builds the coarse hypergraph induced by vmap: vertex weights
+// are summed, net pins are mapped and deduplicated, nets that shrink to
+// a single pin are dropped (they can never be cut at this or any
+// coarser level), and a net whose coarse pin set equals that of an
+// earlier kept net is folded into it, adding its weight. Kept nets stay
+// in first-occurrence order with first-occurrence pin order, so the
+// result is a pure function of h and vmap.
+//
+// Duplicates are found through a hash table keyed by an order-free
+// fingerprint of the pin set; every candidate is confirmed by comparing
+// the pin sets exactly, so fingerprint collisions cost time, never
+// correctness. The coarse hypergraph's own arrays are freshly allocated
+// (it outlives the scratch turnover: the V-cycle revisits every level
+// on the way back up); the dedup stamp, the pin, pointer, and weight
+// accumulators, and the hash table come from sc.
+func contract(h *hypergraph.Hypergraph, vmap []int32, numCoarse int, sc *Scratch) *hypergraph.Hypergraph {
 	wt := make([]int64, numCoarse)
 	for v := 0; v < h.NumVerts; v++ {
 		wt[vmap[v]] += h.VertWt[v]
 	}
-	// Accumulate the deduplicated nets into the scratch first, then copy
-	// once into exactly-sized owned arrays: the coarse hypergraph must
-	// own its memory (the V-cycle revisits every level on the way back
-	// up), but building it through an append-grown Builder used to
-	// allocate the growth chain on top of the final arrays every level.
+	// Accumulate the kept nets into the scratch first, then copy once
+	// into exactly-sized owned arrays: the coarse hypergraph must own its
+	// memory, but building it through append-grown arrays would allocate
+	// the growth chain on top of the final arrays every level.
 	stamp, pins := sc.contractBuffers(numCoarse)
 	ptr := sc.contractPtr()
+	netWt, table := sc.mergeBuffers(h.NumNets)
+	mask := uint64(len(table) - 1)
 	for n := 0; n < h.NumNets; n++ {
 		start := len(pins)
+		var fp uint64
 		for _, v := range h.NetPins(n) {
 			cv := vmap[v]
-			if stamp[cv] != n {
-				stamp[cv] = n
+			if stamp[cv] != int32(n) {
+				stamp[cv] = int32(n)
 				pins = append(pins, cv)
+				fp += pinHash(cv)
 			}
 		}
-		if len(pins)-start >= 2 {
-			ptr = append(ptr, int32(len(pins)))
-		} else {
-			// Nets that shrink to a single pin can never be cut at this
-			// or any coarser level; drop them.
+		size := len(pins) - start
+		if size < 2 {
 			pins = pins[:start]
+			continue
+		}
+		w := h.NetWeight(n)
+		for slot := fp & mask; ; slot = (slot + 1) & mask {
+			k := table[slot]
+			if k < 0 {
+				// New pin set: keep the net.
+				table[slot] = int32(len(netWt))
+				netWt = append(netWt, w)
+				ptr = append(ptr, int32(len(pins)))
+				break
+			}
+			if sameCoarsePins(pins[ptr[k]:ptr[k+1]], size, stamp, int32(n)) {
+				netWt[k] += w
+				pins = pins[:start]
+				break
+			}
 		}
 	}
 	netPtr := append(make([]int32, 0, len(ptr)), ptr...)
 	outPins := append(make([]int32, 0, len(pins)), pins...)
-	sc.keepPins(pins)
-	sc.keepPtr(ptr)
-	return hypergraph.FromCSR(numCoarse, wt, netPtr, outPins)
+	outWt := append(make([]int32, 0, len(netWt)), netWt...)
+	sc.keepContract(pins, ptr, netWt)
+	return hypergraph.FromCSR(numCoarse, wt, netPtr, outPins, outWt)
 }
 
-// contractParallel is the multi-goroutine formulation of contract. Nets
-// are independent — each coarse pin list is the first-occurrence
-// deduplication of one fine net's mapped pins — so the work splits into
-// two passes over disjoint net ranges: pass one computes every net's
-// deduplicated size, a sequential prefix scan then assigns kept nets
-// (>= 2 pins) their slot in the output arrays, and pass two re-runs the
-// deduplication writing each net's pins straight into its slot. Every
-// chunk runs the same first-occurrence order the sequential loop uses
-// and net order is preserved by the prefix scan, so the coarse
-// hypergraph is bit-identical to contract's for any worker count. Each
-// chunk needs a private dedup stamp (the shared Scratch is owned by one
-// goroutine); that per-chunk allocation is the price of the parallel
-// pass and is bounded by workers × numCoarse.
-func contractParallel(h *hypergraph.Hypergraph, vmap []int32, numCoarse int, pl *pool.Pool, sc *Scratch) *hypergraph.Hypergraph {
-	wt := make([]int64, numCoarse)
-	for v := 0; v < h.NumVerts; v++ {
-		wt[vmap[v]] += h.VertWt[v]
+// sameCoarsePins reports whether the kept pin list equals the pin set of
+// fine net n, whose size is size and whose coarse pins — and only
+// those — carry stamp n.
+func sameCoarsePins(kept []int32, size int, stamp []int32, n int32) bool {
+	if len(kept) != size {
+		return false
 	}
-	numNets := h.NumNets
-	sizes, off := sc.contractParBuffers(numNets)
-
-	// Pass 1: deduplicated size of every coarse net.
-	pl.ForEach(numNets, func(lo, hi int) {
-		stamp := newStamp(numCoarse)
-		for n := lo; n < hi; n++ {
-			var sz int32
-			for _, v := range h.NetPins(n) {
-				cv := vmap[v]
-				if stamp[cv] != int32(n) {
-					stamp[cv] = int32(n)
-					sz++
-				}
-			}
-			sizes[n] = sz
-		}
-	})
-
-	// Prefix scan: kept nets get contiguous pin slots in net order.
-	netPtr := make([]int32, 1, numNets+1)
-	var total int32
-	for n := 0; n < numNets; n++ {
-		if sizes[n] >= 2 {
-			off[n] = total
-			total += sizes[n]
-			netPtr = append(netPtr, total)
-		} else {
-			off[n] = -1
+	for _, cv := range kept {
+		if stamp[cv] != n {
+			return false
 		}
 	}
-	pins := make([]int32, total)
-
-	// Pass 2: fill each kept net's slot in first-occurrence order.
-	pl.ForEach(numNets, func(lo, hi int) {
-		stamp := newStamp(numCoarse)
-		for n := lo; n < hi; n++ {
-			at := off[n]
-			if at < 0 {
-				continue
-			}
-			for _, v := range h.NetPins(n) {
-				cv := vmap[v]
-				if stamp[cv] != int32(n) {
-					stamp[cv] = int32(n)
-					pins[at] = cv
-					at++
-				}
-			}
-		}
-	})
-	return hypergraph.FromCSR(numCoarse, wt, netPtr, pins)
-}
-
-// newStamp returns a fresh dedup stamp array of length n filled with -1.
-func newStamp(n int) []int32 {
-	s := make([]int32, n)
-	for i := range s {
-		s[i] = -1
-	}
-	return s
+	return true
 }
 
 // coarsen produces the multilevel hierarchy, stopping when the hypergraph
 // is small enough, matching stalls, or ctx is canceled (the hierarchy
 // built so far is returned; the caller checks ctx).
-func coarsen(ctx context.Context, h *hypergraph.Hypergraph, eps float64, rng *rand.Rand, cfg Config, pl *pool.Pool, sc *Scratch) []level {
+func coarsen(ctx context.Context, h *hypergraph.Hypergraph, eps float64, rng *rand.Rand, cfg Config, sc *Scratch) []level {
 	coarsenTo := cfg.CoarsenTo
 	if coarsenTo <= 0 {
 		coarsenTo = defaultCoarsenTo
@@ -252,11 +277,11 @@ func coarsen(ctx context.Context, h *hypergraph.Hypergraph, eps float64, rng *ra
 		if ctx.Err() != nil {
 			break
 		}
-		vmap, numCoarse := match(cur, rng, cfg, maxClusterWt, pl, sc)
+		vmap, numCoarse := match(cur, rng, cfg, maxClusterWt, sc)
 		if float64(numCoarse) > stall*float64(cur.NumVerts) {
 			break // matching stalled; further levels would not shrink
 		}
-		coarse := contract(cur, vmap, numCoarse, pl, sc)
+		coarse := contract(cur, vmap, numCoarse, sc)
 		levels = append(levels, level{coarse: coarse, map_: vmap})
 		cur = coarse
 	}

@@ -27,7 +27,10 @@ const parallelGainThreshold = 2048
 type netState [4]int32
 
 // bipState tracks the incremental quantities FM needs: per-net pin and
-// locked-pin counts on each side, part weights, and the current cut.
+// locked-pin counts on each side, part weights, and the current cut —
+// the summed weight of the cut nets. Every gain and cut change FM
+// counts per net is that net's weight, which merged nets of coarse
+// levels carry (1 on a hypergraph without net weights).
 type bipState struct {
 	h      *hypergraph.Hypergraph
 	parts  []int
@@ -72,7 +75,7 @@ func newBipStateScratch(h *hypergraph.Hypergraph, parts []int, maxW [2]int64, sc
 			st[parts[v]]++
 		}
 		if st[0] > 0 && st[1] > 0 {
-			s.cut++
+			s.cut += int64(h.NetWeight(n))
 		}
 	}
 	return s
@@ -121,10 +124,10 @@ func (s *bipState) gainOf(v int32) int32 {
 	for _, n := range s.h.NetsOf(int(v)) {
 		st := &s.net[n]
 		if st[from] == 1 {
-			gain++
+			gain += s.h.NetWeight(int(n))
 		}
 		if st[to] == 0 {
-			gain--
+			gain -= s.h.NetWeight(int(n))
 		}
 	}
 	return gain
@@ -164,9 +167,9 @@ func (s *bipState) move(v int32, buckets *gainBuckets, locked []bool) {
 			before := ctT > 0
 			after := ctF > 1
 			if before && !after {
-				s.cut--
+				s.cut -= int64(s.h.NetWeight(int(n)))
 			} else if !before && after {
-				s.cut++
+				s.cut += int64(s.h.NetWeight(int(n)))
 			}
 		}
 		s.parts[v] = to
@@ -186,6 +189,7 @@ func (s *bipState) move(v int32, buckets *gainBuckets, locked []bool) {
 			st[2+to]++
 			continue
 		}
+		w := s.h.NetWeight(int(n))
 		if ctT == 0 {
 			// Net was entirely on 'from'; every free pin now gains from
 			// following v. If pins remain behind (ctF > 1) the net just
@@ -196,7 +200,7 @@ func (s *bipState) move(v int32, buckets *gainBuckets, locked []bool) {
 				newlyCut := s.trackBoundary && ctF > 1
 				for _, u := range s.h.NetPins(int(n)) {
 					if !locked[u] {
-						buckets.adjust(u, +1)
+						buckets.adjust(u, +w)
 						if newlyCut && !buckets.in[u] {
 							s.newBoundary = append(s.newBoundary, u)
 						}
@@ -208,7 +212,7 @@ func (s *bipState) move(v int32, buckets *gainBuckets, locked []bool) {
 			// on 'to' it would be the locked pin, and the scan is skipped.
 			for _, u := range s.h.NetPins(int(n)) {
 				if !locked[u] && s.parts[u] == to {
-					buckets.adjust(u, -1)
+					buckets.adjust(u, -w)
 					break
 				}
 			}
@@ -217,9 +221,9 @@ func (s *bipState) move(v int32, buckets *gainBuckets, locked []bool) {
 		before := ctT > 0
 		after := ctF > 1
 		if before && !after {
-			s.cut--
+			s.cut -= int64(w)
 		} else if !before && after {
-			s.cut++
+			s.cut += int64(w)
 		}
 		if ctF == 1 {
 			// Net has left 'from' entirely; every free pin loses the
@@ -228,7 +232,7 @@ func (s *bipState) move(v int32, buckets *gainBuckets, locked []bool) {
 			if ctT > st[2+to] {
 				for _, u := range s.h.NetPins(int(n)) {
 					if !locked[u] {
-						buckets.adjust(u, -1)
+						buckets.adjust(u, -w)
 					}
 				}
 			}
@@ -237,7 +241,7 @@ func (s *bipState) move(v int32, buckets *gainBuckets, locked []bool) {
 			// lock on 'from' it would be the locked pin — skip the scan.
 			for _, u := range s.h.NetPins(int(n)) {
 				if !locked[u] && s.parts[u] == from {
-					buckets.adjust(u, +1)
+					buckets.adjust(u, +w)
 					break
 				}
 			}
@@ -283,7 +287,7 @@ func fmPass(ctx context.Context, s *bipState, rng *rand.Rand, cfg Config, pl *po
 	if nv == 0 {
 		return false
 	}
-	maxDeg := h.MaxDegree()
+	maxDeg := h.MaxWeightedDegree()
 	slack := h.MaxVertWt()
 	buckets, locked, moves := sc.fmBuffers(nv, maxDeg)
 	defer func() { sc.keepMoves(moves) }()

@@ -25,6 +25,32 @@ func randomHypergraph(rng *rand.Rand, maxVerts, maxNets int) *hypergraph.Hypergr
 	return b.Build()
 }
 
+// fmTestHypergraph returns randomHypergraph(rng, maxVerts, maxNets) or,
+// when weighted is set, a random hypergraph of about four times the
+// size contracted twice: its nets carry merged weights, as on a coarse
+// multilevel level, and its vertex count is about the same.
+func fmTestHypergraph(rng *rand.Rand, maxVerts, maxNets int, weighted bool) *hypergraph.Hypergraph {
+	if !weighted {
+		return randomHypergraph(rng, maxVerts, maxNets)
+	}
+	h := randomHypergraph(rng, 4*maxVerts, 6*maxNets)
+	for i := 0; i < 2; i++ {
+		vmap, numCoarse := match(h, rng, ConfigMondriaanLike(), h.TotalWeight(), nil)
+		h = contract(h, vmap, numCoarse, nil)
+	}
+	return h
+}
+
+// hasMergedNet reports whether some net of h weighs more than 1.
+func hasMergedNet(h *hypergraph.Hypergraph) bool {
+	for n := 0; n < h.NumNets; n++ {
+		if h.NetWeight(n) > 1 {
+			return true
+		}
+	}
+	return false
+}
+
 func randomBipartitionOf(rng *rand.Rand, h *hypergraph.Hypergraph) []int {
 	parts := make([]int, h.NumVerts)
 	for v := range parts {
@@ -34,32 +60,41 @@ func randomBipartitionOf(rng *rand.Rand, h *hypergraph.Hypergraph) []int {
 }
 
 func TestBipStateCut(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		h := randomHypergraph(rng, 15, 12)
-		parts := randomBipartitionOf(rng, h)
-		s := newBipState(h, parts, balancedCaps(h.TotalWeight(), 1))
-		return s.cut == h.ConnectivityMinusOne(parts, 2)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+	for _, weighted := range []bool{false, true} {
+		merged := false
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			h := fmTestHypergraph(rng, 15, 12, weighted)
+			merged = merged || hasMergedNet(h)
+			parts := randomBipartitionOf(rng, h)
+			s := newBipState(h, parts, balancedCaps(h.TotalWeight(), 1))
+			return s.cut == h.ConnectivityMinusOne(parts, 2) && s.cut == h.CutNets(parts)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+			t.Fatalf("weighted=%v: %v", weighted, err)
+		}
+		if weighted && !merged {
+			t.Fatal("no contracted instance carried a merged net")
+		}
 	}
 }
 
 func TestGainOfMatchesCutDelta(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		h := randomHypergraph(rng, 12, 10)
-		parts := randomBipartitionOf(rng, h)
-		s := newBipState(h, parts, balancedCaps(h.TotalWeight(), 10))
-		v := int32(rng.Intn(h.NumVerts))
-		gain := s.gainOf(v)
-		before := s.cut
-		s.move(v, nil, nil)
-		return before-s.cut == int64(gain)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
+	for _, weighted := range []bool{false, true} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			h := fmTestHypergraph(rng, 12, 10, weighted)
+			parts := randomBipartitionOf(rng, h)
+			s := newBipState(h, parts, balancedCaps(h.TotalWeight(), 10))
+			v := int32(rng.Intn(h.NumVerts))
+			gain := s.gainOf(v)
+			before := s.cut
+			s.move(v, nil, nil)
+			return before-s.cut == int64(gain) && s.cut == h.ConnectivityMinusOne(s.parts, 2)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+			t.Fatalf("weighted=%v: %v", weighted, err)
+		}
 	}
 }
 
@@ -81,21 +116,16 @@ func TestMoveIsInvolution(t *testing.T) {
 }
 
 // TestMoveGainUpdates verifies the incremental FM gain updates against
-// from-scratch recomputation after every move.
+// from-scratch recomputation after every move, with and without net
+// weights.
 func TestMoveGainUpdates(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
+	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		h := randomHypergraph(rng, 10, 8)
+		h := fmTestHypergraph(rng, 10, 8, seed%2 == 1)
 		parts := randomBipartitionOf(rng, h)
 		s := newBipState(h, parts, balancedCaps(h.TotalWeight(), 10))
 
-		maxDeg := 0
-		for v := 0; v < h.NumVerts; v++ {
-			if d := h.Degree(v); d > maxDeg {
-				maxDeg = d
-			}
-		}
-		buckets := newGainBuckets(h.NumVerts, maxDeg)
+		buckets := newGainBuckets(h.NumVerts, h.MaxWeightedDegree())
 		locked := make([]bool, h.NumVerts)
 		for v := 0; v < h.NumVerts; v++ {
 			buckets.insert(int32(v), s.parts[v], s.gainOf(int32(v)))

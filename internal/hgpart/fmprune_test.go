@@ -9,25 +9,27 @@ import (
 )
 
 // refMove is the pre-pruning FM update: no locked-pin counters, every
-// critical net's pins scanned. It is the semantic reference the
-// locked-net pruning in bipState.move must be bit-identical to.
+// critical net's pins scanned, each gain and cut change counting the
+// net's weight. It is the semantic reference the locked-net pruning in
+// bipState.move must be bit-identical to.
 func refMove(s *bipState, v int32, buckets *gainBuckets, locked []bool) {
 	from := s.parts[v]
 	to := 1 - from
 	for _, n := range s.h.NetsOf(int(v)) {
 		pins := s.h.NetPins(int(n))
+		w := s.h.NetWeight(int(n))
 		st := &s.net[n]
 		ctF, ctT := st[from], st[to]
 		if ctT == 0 {
 			for _, u := range pins {
 				if !locked[u] {
-					buckets.adjust(u, +1)
+					buckets.adjust(u, +w)
 				}
 			}
 		} else if ctT == 1 {
 			for _, u := range pins {
 				if !locked[u] && s.parts[u] == to {
-					buckets.adjust(u, -1)
+					buckets.adjust(u, -w)
 					break
 				}
 			}
@@ -36,20 +38,20 @@ func refMove(s *bipState, v int32, buckets *gainBuckets, locked []bool) {
 		before := ctT > 0
 		after := ctF > 1
 		if before && !after {
-			s.cut--
+			s.cut -= int64(w)
 		} else if !before && after {
-			s.cut++
+			s.cut += int64(w)
 		}
 		if ctF == 1 {
 			for _, u := range pins {
 				if !locked[u] {
-					buckets.adjust(u, -1)
+					buckets.adjust(u, -w)
 				}
 			}
 		} else if ctF == 2 {
 			for _, u := range pins {
 				if !locked[u] && s.parts[u] == from {
-					buckets.adjust(u, +1)
+					buckets.adjust(u, +w)
 					break
 				}
 			}
@@ -61,7 +63,7 @@ func refMove(s *bipState, v int32, buckets *gainBuckets, locked []bool) {
 }
 
 func allFreeBuckets(h *hypergraph.Hypergraph, s *bipState) *gainBuckets {
-	buckets := newGainBuckets(h.NumVerts, h.MaxDegree())
+	buckets := newGainBuckets(h.NumVerts, h.MaxWeightedDegree())
 	for v := 0; v < h.NumVerts; v++ {
 		buckets.insert(int32(v), s.parts[v], s.gainOf(int32(v)))
 	}
@@ -70,12 +72,13 @@ func allFreeBuckets(h *hypergraph.Hypergraph, s *bipState) *gainBuckets {
 
 // TestLockedNetPruningEquivalence runs the pruned move() and the
 // unpruned reference side by side through full random lock-and-move
-// sequences: parts, cut, per-net pin counts, and every free vertex's
-// bucket gain must stay identical after every single move.
+// sequences, on unit-weight and contracted (weighted) hypergraphs:
+// parts, cut, per-net pin counts, and every free vertex's bucket gain
+// must stay identical after every single move.
 func TestLockedNetPruningEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
+	for seed := int64(0); seed < 80; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		h := randomHypergraph(rng, 18, 14)
+		h := fmTestHypergraph(rng, 18, 14, seed%2 == 1)
 		parts := randomBipartitionOf(rng, h)
 		maxW := balancedCaps(h.TotalWeight(), 10)
 
@@ -122,11 +125,11 @@ func TestLockedNetPruningEquivalence(t *testing.T) {
 // TestIncrementalGainsExactMode asserts that after long random move
 // sequences with every vertex listed (the exact-pass protocol), every
 // free vertex's incrementally maintained bucket gain equals a
-// from-scratch gainOf recompute.
+// from-scratch gainOf recompute, with and without net weights.
 func TestIncrementalGainsExactMode(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
+	for seed := int64(0); seed < 80; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		h := randomHypergraph(rng, 20, 16)
+		h := fmTestHypergraph(rng, 20, 16, seed%2 == 1)
 		parts := randomBipartitionOf(rng, h)
 		s := newBipState(h, parts, balancedCaps(h.TotalWeight(), 10))
 		buckets := allFreeBuckets(h, s)
@@ -155,14 +158,15 @@ func TestIncrementalGainsExactMode(t *testing.T) {
 // newly-cut worklist exactly as fmPass does — and asserts after every
 // move that (a) each listed free vertex's stored gain matches a
 // from-scratch recompute and (b) every free pin of every cut net is
-// listed (the boundary is maintained completely).
+// listed (the boundary is maintained completely), with and without net
+// weights.
 func TestIncrementalGainsBoundaryMode(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
+	for seed := int64(0); seed < 80; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		h := randomHypergraph(rng, 20, 16)
+		h := fmTestHypergraph(rng, 20, 16, seed%2 == 1)
 		parts := randomBipartitionOf(rng, h)
 		s := newBipState(h, parts, balancedCaps(h.TotalWeight(), 10))
-		buckets := newGainBuckets(h.NumVerts, h.MaxDegree())
+		buckets := newGainBuckets(h.NumVerts, h.MaxWeightedDegree())
 		locked := make([]bool, h.NumVerts)
 
 		// Boundary seed: pins of cut nets.

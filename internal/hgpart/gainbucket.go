@@ -5,6 +5,23 @@
 // equals the λ−1 communication-volume metric for two parts) under the
 // load-balance constraint of the paper (eqn (1)).
 //
+// # Coarsening
+//
+// Each level matches vertices in one greedy sweep over a random order
+// (drawn from the run's RNG, one permutation per level): every
+// still-unmatched vertex pairs with the unmatched neighbor sharing the
+// most net weight, ties going to the earlier vertex in the order, as
+// Mondriaan does. Contraction then maps and deduplicates every net's
+// pins, drops nets left with one pin, and folds each net whose coarse
+// pin set equals an earlier kept net's into that net, adding its
+// weight — coarse levels of meshes otherwise fill up with parallel nets
+// (PaToH and KaHyPar remove identical nets the same way). Net weights
+// make every coarse cut equal the cut of the projected fine partition,
+// so FM, matching, and the cut count a net's weight wherever a
+// unit-weight net counts 1; the finest level carries no weights. Both
+// steps run sequentially on the calling goroutine with buffers from the
+// run's Scratch, so the hierarchy never depends on the worker count.
+//
 // # The refinement engine
 //
 // FM refinement is the package's hot path — it runs at every
@@ -88,8 +105,9 @@
 package hgpart
 
 // gainBuckets is the classical FM bucket structure: a doubly linked list
-// of vertices per gain value, per side. Gains lie in [-maxDeg, maxDeg]
-// because every incident net contributes at most ±1.
+// of vertices per gain value, per side. Gains lie in [-maxDeg, maxDeg],
+// maxDeg being the hypergraph's largest weighted degree, because every
+// incident net contributes at most ± its weight.
 type gainBuckets struct {
 	maxDeg  int
 	heads   [2][]int32 // heads[side][gain+maxDeg] -> first vertex or -1

@@ -9,8 +9,8 @@ import (
 	"mediumgrain/internal/pool"
 )
 
-// randomHypergraph builds a connected-ish random hypergraph for the
-// parallel-engine tests.
+// parmatchHypergraph builds a connected-ish random hypergraph for the
+// matching and pool-equivalence tests.
 func parmatchHypergraph(seed int64, nv, nets, maxPins int) *hypergraph.Hypergraph {
 	rng := rand.New(rand.NewSource(seed))
 	b := hypergraph.NewBuilder(nv, nil)
@@ -40,37 +40,9 @@ func parmatchHypergraph(seed int64, nv, nets, maxPins int) *hypergraph.Hypergrap
 	return h
 }
 
-// TestMatchProposalDeterministicAcrossPools verifies that the handshake
-// matching produces the same pairing for inline execution and for any
-// pool size, given the same randomized order.
-func TestMatchProposalDeterministicAcrossPools(t *testing.T) {
-	h := parmatchHypergraph(42, 600, 300, 6)
-	runMatch := func(pl *pool.Pool) []int32 {
-		mate := make([]int32, h.NumVerts)
-		for i := range mate {
-			mate[i] = -1
-		}
-		order := rand.New(rand.NewSource(7)).Perm(h.NumVerts)
-		matchProposal(h, order, mate, nil, defaultMatchingNetLimit, h.TotalWeight(), pl)
-		return mate
-	}
-	ref := runMatch(nil)
-	for _, workers := range []int{1, 2, 4, 8} {
-		if got := runMatch(pool.New(workers)); !reflect.DeepEqual(got, ref) {
-			t.Errorf("workers=%d: matching differs from inline execution", workers)
-		}
-	}
-	// The pairing must be a valid matching.
-	for v, m := range ref {
-		if m >= 0 && ref[m] != int32(v) {
-			t.Fatalf("mate[%d]=%d but mate[%d]=%d", v, m, m, ref[m])
-		}
-	}
-}
-
-// TestMatchProposalMatchesMostVertices guards against the handshake
-// scheme degenerating: on a structured hypergraph nearly all vertices
-// should pair up within the bounded rounds.
+// TestMatchProposalMatchesMostVertices guards against the greedy
+// heavy-connectivity sweep degenerating: on a structured hypergraph
+// most vertices should pair up, into a valid (symmetric) matching.
 func TestMatchProposalMatchesMostVertices(t *testing.T) {
 	h := parmatchHypergraph(1, 1000, 800, 5)
 	mate := make([]int32, h.NumVerts)
@@ -78,15 +50,18 @@ func TestMatchProposalMatchesMostVertices(t *testing.T) {
 		mate[i] = -1
 	}
 	order := rand.New(rand.NewSource(3)).Perm(h.NumVerts)
-	matchProposal(h, order, mate, nil, defaultMatchingNetLimit, h.TotalWeight(), nil)
+	matchHeavy(h, order, mate, nil, defaultMatchingNetLimit, h.TotalWeight(), nil)
 	matched := 0
-	for _, m := range mate {
+	for v, m := range mate {
 		if m >= 0 {
 			matched++
+			if mate[m] != int32(v) {
+				t.Fatalf("mate[%d]=%d but mate[%d]=%d", v, m, m, mate[m])
+			}
 		}
 	}
 	if frac := float64(matched) / float64(h.NumVerts); frac < 0.5 {
-		t.Errorf("proposal matching paired only %.0f%% of vertices", 100*frac)
+		t.Errorf("heavy-connectivity matching paired only %.0f%% of vertices", 100*frac)
 	}
 }
 

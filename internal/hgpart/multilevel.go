@@ -117,7 +117,9 @@ func BipartitionCapsPool(h *hypergraph.Hypergraph, maxW [2]int64, rng *rand.Rand
 // contraction buffers, FM pin counts and gain buckets — come from a
 // caller-held Scratch, so a driver running many bipartitions back to
 // back (recursive bisection) reuses one set of buffers per worker; the
-// scratch never influences results either (nil allocates fresh).
+// scratch never influences results either (nil gives the run a private
+// one, so a one-shot call still allocates its buffers once, not once
+// per level).
 //
 // Cancellation is cooperative: ctx is checked at every coarsening
 // level, initial-partition try, FM pass, and projection level (and
@@ -130,6 +132,9 @@ func Bipartition(ctx context.Context, h *hypergraph.Hypergraph, maxW [2]int64, r
 	if h.NumVerts == 0 {
 		return parts, 0
 	}
+	if sc == nil {
+		sc = new(Scratch)
+	}
 
 	// One up-front reserve at the finest dimensions keeps every
 	// per-level buffer acquisition of the run allocation-free: levels
@@ -137,7 +142,7 @@ func Bipartition(ctx context.Context, h *hypergraph.Hypergraph, maxW [2]int64, r
 	// them in ascending size order.
 	sc.reserve(h.NumVerts, h.NumNets)
 
-	levels := coarsen(ctx, h, capsToEps(h, maxW), rng, cfg, pl, sc)
+	levels := coarsen(ctx, h, capsToEps(h, maxW), rng, cfg, sc)
 	coarsest := h
 	if len(levels) > 0 {
 		coarsest = levels[len(levels)-1].coarse

@@ -2,7 +2,9 @@ package hgpart
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -159,7 +161,7 @@ func TestMatchProducesValidPairs(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := randomHypergraph(rng, 30, 20)
-		vmap, numCoarse := match(h, rng, ConfigMondriaanLike(), h.TotalWeight(), nil, nil)
+		vmap, numCoarse := match(h, rng, ConfigMondriaanLike(), h.TotalWeight(), nil)
 		if numCoarse > h.NumVerts || numCoarse < (h.NumVerts+1)/2 {
 			return false
 		}
@@ -187,7 +189,7 @@ func TestMatchRandomProducesValidPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	h := randomHypergraph(rng, 40, 25)
 	cfg := ConfigAlt()
-	vmap, numCoarse := match(h, rng, cfg, h.TotalWeight(), nil, nil)
+	vmap, numCoarse := match(h, rng, cfg, h.TotalWeight(), nil)
 	counts := make([]int, numCoarse)
 	for _, cv := range vmap {
 		counts[cv]++
@@ -199,32 +201,90 @@ func TestMatchRandomProducesValidPairs(t *testing.T) {
 	}
 }
 
+// TestContractPreservesWeightAndCut contracts a random hypergraph
+// twice, so the second contraction merges nets that already carry
+// weights, and checks every coarse level against the fine hypergraph:
+// vertex weight is preserved, the coarse cut of any partition equals
+// the fine cut of its projection, no two coarse nets share a pin set,
+// and the total net weight counts the fine nets that keep at least two
+// coarse pins.
 func TestContractPreservesWeightAndCut(t *testing.T) {
+	merged := 0
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		h := randomHypergraph(rng, 20, 15)
-		vmap, numCoarse := match(h, rng, ConfigMondriaanLike(), h.TotalWeight(), nil, nil)
-		coarse := contract(h, vmap, numCoarse, nil, nil)
-		if coarse.Validate() != nil {
-			return false
+		h := randomHypergraph(rng, 40, 60)
+		// fineToCoarse maps each fine vertex through every level so far.
+		fineToCoarse := make([]int32, h.NumVerts)
+		for v := range fineToCoarse {
+			fineToCoarse[v] = int32(v)
 		}
-		if coarse.TotalWeight() != h.TotalWeight() {
-			return false
+		cur := h
+		for lvl := 0; lvl < 2; lvl++ {
+			vmap, numCoarse := match(cur, rng, ConfigMondriaanLike(), cur.TotalWeight(), nil)
+			coarse := contract(cur, vmap, numCoarse, nil)
+			for v := range fineToCoarse {
+				fineToCoarse[v] = vmap[fineToCoarse[v]]
+			}
+			if err := coarse.Validate(); err != nil {
+				t.Logf("seed %d level %d: %v", seed, lvl, err)
+				return false
+			}
+			if coarse.TotalWeight() != h.TotalWeight() {
+				return false
+			}
+			// A coarse partition induces a fine partition with equal cut
+			// (single-pin coarse nets were dropped because they are
+			// uncut; merged nets count once per fine net they absorbed).
+			for trial := 0; trial < 4; trial++ {
+				cparts := randomBipartitionOf(rng, coarse)
+				fparts := make([]int, h.NumVerts)
+				for v := range fparts {
+					fparts[v] = cparts[fineToCoarse[v]]
+				}
+				if coarse.ConnectivityMinusOne(cparts, 2) != h.ConnectivityMinusOne(fparts, 2) {
+					t.Logf("seed %d level %d: coarse cut differs from projected fine cut", seed, lvl)
+					return false
+				}
+			}
+			seen := make(map[string]bool, coarse.NumNets)
+			var totalWt int64
+			for n := 0; n < coarse.NumNets; n++ {
+				pins := append([]int32(nil), coarse.NetPins(n)...)
+				slices.Sort(pins)
+				key := fmt.Sprint(pins)
+				if seen[key] {
+					t.Logf("seed %d level %d: pin set %s kept twice", seed, lvl, key)
+					return false
+				}
+				seen[key] = true
+				totalWt += int64(coarse.NetWeight(n))
+				if coarse.NetWeight(n) > 1 {
+					merged++
+				}
+			}
+			var surviving int64
+			for n := 0; n < h.NumNets; n++ {
+				set := map[int32]bool{}
+				for _, v := range h.NetPins(n) {
+					set[fineToCoarse[v]] = true
+				}
+				if len(set) >= 2 {
+					surviving++
+				}
+			}
+			if totalWt != surviving {
+				t.Logf("seed %d level %d: net weight %d, surviving fine nets %d", seed, lvl, totalWt, surviving)
+				return false
+			}
+			cur = coarse
 		}
-		// a coarse partition induces a fine partition with equal cut
-		// (single-pin coarse nets were dropped because they are uncut).
-		cparts := make([]int, numCoarse)
-		for v := range cparts {
-			cparts[v] = rng.Intn(2)
-		}
-		fparts := make([]int, h.NumVerts)
-		for v := range fparts {
-			fparts[v] = cparts[vmap[v]]
-		}
-		return coarse.ConnectivityMinusOne(cparts, 2) == h.ConnectivityMinusOne(fparts, 2)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+	if merged == 0 {
+		t.Fatal("no contraction merged a net; the test exercises nothing")
 	}
 }
 
@@ -234,7 +294,7 @@ func TestMatchRespectsClusterWeightCap(t *testing.T) {
 	b.AddNetInts([]int{0, 1})
 	h := b.Build()
 	rng := rand.New(rand.NewSource(2))
-	vmap, numCoarse := match(h, rng, ConfigMondriaanLike(), 15, nil, nil)
+	vmap, numCoarse := match(h, rng, ConfigMondriaanLike(), 15, nil)
 	if numCoarse != 2 || vmap[0] == vmap[1] {
 		t.Fatal("cluster weight cap violated")
 	}
@@ -243,7 +303,7 @@ func TestMatchRespectsClusterWeightCap(t *testing.T) {
 func TestCoarsenStops(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := gridHypergraph(1000)
-	levels := coarsen(context.Background(), h, 0.03, rng, ConfigMondriaanLike(), nil, nil)
+	levels := coarsen(context.Background(), h, 0.03, rng, ConfigMondriaanLike(), nil)
 	if len(levels) == 0 {
 		t.Fatal("no coarsening on a 1000-vertex instance")
 	}

@@ -11,20 +11,24 @@ import "mediumgrain/internal/sparse"
 //
 // A Scratch is owned by exactly one goroutine at a time (the recursive
 // bisection driver hands one to each pool worker); the concurrent inner
-// phases — parallel initial-partition tries, proposal-round matching —
-// deliberately do not touch it. A nil *Scratch is valid everywhere and
-// means "allocate fresh", preserving the one-shot entry points.
+// phases — parallel initial-partition tries, raced FM tries — use
+// private scratches and never touch it. A nil *Scratch is valid
+// everywhere and means "allocate fresh", preserving the one-shot entry
+// points.
 type Scratch struct {
-	// Matching.
-	mate []int32
-	// Contraction.
-	stamp []int
+	// Matching: mate and the candidate list of one vertex.
+	mate      []int32
+	matchCand []int32
+	// Contraction: dedup stamp and the kept nets' pin, pointer, and
+	// weight accumulators.
+	stamp []int32
 	pins  []int32
 	ctPtr []int32
-	// Parallel contraction (per-net sizes and pin offsets; written by
-	// disjoint net ranges, scanned by the owning goroutine).
-	ctSizes []int32
-	ctOff   []int32
+	ctWt  []int32
+	// levelWork holds matching's rank and connectivity arrays, then
+	// contraction's identical-net table: the two phases of a level
+	// never overlap, so they share one workspace.
+	levelWork []int32
 	// FM refinement.
 	netSt   []netState
 	locked  []bool
@@ -57,8 +61,7 @@ func (sc *Scratch) reserve(numVerts, numNets int) {
 	}
 	sc.mate = sparse.Resize(sc.mate, numVerts)
 	sc.stamp = sparse.Resize(sc.stamp, numVerts)
-	sc.ctSizes = sparse.Resize(sc.ctSizes, numNets)
-	sc.ctOff = sparse.Resize(sc.ctOff, numNets)
+	sc.levelWork = sparse.Resize(sc.levelWork, max(2*numVerts, mergeTableSize(numNets)))
 	sc.netSt = sparse.Resize(sc.netSt, numNets)
 	sc.locked = sparse.Resize(sc.locked, numVerts)
 	sc.gains = sparse.Resize(sc.gains, numVerts)
@@ -95,9 +98,9 @@ func (sc *Scratch) mateBuffer(nv int) []int32 {
 
 // contractBuffers returns the stamp array (filled with -1) and an empty
 // pin accumulator for contracting onto numCoarse vertices.
-func (sc *Scratch) contractBuffers(numCoarse int) (stamp []int, pins []int32) {
+func (sc *Scratch) contractBuffers(numCoarse int) (stamp, pins []int32) {
 	if sc == nil {
-		stamp = make([]int, numCoarse)
+		stamp = make([]int32, numCoarse)
 		for i := range stamp {
 			stamp[i] = -1
 		}
@@ -110,26 +113,6 @@ func (sc *Scratch) contractBuffers(numCoarse int) (stamp []int, pins []int32) {
 	return sc.stamp, sc.pins[:0]
 }
 
-// contractParBuffers returns the per-net size and offset arrays of the
-// parallel contraction, uninitialized (every entry is written before it
-// is read).
-func (sc *Scratch) contractParBuffers(numNets int) (sizes, off []int32) {
-	if sc == nil {
-		return make([]int32, numNets), make([]int32, numNets)
-	}
-	sc.ctSizes = sparse.Resize(sc.ctSizes, numNets)
-	sc.ctOff = sparse.Resize(sc.ctOff, numNets)
-	return sc.ctSizes, sc.ctOff
-}
-
-// keepPins records the (possibly grown) pin accumulator back into the
-// scratch so its capacity carries over to the next contraction.
-func (sc *Scratch) keepPins(pins []int32) {
-	if sc != nil {
-		sc.pins = pins[:0]
-	}
-}
-
 // contractPtr returns the net-pointer accumulator of a contraction,
 // seeded with the leading 0 of a CSR pointer array.
 func (sc *Scratch) contractPtr() []int32 {
@@ -139,11 +122,64 @@ func (sc *Scratch) contractPtr() []int32 {
 	return append(sc.ctPtr[:0], 0)
 }
 
-// keepPtr records the grown net-pointer accumulator back into the
-// scratch.
-func (sc *Scratch) keepPtr(ptr []int32) {
+// mergeTableSize returns the identical-net table size for numNets input
+// nets: the smallest power of two of at least 2·numNets slots, so the
+// table stays at most half full.
+func mergeTableSize(numNets int) int {
+	size := 1
+	for size < 2*numNets {
+		size <<= 1
+	}
+	return size
+}
+
+// mergeBuffers returns the empty kept-net weight accumulator and the
+// identical-net hash table (every slot -1, sized by mergeTableSize) for
+// contracting a hypergraph of numNets nets.
+func (sc *Scratch) mergeBuffers(numNets int) (netWt, table []int32) {
+	size := mergeTableSize(numNets)
+	if sc == nil {
+		netWt, table = make([]int32, 0, 64), make([]int32, size)
+	} else {
+		sc.levelWork = sparse.Resize(sc.levelWork, size)
+		netWt, table = sc.ctWt[:0], sc.levelWork
+	}
+	for i := range table {
+		table[i] = -1
+	}
+	return netWt, table
+}
+
+// keepContract records the (possibly grown) contraction accumulators
+// back into the scratch so their capacity carries over to the next
+// contraction.
+func (sc *Scratch) keepContract(pins, ptr, netWt []int32) {
 	if sc != nil {
-		sc.ctPtr = ptr[:0]
+		sc.pins, sc.ctPtr, sc.ctWt = pins[:0], ptr[:0], netWt[:0]
+	}
+}
+
+// matchBuffers returns heavy-connectivity matching's rank array
+// (uninitialized: the matcher writes every entry), its all-zero
+// connectivity array, and an empty candidate list.
+func (sc *Scratch) matchBuffers(nv int) (rank, conn, cand []int32) {
+	var work []int32
+	if sc == nil {
+		work, cand = make([]int32, 2*nv), make([]int32, 0, 64)
+	} else {
+		sc.levelWork = sparse.Resize(sc.levelWork, 2*nv)
+		work, cand = sc.levelWork, sc.matchCand[:0]
+	}
+	rank, conn = work[:nv], work[nv:]
+	clear(conn) // the previous level's table may have left it dirty
+	return rank, conn, cand
+}
+
+// keepMatchCand records the (possibly grown) candidate list back into
+// the scratch.
+func (sc *Scratch) keepMatchCand(cand []int32) {
+	if sc != nil {
+		sc.matchCand = cand[:0]
 	}
 }
 

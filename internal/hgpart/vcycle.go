@@ -19,13 +19,14 @@ import (
 // like every other refinement: boundary-driven by default, exact
 // all-vertex passes when set (see the package comment).
 //
-// The restricted matching runs as deterministic proposal rounds on pl
-// (the same matchProposal engine as unrestricted coarsening,
-// side-restricted), so the result is identical for every pool size,
-// nil included. A canceled ctx stops the cycle at the next level (or
-// FM-move stride) boundary; because every FM pass rolls back to its best
-// prefix and projection only copies parts, the caller's parts remain a
-// valid bipartition whose cut is never worse than the input.
+// The restricted matching is the greedy heavy-connectivity sweep of
+// unrestricted coarsening, side-restricted, and like contraction it
+// runs on the calling goroutine; pl only reaches the per-level FM runs,
+// so the result is identical for every pool size, nil included. A
+// canceled ctx stops the cycle at the next level (or FM-move stride)
+// boundary; because every FM pass rolls back to its best prefix and
+// projection only copies parts, the caller's parts remain a valid
+// bipartition whose cut is never worse than the input.
 //
 // parts is modified in place; the final cut is returned.
 func VCycleRefine(ctx context.Context, h *hypergraph.Hypergraph, parts []int, maxW [2]int64, rng *rand.Rand, cfg Config, pl *pool.Pool) int64 {
@@ -51,17 +52,20 @@ func VCycleRefine(ctx context.Context, h *hypergraph.Hypergraph, parts []int, ma
 		maxClusterWt = 1
 	}
 
+	// One scratch serves every level's matching and contraction; coarse
+	// hypergraphs own their arrays, so reuse is safe.
+	var sc Scratch
 	var levels []restrictedLevel
 	cur, curParts := h, parts
 	for cur.NumVerts > coarsenTo {
 		if ctx.Err() != nil {
 			break
 		}
-		vmap, numCoarse := matchRestricted(cur, curParts, rng, cfg, maxClusterWt, pl)
+		vmap, numCoarse := matchRestricted(cur, curParts, rng, cfg, maxClusterWt, &sc)
 		if float64(numCoarse) > stall*float64(cur.NumVerts) {
 			break
 		}
-		coarse := contract(cur, vmap, numCoarse, pl, nil)
+		coarse := contract(cur, vmap, numCoarse, &sc)
 		cparts := make([]int, numCoarse)
 		for v := 0; v < cur.NumVerts; v++ {
 			cparts[vmap[v]] = curParts[v]
@@ -91,37 +95,11 @@ func VCycleRefine(ctx context.Context, h *hypergraph.Hypergraph, parts []int, ma
 }
 
 // matchRestricted is heavy-connectivity matching that only pairs vertices
-// currently on the same side, so the partition projects exactly: the
-// side-restricted proposal-round matcher, fanning its scans over pl.
-func matchRestricted(h *hypergraph.Hypergraph, parts []int, rng *rand.Rand, cfg Config, maxClusterWt int64, pl *pool.Pool) ([]int32, int) {
-	nv := h.NumVerts
-	mate := make([]int32, nv)
-	for i := range mate {
-		mate[i] = -1
-	}
-	order := rng.Perm(nv)
-	netLimit := cfg.MatchingNetLimit
-	if netLimit <= 0 {
-		netLimit = defaultMatchingNetLimit
-	}
-
-	matchProposal(h, order, mate, parts, netLimit, maxClusterWt, pl)
-
-	vmap := make([]int32, nv)
-	for i := range vmap {
-		vmap[i] = -1
-	}
-	next := int32(0)
-	for _, vi := range order {
-		v := int32(vi)
-		if vmap[v] >= 0 {
-			continue
-		}
-		vmap[v] = next
-		if m := mate[v]; m >= 0 && vmap[m] < 0 {
-			vmap[m] = next
-		}
-		next++
-	}
-	return vmap, int(next)
+// currently on the same side, so the partition projects exactly. It
+// draws the same single permutation from rng as match.
+func matchRestricted(h *hypergraph.Hypergraph, parts []int, rng *rand.Rand, cfg Config, maxClusterWt int64, sc *Scratch) ([]int32, int) {
+	mate := sc.mateBuffer(h.NumVerts)
+	order := sc.perm(rng, h.NumVerts)
+	matchHeavy(h, order, mate, parts, matchingNetLimit(cfg), maxClusterWt, sc)
+	return clusterIDs(order, mate)
 }

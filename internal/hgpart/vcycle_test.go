@@ -82,10 +82,10 @@ func TestVCycleSmallHypergraph(t *testing.T) {
 	}
 }
 
-// TestVCycleRefinePoolDeterministicAcrossPools: the restricted matching
-// runs as proposal rounds; like every parallel algorithm here, the
-// result must be identical for every pool size (including nil =
-// inline), and still monotone in the cut.
+// TestVCycleRefinePoolDeterministicAcrossPools: the pool reaches only
+// the per-level FM runs; like every parallel algorithm here, the result
+// must be identical for every pool size (including nil = inline), and
+// still monotone in the cut.
 func TestVCycleRefinePoolDeterministicAcrossPools(t *testing.T) {
 	cfg := ConfigMondriaanLike()
 	h := gridHypergraph(400)
@@ -108,20 +108,20 @@ func TestVCycleRefinePoolDeterministicAcrossPools(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		parts, cut := run(pool.New(workers))
 		if cut != refCut || !reflect.DeepEqual(parts, refParts) {
-			t.Errorf("workers=%d: restricted-proposal v-cycle differs from inline run", workers)
+			t.Errorf("workers=%d: pooled v-cycle differs from inline run", workers)
 		}
 	}
 }
 
 // TestVCycleRestrictedProposalPreservesSides checks the restricted
-// proposal-round matcher on a multi-worker pool: no coarse vertex may
-// mix sides.
+// matcher drawing its buffers from a Scratch: no coarse vertex may mix
+// sides.
 func TestVCycleRestrictedProposalPreservesSides(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	h := randomHypergraph(rng, 80, 50)
 	parts := randomBipartitionOf(rng, h)
 	cfg := ConfigMondriaanLike()
-	vmap, numCoarse := matchRestricted(h, parts, rng, cfg, h.TotalWeight(), pool.New(3))
+	vmap, numCoarse := matchRestricted(h, parts, rng, cfg, h.TotalWeight(), &Scratch{})
 	sideOf := make([]int, numCoarse)
 	for i := range sideOf {
 		sideOf[i] = -1
@@ -131,7 +131,7 @@ func TestVCycleRestrictedProposalPreservesSides(t *testing.T) {
 		if sideOf[cv] == -1 {
 			sideOf[cv] = parts[v]
 		} else if sideOf[cv] != parts[v] {
-			t.Fatalf("coarse vertex %d mixes sides under proposal matching", cv)
+			t.Fatalf("coarse vertex %d mixes sides under scratch-backed matching", cv)
 		}
 	}
 }

@@ -5,8 +5,10 @@
 //
 // A hypergraph H = (V, N) has weighted vertices and nets (hyperedges);
 // each net is a subset of V. Partitioning V into p parts cuts a net n
-// into λ(n) parts and costs λ(n)−1; the sum over nets is exactly the
-// communication volume of the corresponding matrix partitioning.
+// into λ(n) parts and costs w(n)·(λ(n)−1); the sum over nets is exactly
+// the communication volume of the corresponding matrix partitioning.
+// Every matrix model gives its nets weight 1; multilevel coarsening
+// merges nets with identical pin sets into one net of summed weight.
 package hypergraph
 
 import (
@@ -32,9 +34,14 @@ type Hypergraph struct {
 	VertPtr  []int32 // len NumVerts+1
 	VertNets []int32 // nets incident to each vertex
 
-	// maxDegPlus1 / maxWtPlus1 cache MaxDegree()+1 and MaxVertWt()+1
+	// NetWt holds per-net weights (len NumNets, every entry >= 1); nil
+	// means every net weighs 1, as in every matrix model.
+	NetWt []int32
+
+	// maxDegPlus1 / maxWtPlus1 cache MaxWeightedDegree()+1 and MaxVertWt()+1
 	// (0 = not yet computed). FM refinement asks for both once per pass;
-	// caching turns the repeated O(NumVerts) scans into field reads.
+	// caching turns the repeated O(NumVerts) and O(pins) scans into
+	// field reads.
 	// Atomics because concurrent readers (the parallel initial-partition
 	// tries share one coarsest hypergraph) may race to fill the cache —
 	// they all write the same value, so lost updates are harmless.
@@ -42,7 +49,7 @@ type Hypergraph struct {
 	maxWtPlus1  atomic.Int64
 }
 
-// Pins2 returns the pin list of net n.
+// NetPins returns the pin list of net n.
 func (h *Hypergraph) NetPins(n int) []int32 { return h.Pins[h.NetPtr[n]:h.NetPtr[n+1]] }
 
 // NetsOf returns the nets incident to vertex v.
@@ -53,6 +60,14 @@ func (h *Hypergraph) NetSize(n int) int { return int(h.NetPtr[n+1] - h.NetPtr[n]
 
 // Degree returns the number of nets incident to vertex v.
 func (h *Hypergraph) Degree(v int) int { return int(h.VertPtr[v+1] - h.VertPtr[v]) }
+
+// NetWeight returns the weight of net n (1 when NetWt is nil).
+func (h *Hypergraph) NetWeight(n int) int32 {
+	if h.NetWt == nil {
+		return 1
+	}
+	return h.NetWt[n]
+}
 
 // TotalWeight returns the sum of all vertex weights.
 func (h *Hypergraph) TotalWeight() int64 {
@@ -66,16 +81,25 @@ func (h *Hypergraph) TotalWeight() int64 {
 // NumPins returns the total number of pins.
 func (h *Hypergraph) NumPins() int { return len(h.Pins) }
 
-// MaxDegree returns the largest vertex degree (0 for a vertex-free
-// hypergraph), computed on first use and cached: FM sizes its gain
-// buckets with it on every refinement call at every multilevel level.
-func (h *Hypergraph) MaxDegree() int {
+// MaxWeightedDegree returns the largest summed weight of the nets
+// incident to one vertex — the largest degree when NetWt is nil; 0 for
+// a vertex-free hypergraph. It bounds every FM move gain, so FM sizes
+// its gain buckets with it on every refinement call at every multilevel
+// level; it is computed on first use and cached.
+func (h *Hypergraph) MaxWeightedDegree() int {
 	if c := h.maxDegPlus1.Load(); c != 0 {
 		return int(c - 1)
 	}
 	maxDeg := 0
 	for v := 0; v < h.NumVerts; v++ {
-		if d := h.Degree(v); d > maxDeg {
+		d := h.Degree(v)
+		if h.NetWt != nil {
+			d = 0
+			for _, n := range h.NetsOf(v) {
+				d += int(h.NetWt[n])
+			}
+		}
+		if d > maxDeg {
 			maxDeg = d
 		}
 	}
@@ -223,19 +247,20 @@ func (b *Builder) Build() *Hypergraph {
 
 // FromCSR assembles a hypergraph directly from prebuilt CSR net arrays
 // and computes the vertex incidence. The caller hands over ownership of
-// vertWt, netPtr, and pins (they are not copied); netPtr must have one
-// entry per net plus a leading 0, and pins holds the concatenated,
-// already-deduplicated pin lists. Producers that build the net lists
-// themselves — e.g. the parallel contraction, which fills disjoint pin
-// ranges from several goroutines — use this instead of replaying every
-// net through a Builder.
-func FromCSR(numVerts int, vertWt []int64, netPtr, pins []int32) *Hypergraph {
+// vertWt, netPtr, pins, and netWt (they are not copied); netPtr must
+// have one entry per net plus a leading 0, pins holds the concatenated,
+// already-deduplicated pin lists, and netWt holds one weight per net
+// (nil: every net weighs 1). Multilevel contraction, which builds its
+// coarse net lists and merged net weights itself, uses this instead of
+// replaying every net through a Builder.
+func FromCSR(numVerts int, vertWt []int64, netPtr, pins, netWt []int32) *Hypergraph {
 	h := &Hypergraph{
 		NumVerts: numVerts,
 		NumNets:  len(netPtr) - 1,
 		VertWt:   vertWt,
 		NetPtr:   netPtr,
 		Pins:     pins,
+		NetWt:    netWt,
 	}
 	h.VertPtr = make([]int32, numVerts+1)
 	h.VertNets = make([]int32, len(pins))
@@ -263,7 +288,8 @@ func (h *Hypergraph) fillVertexIncidence(next []int32) {
 }
 
 // Validate checks structural invariants: pin ids in range, pointer
-// monotonicity, and incidence symmetry (total sizes match).
+// monotonicity, incidence symmetry (total sizes match), and one
+// positive weight per net when NetWt is set.
 func (h *Hypergraph) Validate() error {
 	if len(h.VertWt) != h.NumVerts {
 		return fmt.Errorf("hypergraph: weight slice len %d != NumVerts %d", len(h.VertWt), h.NumVerts)
@@ -292,12 +318,22 @@ func (h *Hypergraph) Validate() error {
 			return fmt.Errorf("hypergraph: incident net %d out of range [0,%d)", n, h.NumNets)
 		}
 	}
+	if h.NetWt != nil {
+		if len(h.NetWt) != h.NumNets {
+			return fmt.Errorf("hypergraph: net weight slice len %d != NumNets %d", len(h.NetWt), h.NumNets)
+		}
+		for n, w := range h.NetWt {
+			if w < 1 {
+				return fmt.Errorf("hypergraph: net %d has weight %d < 1", n, w)
+			}
+		}
+	}
 	return nil
 }
 
 // ConnectivityMinusOne returns the λ−1 cut cost of the given partition:
 // for each net, the number of distinct parts among its pins minus one,
-// summed over nets. parts[v] must be in [0, p).
+// times the net's weight, summed over nets. parts[v] must be in [0, p).
 func (h *Hypergraph) ConnectivityMinusOne(parts []int, p int) int64 {
 	seen := make([]int, p)
 	for i := range seen {
@@ -314,14 +350,15 @@ func (h *Hypergraph) ConnectivityMinusOne(parts []int, p int) int64 {
 			}
 		}
 		if lambda > 1 {
-			total += int64(lambda - 1)
+			total += int64(lambda-1) * int64(h.NetWeight(n))
 		}
 	}
 	return total
 }
 
-// CutNets returns the number of nets spanning more than one part; for
-// bipartitions this equals ConnectivityMinusOne.
+// CutNets returns the summed weight of the nets spanning more than one
+// part (their number when NetWt is nil); for bipartitions this equals
+// ConnectivityMinusOne.
 func (h *Hypergraph) CutNets(parts []int) int64 {
 	var cut int64
 	for n := 0; n < h.NumNets; n++ {
@@ -332,7 +369,7 @@ func (h *Hypergraph) CutNets(parts []int) int64 {
 		first := parts[pins[0]]
 		for _, v := range pins[1:] {
 			if parts[v] != first {
-				cut++
+				cut += int64(h.NetWeight(n))
 				break
 			}
 		}

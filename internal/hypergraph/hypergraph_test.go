@@ -165,6 +165,58 @@ func TestCutNetsEqualsLambdaForBipartition(t *testing.T) {
 	}
 }
 
+// weightedSample is buildSample's nets {0,1,2}, {2,3}, {3} assembled
+// through FromCSR with net weights 3, 2, 5.
+func weightedSample(t *testing.T) *Hypergraph {
+	t.Helper()
+	h := FromCSR(4, []int64{1, 2, 3, 4}, []int32{0, 3, 5, 6}, []int32{0, 1, 2, 2, 3, 3}, []int32{3, 2, 5})
+	if err := h.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	return h
+}
+
+func TestNetWeights(t *testing.T) {
+	unit := buildSample(t)
+	h := weightedSample(t)
+	for n, want := range []int32{3, 2, 5} {
+		if got := unit.NetWeight(n); got != 1 {
+			t.Fatalf("unweighted net %d weighs %d, want 1", n, got)
+		}
+		if got := h.NetWeight(n); got != want {
+			t.Fatalf("net %d weighs %d, want %d", n, got, want)
+		}
+	}
+	// Vertex 3 lies on nets 1 and 2 (2+5); vertex 2 on nets 0 and 1 (3+2).
+	if got := h.MaxWeightedDegree(); got != 7 {
+		t.Fatalf("MaxWeightedDegree = %d, want 7", got)
+	}
+	if got := unit.MaxWeightedDegree(); got != 2 {
+		t.Fatalf("unweighted MaxWeightedDegree = %d, want 2", got)
+	}
+	// Cutting nets 0 and 1 costs 3 + 2; three parts on net 0 cost 2·3.
+	if got := h.ConnectivityMinusOne([]int{0, 1, 0, 1}, 2); got != 5 {
+		t.Fatalf("weighted lambda-1 = %d, want 5", got)
+	}
+	if got := h.CutNets([]int{0, 1, 0, 1}); got != 5 {
+		t.Fatalf("weighted cut nets = %d, want 5", got)
+	}
+	if got := h.ConnectivityMinusOne([]int{0, 1, 2, 2}, 3); got != 6 {
+		t.Fatalf("weighted lambda-1 (p=3) = %d, want 6", got)
+	}
+
+	bad := weightedSample(t)
+	bad.NetWt = bad.NetWt[:2]
+	if err := bad.Validate(); err == nil {
+		t.Fatal("expected net weight length error")
+	}
+	bad = weightedSample(t)
+	bad.NetWt[1] = 0
+	if err := bad.Validate(); err == nil {
+		t.Fatal("expected non-positive net weight error")
+	}
+}
+
 func TestPartWeights(t *testing.T) {
 	h := buildSample(t)
 	w := h.PartWeights([]int{0, 1, 0, 1}, 2)

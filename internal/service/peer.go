@@ -197,10 +197,10 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 }
 
 // adoptEntryTar extracts a peer's tar-framed entry into a scratch
-// directory and validates it like cache rehydration, plus one check disk
-// entries don't need: the cache key re-derived from the entry's own
-// fields must equal the key it was transferred under, so a peer cannot
-// (even accidentally) bind a valid entry to the wrong address.
+// directory and validates it like cache rehydration; among other checks,
+// the cache key re-derived from the entry's own fields must equal the
+// key it was transferred under, so a peer cannot (even accidentally)
+// bind a valid entry to the wrong address.
 func (s *Server) adoptEntryTar(r io.Reader, key, from string) (*CachedResult, *sparse.Matrix, error) {
 	scratch, err := os.MkdirTemp("", "mgserve-peer-*")
 	if err != nil {
@@ -213,15 +213,6 @@ func (s *Server) adoptEntryTar(r io.Reader, key, from string) (*CachedResult, *s
 	res, matrix, err := loadCacheEntryMatrix(scratch, key)
 	if err != nil {
 		return nil, nil, err
-	}
-	tries := res.Tries
-	if tries < 1 {
-		tries = 1 // stored as 0 for single runs; the key uses >= 1
-	}
-	derived := cluster.CacheKey(res.MatrixHash, res.P, res.Method, res.Seed, res.Eps,
-		res.Refine, res.ExactFM, res.ParallelFM, tries, res.BudgetMS)
-	if derived != key {
-		return nil, nil, fmt.Errorf("service: peer entry %s: fields derive key %s", key, derived)
 	}
 	res.Origin = "peer:" + from
 	return res, matrix, nil

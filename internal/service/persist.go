@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"mediumgrain/internal/cluster"
 	"mediumgrain/internal/distio"
 	"mediumgrain/internal/sparse"
 )
@@ -176,8 +177,12 @@ func loadCacheEntry(dir, key string) (*CachedResult, error) {
 // too: the peer-transfer path adopts a fetched entry into the normal
 // keepResult flow, which needs the matrix to re-persist the bundle
 // locally. The same validation gates both paths — schema, key, bundle/
-// meta agreement, matrix hash, recomputed volume — so a corrupt peer
-// transfer is rejected exactly like a corrupt on-disk entry.
+// meta agreement, matrix hash, recomputed volume, and the cache key
+// re-derived from the entry's own fields — so a corrupt peer transfer
+// is rejected exactly like a corrupt on-disk entry. The re-derivation
+// keeps a peer from binding a valid entry to the wrong address, and it
+// keeps rehydration from filling the cache with entries persisted under
+// an older key version, which no current request can reach.
 func loadCacheEntryMatrix(dir, key string) (*CachedResult, *sparse.Matrix, error) {
 	data, err := os.ReadFile(filepath.Join(dir, key+".meta.json"))
 	if err != nil {
@@ -208,6 +213,15 @@ func loadCacheEntryMatrix(dir, key string) (*CachedResult, *sparse.Matrix, error
 		return nil, nil, fmt.Errorf("service: cache entry %s: volume %d != recorded %d", key, v, meta.Volume)
 	}
 	res := meta.CachedResult
+	tries := res.Tries
+	if tries < 1 {
+		tries = 1 // stored as 0 for single runs; the key uses >= 1
+	}
+	derived := cluster.CacheKey(res.MatrixHash, res.P, res.Method, res.Seed, res.Eps,
+		res.Refine, res.ExactFM, res.ParallelFM, tries, res.BudgetMS)
+	if derived != key {
+		return nil, nil, fmt.Errorf("service: cache entry %s: fields derive key %s", key, derived)
+	}
 	res.Parts = b.Parts
 	return &res, b.A, nil
 }

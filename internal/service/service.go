@@ -590,19 +590,21 @@ func (s *Server) execute(job *Job) {
 	if err != nil && errors.Is(err, context.DeadlineExceeded) {
 		err = fmt.Errorf("timeout after %s (computation canceled)", timeout)
 	}
-	s.finishFlight(f, outcome{res, err}, matrix)
 	// Degraded-mode pushback: a router routed us a key we don't own
 	// because the whole owner set was down or open-circuit (results are
-	// content-addressed, so any shard can compute any key). Serve it —
-	// done above — and chase the owners' recovery in the background so
-	// the entry ends up where the ring routes future submissions. The
-	// MarkReplicated latch makes the chase single-shot and keeps hot-hit
-	// replication from re-pushing it.
-	if err == nil && s.clu != nil && !s.ownsKey(rs.key) {
+	// content-addressed, so any shard can compute any key). Serve it and
+	// chase the owners' recovery in the background so the entry ends up
+	// where the ring routes future submissions. The MarkReplicated latch
+	// makes the chase single-shot and keeps hot-hit replication from
+	// re-pushing it. The job is counted before it is finished, so a
+	// client that sees it done also sees it in degraded_jobs.
+	degraded := err == nil && s.clu != nil && !s.ownsKey(rs.key)
+	if degraded {
 		s.stats.degradedJob()
-		if s.cfg.DataDir != "" && s.cache.MarkReplicated(rs.key) {
-			go s.pushBack(rs.key)
-		}
+	}
+	s.finishFlight(f, outcome{res, err}, matrix)
+	if degraded && s.cfg.DataDir != "" && s.cache.MarkReplicated(rs.key) {
+		go s.pushBack(rs.key)
 	}
 }
 

@@ -548,6 +548,60 @@ func TestPersistAndRehydrate(t *testing.T) {
 	}
 }
 
+// TestRehydrateSkipsUnreachableEntries persists an entry, then moves it
+// under a key its own fields do not derive — what every entry written
+// before a key-version bump looks like — and checks that a restart
+// skips it with a warning instead of filling the cache with an entry
+// no request can hit (and offering it to joining shards).
+func TestRehydrateSkipsUnreachableEntries(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig()
+	cfg.DataDir = dir
+	s1, ts1 := newTestServer(t, cfg)
+	v, _ := postJob(t, ts1, JobSpec{Corpus: "tridiag", P: 2, Seed: 13})
+	done := waitDone(t, ts1, v.ID)
+	s1.Drain()
+	ts1.Close()
+
+	stale := strings.Repeat("ab", 16)
+	for _, ext := range []string{".mtx", ".parts", ".invec", ".outvec", ".meta.json"} {
+		if err := os.Rename(filepath.Join(dir, done.Key+ext), filepath.Join(dir, stale+ext)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	metaPath := filepath.Join(dir, stale+".meta.json")
+	data, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta map[string]any
+	if err := json.Unmarshal(data, &meta); err != nil {
+		t.Fatal(err)
+	}
+	meta["key"] = stale // the meta agrees with its file name; only the fields disagree
+	if data, err = json.Marshal(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(metaPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, warns := New(cfg)
+	defer s2.Drain()
+	if s2.cache.Len() != 0 {
+		t.Fatalf("unreachable entry rehydrated anyway (%d entries)", s2.cache.Len())
+	}
+	reported := false
+	for _, w := range warns {
+		if strings.Contains(w.Error(), stale) && strings.Contains(w.Error(), "derive key "+done.Key) {
+			reported = true
+		}
+	}
+	if !reported {
+		t.Fatalf("startup warnings do not report the unreachable entry: %v", warns)
+	}
+}
+
 func TestRehydrateSkipsCorruptEntries(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig()

@@ -41,11 +41,12 @@
 // Recursive bisection fans the two disjoint halves of every split out
 // over it (Partition on p parts exposes up to p-way task parallelism);
 // inside each bisection, the medium-grain split scores nonzeros in
-// parallel, and the multilevel hypergraph partitioner matches vertices
-// with concurrent proposal rounds, contracts levels over net ranges,
-// runs its initial-partition tries as independent subproblems, and
-// initializes FM gains in parallel; metric and k-way evaluation split
-// their row/column scans.
+// parallel, and the multilevel hypergraph partitioner runs its
+// initial-partition tries as independent subproblems and initializes
+// FM gains in parallel; metric and k-way evaluation split their
+// row/column scans. Coarsening's matching (one greedy sweep) and
+// contraction (which merges nets with identical pin sets into one
+// weighted net) run sequentially per level on the calling goroutine.
 //
 // Determinism: every random choice is drawn from a deterministic
 // stream — child subproblems receive RNG streams seeded from the parent
@@ -53,9 +54,8 @@
 // their randomness before fanning out — so a given seed produces
 // bit-identical partitionings for every worker count, 0 included, and
 // any scheduling. Where the pool size does select between two
-// implementations (sequential or two-pass contraction, inline or
-// parallel gain initialization, fused or per-row k-way counts), both
-// produce the same bits.
+// implementations (inline or parallel gain initialization, fused or
+// per-row k-way counts), both produce the same bits.
 //
 // # FM refinement modes
 //
