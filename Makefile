@@ -1,5 +1,7 @@
 # Single entry point shared by CI and local runs.
 
+# lint's unreached-package check uses bash process substitution.
+SHELL    := bash
 GO       ?= go
 DATE     := $(shell date -u +%F)
 BENCHOUT ?= BENCH_$(DATE).json
@@ -48,11 +50,17 @@ bench-diff:
 
 # perfbench/ is its own module, so the root ./... patterns skip it;
 # vet and test it explicitly so internal-API changes cannot break the
-# benchmark unnoticed.
+# benchmark unnoticed. Every internal package must be reached from the
+# root package, a command, or an example: one only its own tests import
+# is dead code.
 lint:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
+	@unreached=$$(comm -23 <($(GO) list ./internal/... | sort) \
+		<($(GO) list -deps . ./cmd/... ./examples/... | grep '^mediumgrain/internal/' | sort)); \
+	if [ -n "$$unreached" ]; then \
+		echo "internal packages nothing outside their tests imports:"; echo "$$unreached"; exit 1; fi
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 

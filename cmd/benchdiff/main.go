@@ -39,12 +39,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if oldRep.ExactFM != newRep.ExactFM {
-		// Per-seed volumes legitimately differ between the FM modes;
-		// gating one against the other would misattribute the delta.
-		log.Fatalf("FM mode mismatch: old report exact_fm=%t, new report exact_fm=%t — regenerate the reports in one mode",
-			oldRep.ExactFM, newRep.ExactFM)
-	}
 	if normTries(oldRep.Tries) != normTries(newRep.Tries) {
 		// Best-of-N volumes are not comparable to single-run volumes (or
 		// to a different N): the gate would credit search width as a
@@ -53,11 +47,10 @@ func main() {
 			normTries(oldRep.Tries), normTries(newRep.Tries))
 	}
 	if oldRep.ParallelFM != newRep.ParallelFM {
-		// Unlike ExactFM this is a warning, not a refusal: the volume
-		// gate below is exactly how the parallel refinement mode is held
-		// to the serial baseline's quality, so cross-mode comparisons are
-		// intended — but flagged, since wall deltas mix in the mode's own
-		// speed effect.
+		// A warning, not a refusal: the volume gate below is exactly how
+		// the parallel refinement mode is held to the serial baseline's
+		// quality, so cross-mode comparisons are intended — but flagged,
+		// since wall deltas mix in the mode's own cost.
 		log.Printf("warning: FM parallelism differs (old parallel_fm=%t, new parallel_fm=%t); volume gate applies across modes, wall deltas reflect the mode change too",
 			oldRep.ParallelFM, newRep.ParallelFM)
 	}

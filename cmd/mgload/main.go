@@ -44,6 +44,7 @@ import (
 	"sync"
 	"time"
 
+	"mediumgrain/internal/cluster"
 	"mediumgrain/internal/core"
 	"mediumgrain/internal/corpus"
 	"mediumgrain/internal/report"
@@ -70,8 +71,7 @@ func main() {
 		psFlag     = flag.String("ps", "2,4,8", "comma-separated part counts")
 		seeds      = flag.Int("seeds", 2, "partitioning seeds per (matrix, p): 1..n")
 		method     = flag.String("method", "MG", "partitioning method")
-		exactFM    = flag.Bool("exact-fm", false, "request exact all-vertex FM passes instead of the boundary-driven default")
-		parallelFM = flag.Bool("parallel-fm", false, "request the parallel refinement layers (coarse-level try racing + speculative boundary batches)")
+		parallelFM = flag.Bool("parallel-fm", false, "request coarse-level FM try racing (about 1% less volume for about 30% more compute)")
 		theta      = flag.Float64("zipf", 0.9, "Zipf skew over the spec space (0 = uniform)")
 		seed       = flag.Int64("seed", 1, "load-generator RNG seed")
 		poll       = flag.Duration("poll", 2*time.Millisecond, "poll interval while a job runs")
@@ -89,7 +89,7 @@ func main() {
 	targets := buildTargets(*targetsCSV, *addr)
 	primary := targets[0]
 
-	specs := buildSpecs(*matrices, *psFlag, *seeds, *method, *exactFM, *parallelFM)
+	specs := buildSpecs(*matrices, *psFlag, *seeds, *method, *parallelFM)
 	if len(specs) == 0 {
 		log.Fatal("empty spec space")
 	}
@@ -182,7 +182,7 @@ func buildTargets(csv, addr string) []string {
 }
 
 // buildSpecs crosses matrices × part counts × seeds into the spec space.
-func buildSpecs(matrices, psFlag string, seeds int, method string, exactFM, parallelFM bool) []service.JobSpec {
+func buildSpecs(matrices, psFlag string, seeds int, method string, parallelFM bool) []service.JobSpec {
 	var ps []int
 	for _, f := range strings.Split(psFlag, ",") {
 		p, err := strconv.Atoi(strings.TrimSpace(f))
@@ -204,7 +204,7 @@ func buildSpecs(matrices, psFlag string, seeds int, method string, exactFM, para
 			for s := 1; s <= seeds; s++ {
 				specs = append(specs, service.JobSpec{
 					Corpus: name, P: p, Method: method, Seed: int64(s),
-					ExactFM: exactFM, ParallelFM: parallelFM,
+					ParallelFM: parallelFM,
 				})
 			}
 		}
@@ -505,7 +505,7 @@ func verifyAll(addr string, specs []service.JobSpec, samples []sample, rep *repo
 			rep.VerifyFailures++
 			continue
 		}
-		if service.MatrixHash(in.A) != rv.Hash || !slices.Equal(want, rv.Parts) {
+		if cluster.MatrixHash(in.A) != rv.Hash || !slices.Equal(want, rv.Parts) {
 			log.Printf("verify FAIL: %s p=%d seed=%d: served parts differ from offline library", spec.Corpus, spec.P, spec.Seed)
 			rep.VerifyFailures++
 			continue
@@ -545,7 +545,6 @@ func offline(a *sparse.Matrix, spec service.JobSpec) ([]int, error) {
 		opts.Eps = *spec.Eps
 	}
 	opts.Refine = spec.Refine
-	opts.Config.ExactFM = spec.ExactFM
 	opts.Config.ParallelFM = spec.ParallelFM
 	res, err := verifyEngine.Partition(context.Background(), a, spec.P, m, opts, rand.New(rand.NewSource(spec.Seed)))
 	if err != nil {

@@ -23,14 +23,11 @@ type EngineConfig struct {
 	Workers int
 	// Partitioner tunes the multilevel hypergraph engine; the zero value
 	// selects MondriaanLikeConfig(), the paper's primary engine. Its
-	// ExactFM field selects between the boundary-driven FM refinement
-	// default and the historical exact all-vertex passes, and its
 	// ParallelFM field spends the worker budget inside refinement
-	// itself — coarse-level try racing plus speculative boundary move
-	// batches; see PartitionerConfig and the package comment's
-	// FM-refinement-modes section for the determinism contract of each
-	// flag. Its Workers field is ignored: EngineConfig.Workers sizes the
-	// pool.
+	// itself, racing FM tries on the coarse levels; see
+	// PartitionerConfig and the package comment's FM-refinement section
+	// for its cost and determinism contract. Its Workers field is
+	// ignored: EngineConfig.Workers sizes the pool.
 	Partitioner PartitionerConfig
 }
 
@@ -179,10 +176,6 @@ type Search struct {
 	// context.DeadlineExceeded when none finished). A budgeted search
 	// trades the bit-identical guarantee for a latency bound.
 	Budget time.Duration
-	// VaryFM additionally races the two FM refinement modes: odd tries
-	// flip EngineConfig.Partitioner.ExactFM, so seeds and refinement
-	// styles are explored together. Still deterministic per variant.
-	VaryFM bool
 }
 
 // ErrNoMatrix is returned for requests without a matrix.
@@ -303,7 +296,6 @@ func (e *Engine) partitionSearch(ctx context.Context, req Request, p int) (*Resu
 	spec := core.SearchSpec{
 		Tries:  req.Search.Tries,
 		Budget: req.Search.Budget,
-		VaryFM: req.Search.VaryFM,
 	}
 	start := time.Now()
 	total := req.Matrix.NNZ()

@@ -43,7 +43,7 @@ var goldenTable = []goldenRow{
 	{"lap2d-24", "MG", 2, "parallel-fm", 48, 0xddb9a31c8bbfd804},
 	{"lap2d-24", "MG", 16, "parallel-fm", 267, 0xf29ef901bf5c23c9},
 	{"lap2d-24", "FG", 2, "parallel-fm", 48, 0xe9f4b807ea48bca5},
-	{"lap2d-24", "FG", 16, "parallel-fm", 268, 0x7f80d60257f37d97},
+	{"lap2d-24", "FG", 16, "parallel-fm", 273, 0x798b2aa24bf5c795},
 	{"powerlaw-3", "MG", 2, "default", 151, 0xb8cba50d4df07294},
 	{"powerlaw-3", "MG", 16, "default", 789, 0xfae8ed22f0474f62},
 	{"powerlaw-3", "FG", 2, "default", 161, 0x992850e6390193d5},
@@ -56,8 +56,8 @@ var goldenTable = []goldenRow{
 	{"powerlaw-3", "MG", 16, "tries2", 789, 0xfae8ed22f0474f62},
 	{"powerlaw-3", "MG", 2, "parallel-fm", 153, 0x44f0bd2013c4ab35},
 	{"powerlaw-3", "MG", 16, "parallel-fm", 781, 0x496493fa0ecbf070},
-	{"powerlaw-3", "FG", 2, "parallel-fm", 163, 0x2db1355acba4e5e4},
-	{"powerlaw-3", "FG", 16, "parallel-fm", 782, 0x785da20fb49a632f},
+	{"powerlaw-3", "FG", 2, "parallel-fm", 166, 0x98158cb5591913f4},
+	{"powerlaw-3", "FG", 16, "parallel-fm", 767, 0x0eba739ebe7ab7d9},
 	{"asym-pl", "MG", 2, "default", 152, 0xc5ca80b716464055},
 	{"asym-pl", "MG", 16, "default", 755, 0xdbbc8ebcb5175101},
 	{"asym-pl", "FG", 2, "default", 156, 0xc171ac7a0cf00184},
@@ -70,8 +70,8 @@ var goldenTable = []goldenRow{
 	{"asym-pl", "MG", 16, "tries2", 755, 0xdbbc8ebcb5175101},
 	{"asym-pl", "MG", 2, "parallel-fm", 159, 0x0db940eb5fcf0445},
 	{"asym-pl", "MG", 16, "parallel-fm", 736, 0xc2d17f6234fcb2fe},
-	{"asym-pl", "FG", 2, "parallel-fm", 157, 0x2a365cb1ccee8c55},
-	{"asym-pl", "FG", 16, "parallel-fm", 755, 0x1ec5de62e4f267ae},
+	{"asym-pl", "FG", 2, "parallel-fm", 163, 0xd58e7ceb09a7d055},
+	{"asym-pl", "FG", 16, "parallel-fm", 751, 0x11997aaf42d401c7},
 	{"bip-tall", "MG", 2, "default", 89, 0x56ffc7fc009000c5},
 	{"bip-tall", "MG", 16, "default", 463, 0x80569518c669f1e3},
 	{"bip-tall", "FG", 2, "default", 97, 0xddecec276af8b235},

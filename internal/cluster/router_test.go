@@ -521,7 +521,7 @@ func TestRouteKeyMatchesShardKeys(t *testing.T) {
 		{Corpus: "lap2d-24", P: 2},
 		{Corpus: "lap2d-24", P: 2, Workers: 1},
 		{Corpus: "lap2d-24", P: 4, Seed: 9, Method: "FG", Workers: 2},
-		{Corpus: "tridiag", P: 3, Refine: true, ExactFM: true},
+		{Corpus: "tridiag", P: 3, Refine: true, ParallelFM: true},
 		{Corpus: "tridiag", P: 3, Eps: &eps, Workers: 1},
 		{Corpus: "band-5", P: 2, Tries: 4, Workers: 1},
 		{Corpus: "band-5", P: 2, Tries: 4, BudgetMS: 100, Workers: 1},

@@ -25,14 +25,11 @@ type JobSpec struct {
 	// distinguishable from an omitted field (the 0.03 default).
 	Eps    *float64 `json:"eps,omitempty"`
 	Refine bool     `json:"refine,omitempty"`
-	// ExactFM selects the historical exact all-vertex FM passes instead
-	// of the boundary-driven default; per-seed results differ between
-	// the modes, so the choice is part of the cache key.
-	ExactFM bool `json:"exact_fm,omitempty"`
-	// ParallelFM enables the parallel refinement layers (coarse-level try
-	// racing, speculative boundary batches) inside each partition run;
-	// per-seed results differ from the serial-refinement default, so the
-	// choice is part of the cache key.
+	// ParallelFM enables coarse-level FM try racing inside each
+	// partition run; per-seed results differ from the serial-refinement
+	// default, so the choice is part of the cache key. It is the only
+	// FM mode field: encoding/json ignores unknown fields, so a body
+	// carrying a retired mode flag runs in the default mode.
 	ParallelFM bool `json:"parallel_fm,omitempty"`
 	// Workers is accepted and ignored: every job runs on the server's
 	// shared engine, and the worker count never changes a result.
@@ -135,25 +132,22 @@ func MatrixHash(a *sparse.Matrix) string {
 // CacheKey derives the content address of a result from the matrix hash
 // and the partitioning configuration. The worker count is not part of
 // it: every worker count gives bit-identical results, so all share one
-// slot. The FM modes — boundary-driven
-// default vs exact all-vertex passes (exactFM), serial refinement vs the
-// parallel racing/speculative layers (parallelFM) — change per-seed
-// results, so both are part of the key, and so is the full race-to-best
-// search spec (tries, budgetMS): a best-of-N result must never answer a
-// single-run request or a different N, and a budgeted race is not even
-// deterministic. The version tag ("mgserve/6") is bumped with every
-// key-shape change and every algorithm change that moves per-seed
-// results, so results computed under older semantics can never answer a
-// current request. Callers pass tries normalized (>= 1) and
-// budgetMS >= 0.
+// slot. ParallelFM's try racing changes per-seed results, so it is part
+// of the key, and so is the full race-to-best search spec (tries,
+// budgetMS): a best-of-N result must never answer a single-run request
+// or a different N, and a budgeted race is not even deterministic. The
+// version tag ("mgserve/7") is bumped with every key-shape change and
+// every algorithm change that moves per-seed results, so results
+// computed under older semantics can never answer a current request.
+// Callers pass tries normalized (>= 1) and budgetMS >= 0.
 //
 // The same key is the cluster routing key: Ring ownership, router
 // failover, peer cache fetches, and hot-entry replication all address
 // shards by it.
-func CacheKey(matrixHash string, p int, method string, seed int64, eps float64, refine, exactFM, parallelFM bool, tries, budgetMS int) string {
+func CacheKey(matrixHash string, p int, method string, seed int64, eps float64, refine, parallelFM bool, tries, budgetMS int) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "mgserve/6|%s|p=%d|m=%s|seed=%d|eps=%g|refine=%t|exactfm=%t|parallelfm=%t|tries=%d|budget=%dms",
-		matrixHash, p, method, seed, eps, refine, exactFM, parallelFM, tries, budgetMS)
+	fmt.Fprintf(h, "mgserve/7|%s|p=%d|m=%s|seed=%d|eps=%g|refine=%t|parallelfm=%t|tries=%d|budget=%dms",
+		matrixHash, p, method, seed, eps, refine, parallelFM, tries, budgetMS)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
@@ -206,5 +200,5 @@ func RouteKey(spec JobSpec, corpusHash func(name string) (string, bool)) (string
 	default:
 		return "", fmt.Errorf("give a corpus name or matrix_mtx text")
 	}
-	return CacheKey(hash, spec.P, n.Method.String(), spec.Seed, n.Eps, spec.Refine, spec.ExactFM, spec.ParallelFM, n.Tries, spec.BudgetMS), nil
+	return CacheKey(hash, spec.P, n.Method.String(), spec.Seed, n.Eps, spec.Refine, spec.ParallelFM, n.Tries, spec.BudgetMS), nil
 }

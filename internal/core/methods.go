@@ -76,9 +76,8 @@ type Options struct {
 	// Refine applies iterative refinement (Algorithm 2) after
 	// partitioning ("+IR" in the paper).
 	Refine bool
-	// Config selects the hypergraph-partitioner engine, including the
-	// FM refinement mode (Config.ExactFM: boundary-driven default vs
-	// the historical exact all-vertex passes).
+	// Config selects the hypergraph-partitioner engine, including
+	// ParallelFM's coarse-level try racing.
 	Config hgpart.Config
 	// Split overrides the medium-grain initial-split strategy
 	// (default SplitNNZ, i.e. Algorithm 1). Ignored by other methods.

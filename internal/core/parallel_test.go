@@ -50,7 +50,7 @@ func fullIterativeInline(a *sparse.Matrix, iterations int, opts Options, rng *ra
 
 // TestPartitionParallelEquivalence is the determinism contract of the
 // one partitioning algorithm: for every method, FM mode (default,
-// ExactFM, ParallelFM) and refinement setting, Engine.Partition returns
+// ParallelFM) and refinement setting, Engine.Partition returns
 // bit-identical parts per seed at every worker count — 0 (inline)
 // included — and every result is a valid p-way partitioning within ε
 // whose reported volume matches an independent recount.
@@ -59,7 +59,6 @@ func TestPartitionParallelEquivalence(t *testing.T) {
 	methods := []Method{MethodRowNet, MethodColNet, MethodLocalBest, MethodFineGrain, MethodMediumGrain}
 	modes := map[string]func(*hgpart.Config){
 		"default":    func(*hgpart.Config) {},
-		"exactfm":    func(c *hgpart.Config) { c.ExactFM = true },
 		"parallelfm": func(c *hgpart.Config) { c.ParallelFM = true },
 	}
 	workerCounts := []int{0, 1, 2, 8}

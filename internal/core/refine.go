@@ -96,8 +96,8 @@ func refineOnce(ctx context.Context, a *sparse.Matrix, parts []int, dir int, opt
 	if err != nil {
 		return nil, false
 	}
-	// Algorithm 2 is a single serial KL/FM run per encoding: the
-	// ParallelFM layers (try racing, speculative batches) stay off.
+	// Algorithm 2 is a single serial KL/FM run per encoding:
+	// ParallelFM's try racing stays off.
 	cfg := opts.Config
 	cfg.ParallelFM = false
 	hgpart.RefineBipartition(ctx, bm.H, vparts, caps(a.NNZ(), opts), rng, cfg, sc.engine())

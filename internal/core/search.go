@@ -27,12 +27,6 @@ type SearchSpec struct {
 	// determinism guarantee for a latency bound — which tries finish
 	// inside the budget depends on machine speed.
 	Budget time.Duration
-	// VaryFM races the two FM refinement modes besides the seeds: odd
-	// tries flip Options.Config.ExactFM, so a two-try search races the
-	// boundary-driven default against the exact all-vertex passes on
-	// adjacent seeds. The race stays deterministic — each variant is
-	// still bit-identical per (seed, mode).
-	VaryFM bool
 }
 
 // SearchHooks observes a search's progress. Either field may be nil;
@@ -111,12 +105,12 @@ func (s *searchState) merge(try int, res *Result) (best int64, bestTry int) {
 }
 
 // PartitionSearch races spec.Tries deterministic variants of one
-// partitioning request — try i draws its RNG stream from seed+i (and,
-// with spec.VaryFM, odd tries flip the FM mode) — and returns the best
-// result under the deterministic tie-break (lowest volume, then lowest
-// try index). Tries fan out over the engine's existing worker budget:
-// at most Workers() tries run at once (one on an inline engine), and
-// each try's internal parallelism shares the same pool.
+// partitioning request — try i draws its RNG stream from seed+i — and
+// returns the best result under the deterministic tie-break (lowest
+// volume, then lowest try index). Tries fan out over the engine's
+// existing worker budget: at most Workers() tries run at once (one on
+// an inline engine), and each try's internal parallelism shares the
+// same pool.
 //
 // Pruning: the sum of completed split volumes is a monotone lower bound
 // on a try's final volume, so a try whose partial volume strictly
@@ -173,10 +167,6 @@ func (e *Engine) PartitionSearch(ctx context.Context, a *sparse.Matrix, p int, m
 			defer wg.Done()
 			defer func() { <-sem }()
 			mon := st.monitors[i]
-			tryOpts := opts
-			if spec.VaryFM && i%2 == 1 {
-				tryOpts.Config.ExactFM = !opts.Config.ExactFM
-			}
 			rh := &runHooks{
 				onSplit: func(vol int64) {
 					partial := mon.partial.Add(vol)
@@ -188,7 +178,7 @@ func (e *Engine) PartitionSearch(ctx context.Context, a *sparse.Matrix, p int, m
 			if hooks != nil && hooks.OnLeaf != nil {
 				rh.onLeaf = func(nnz int) { hooks.OnLeaf(i+1, nnz) }
 			}
-			res, err := e.partition(ctxs[i], a, p, method, tryOpts, rand.New(rand.NewSource(seed+int64(i))), rh)
+			res, err := e.partition(ctxs[i], a, p, method, opts, rand.New(rand.NewSource(seed+int64(i))), rh)
 			// Release the context's resources; the cause (if any) is kept.
 			defer mon.cancel(nil)
 			switch {

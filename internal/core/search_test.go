@@ -166,26 +166,6 @@ func TestSearchHooksObserveRace(t *testing.T) {
 	}
 }
 
-// TestSearchVaryFM: with VaryFM the race still returns the best variant
-// deterministically, now over (seed, FM-mode) pairs.
-func TestSearchVaryFM(t *testing.T) {
-	a := gen.Laplacian2D(30, 30)
-	eng := NewEngine(4)
-	spec := SearchSpec{Tries: 4, VaryFM: true}
-	first, rep1, err := eng.PartitionSearch(context.Background(), a, 4, MethodMediumGrain, DefaultOptions(), 5, spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, rep2, err := eng.PartitionSearch(context.Background(), a, 4, MethodMediumGrain, DefaultOptions(), 5, spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep1.WinnerTry != rep2.WinnerTry {
-		t.Fatalf("VaryFM winner try unstable: %d then %d", rep1.WinnerTry, rep2.WinnerTry)
-	}
-	searchEqual(t, "vary-fm", first, second)
-}
-
 // TestSearchCancelPromptCleanExit mirrors TestEngineCancelPromptCleanExit
 // for the race: a mid-race cancel stops every try promptly, returns
 // context.Canceled, leaks no goroutines, leaves the scratch free list

@@ -44,7 +44,7 @@ func BenchmarkFMPass(b *testing.B) {
 		b.StopTimer()
 		s := newBipState(h, append([]int(nil), parts...), maxW)
 		b.StartTimer()
-		fmPass(context.Background(), s, rng, Config{}, nil, nil, false)
+		fmPass(context.Background(), s, rng, Config{}, nil, false)
 	}
 }
 

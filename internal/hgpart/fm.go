@@ -14,11 +14,6 @@ import (
 // microseconds while the check itself never shows up in a profile.
 const fmCancelStride = 4096
 
-// parallelGainThreshold is the vertex count above which fmPass computes
-// initial gains on the worker pool; below it the fan-out overhead
-// dominates. The result is identical either way.
-const parallelGainThreshold = 2048
-
 // netState packs one net's FM counters into a single 16-byte record:
 // the pin counts per side (indices 0, 1) and the locked-pin counts per
 // side (indices 2, 3). The move loop touches every net of the moving
@@ -281,7 +276,7 @@ func (s *bipState) unlockNets(moves []int32) {
 // restricting the candidate set trades those rebalancing moves (and the
 // tail of exploratory interior moves) for pass setup and move-loop time
 // proportional to the boundary instead of the whole hypergraph.
-func fmPass(ctx context.Context, s *bipState, rng *rand.Rand, cfg Config, pl *pool.Pool, sc *Scratch, boundaryOnly bool) bool {
+func fmPass(ctx context.Context, s *bipState, rng *rand.Rand, cfg Config, sc *Scratch, boundaryOnly bool) bool {
 	h := s.h
 	nv := h.NumVerts
 	if nv == 0 {
@@ -291,12 +286,11 @@ func fmPass(ctx context.Context, s *bipState, rng *rand.Rand, cfg Config, pl *po
 	slack := h.MaxVertWt()
 	buckets, locked, moves := sc.fmBuffers(nv, maxDeg)
 	defer func() { sc.keepMoves(moves) }()
-	switch {
-	case boundaryOnly:
+	if boundaryOnly {
 		// Seed the buckets from the boundary only — the pins of cut
 		// nets — inserting in permutation order so tie-breaking stays
-		// seed-deterministic at every worker count (and the rng advances
-		// by the same draws as an exact pass over the same hypergraph).
+		// seed-deterministic (and the rng advances by the same draws as
+		// an exact pass over the same hypergraph).
 		bnd := sc.boundaryMarks(nv)
 		for n := 0; n < h.NumNets; n++ {
 			if st := &s.net[n]; st[0] > 0 && st[1] > 0 {
@@ -318,22 +312,7 @@ func fmPass(ctx context.Context, s *bipState, rng *rand.Rand, cfg Config, pl *po
 			sc.keepBoundaryWork(s.newBoundary)
 			s.newBoundary = nil
 		}()
-	case pl.Workers() > 1 && nv >= parallelGainThreshold:
-		// Parallel gain initialization: gainOf only reads the pin counts,
-		// so all gains can be computed concurrently; bucket insertion
-		// keeps the sequential order, making the buckets bit-identical to
-		// the inline loop below.
-		order := sc.perm(rng, nv)
-		gains := sc.gainBuf(nv)
-		pl.ForEach(nv, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				gains[v] = s.gainOf(int32(v))
-			}
-		})
-		for _, v := range order {
-			buckets.insert(int32(v), s.parts[v], gains[v])
-		}
-	default:
+	} else {
 		for _, v := range sc.perm(rng, nv) {
 			buckets.insert(int32(v), s.parts[v], s.gainOf(int32(v)))
 		}
@@ -349,8 +328,8 @@ func fmPass(ctx context.Context, s *bipState, rng *rand.Rand, cfg Config, pl *po
 		// the bench corpus, ~96% of an exhaustive pass's moves are
 		// rolled-back tail behind the best prefix, so a bounded
 		// no-improvement streak keeps the hill-climbing window without
-		// paying for the full exhaustion. ExactFM (or an explicit
-		// cfg.EarlyExit) restores the historical pass semantics.
+		// paying for the full exhaustion. An explicit cfg.EarlyExit
+		// overrides it.
 		earlyExit = 64 + nv/16
 	}
 
@@ -397,9 +376,6 @@ func fmPass(ctx context.Context, s *bipState, rng *rand.Rand, cfg Config, pl *po
 		s.move(moves[i], nil, nil)
 	}
 	s.unlockNets(moves[:bestPrefix])
-	if dbgPass != nil {
-		dbgPass(nv, len(moves), bestPrefix, boundaryOnly)
-	}
 	// Leave the shared buffers the way fmBuffers assumes: buckets
 	// drained and locked flags false — O(touched), where the acquisition
 	// clears they replace were O(numVerts) per pass.
@@ -409,10 +385,6 @@ func fmPass(ctx context.Context, s *bipState, rng *rand.Rand, cfg Config, pl *po
 	}
 	return better(bestCut, bestOver, startCut, startOver)
 }
-
-// dbgPass, when set by a test, observes every pass's (nv, moves,
-// bestPrefix, boundary) for instrumentation.
-var dbgPass func(nv, moves, bestPrefix int, boundary bool)
 
 // better orders states by feasibility first (less overload), then cut.
 func better(cut, over, refCut, refOver int64) bool {
@@ -472,43 +444,36 @@ func selectMove(s *bipState, buckets *gainBuckets, slack int64) int32 {
 
 // refine runs FM passes until a pass yields no improvement, MaxPasses
 // is reached, or ctx is canceled. It mutates parts in place and returns
-// the final cut. pl accelerates gain initialization of large passes;
-// nil runs inline. sc supplies the reusable pin-count and bucket arrays
+// the final cut. sc supplies the reusable pin-count and bucket arrays
 // (nil allocates).
 //
-// Unless cfg.ExactFM is set, passes run boundary-only as soon as the
-// state is feasible: an infeasible state (an overloaded seed partition)
-// gets an exact all-vertex pass, because only interior vertices may be
-// able to restore balance; once a pass leaves a feasible state — every
-// pass rolls back to its best visited state under feasibility-first
+// Passes run boundary-only whenever the state is feasible. An
+// infeasible state (an overloaded seed partition) gets an exact
+// all-vertex pass, because only interior vertices may be able to
+// restore balance; once a pass leaves a feasible state — every pass
+// rolls back to its best visited state under feasibility-first
 // ordering, so feasibility is never lost again — the remaining passes
 // seed their buckets from the boundary alone and their cost tracks the
 // boundary size instead of the hypergraph size.
 //
-// With cfg.ParallelFM set, refinement itself
-// spends the worker budget: coarse levels (nv <= raceMaxVerts) race
-// raceTries independent pass sequences and keep the best, fine levels
-// (nv >= specMinVerts) run the speculative boundary prepass before the
-// serial passes. Both layers are bit-identical per seed at every pool
-// size; see fmpar.go.
+// With cfg.ParallelFM set, coarse levels (nv <= raceMaxVerts) race
+// raceTries independent pass sequences on pl and keep the best,
+// bit-identically per seed at every pool size (see refineRace); pl is
+// not used otherwise, and nil runs the tries inline.
 func refine(ctx context.Context, h *hypergraph.Hypergraph, parts []int, maxW [2]int64, rng *rand.Rand, cfg Config, pl *pool.Pool, sc *Scratch) int64 {
 	if cfg.ParallelFM && h.NumVerts > 0 && h.NumVerts <= raceMaxVerts {
-		return refineRace(ctx, h, parts, maxW, rng, cfg, pl, sc)
+		return refineRace(ctx, h, parts, maxW, rng, cfg, pl)
 	}
 	s := newBipStateScratch(h, parts, maxW, sc)
 	passes := cfg.MaxPasses
 	if passes <= 0 {
 		passes = defaultMaxPasses
 	}
-	if cfg.ParallelFM && h.NumVerts >= specMinVerts {
-		speculativePrepass(ctx, s, rng, pl, sc)
-	}
 	for i := 0; i < passes; i++ {
 		if ctx.Err() != nil {
 			break
 		}
-		boundary := !cfg.ExactFM && s.overload() == 0
-		if !fmPass(ctx, s, rng, cfg, pl, sc, boundary) {
+		if !fmPass(ctx, s, rng, cfg, sc, s.overload() == 0) {
 			break
 		}
 	}

@@ -157,7 +157,7 @@ func TestFMPassNeverWorsens(t *testing.T) {
 		maxW := balancedCaps(h.TotalWeight(), 0.2)
 		s := newBipState(h, parts, maxW)
 		cut0, over0 := s.cut, s.overload()
-		fmPass(context.Background(), s, rng, Config{}, nil, nil, false)
+		fmPass(context.Background(), s, rng, Config{}, nil, false)
 		// state must be no worse in (overload, cut) order
 		return !better(cut0, over0, s.cut, s.overload())
 	}
@@ -245,7 +245,7 @@ func TestEmptyHypergraphPass(t *testing.T) {
 	b := hypergraph.NewBuilder(0, nil)
 	h := b.Build()
 	s := newBipState(h, nil, [2]int64{1, 1})
-	if fmPass(context.Background(), s, rand.New(rand.NewSource(1)), Config{}, nil, nil, false) {
+	if fmPass(context.Background(), s, rand.New(rand.NewSource(1)), Config{}, nil, false) {
 		t.Fatal("empty pass reported improvement")
 	}
 }

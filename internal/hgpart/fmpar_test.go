@@ -22,10 +22,10 @@ func runBip(h *hypergraph.Hypergraph, cfg Config, pl *pool.Pool, seed int64) ([]
 // TestParallelFMDeterministicAcrossPoolSizes is the core contract of the
 // ParallelFM mode: for a fixed seed the parts vector is bit-identical at
 // every pool size (nil, 1, 2, 8) — in both ParallelFM settings. The
-// instance is large enough (nv > specMinVerts) that the fine levels run
-// the speculative prepass and the coarse levels run try racing.
+// instance is large enough (nv > raceMaxVerts) that the fine levels run
+// serial passes and the coarse levels run try racing.
 func TestParallelFMDeterministicAcrossPoolSizes(t *testing.T) {
-	h := gridHypergraph(3 * specMinVerts / 2)
+	h := gridHypergraph(3 * raceMaxVerts / 2)
 	for _, parallelFM := range []bool{false, true} {
 		cfg := ConfigMondriaanLike()
 		cfg.ParallelFM = parallelFM
@@ -62,12 +62,8 @@ func TestParallelFMDeterministicRandomInstances(t *testing.T) {
 	}
 }
 
-// TestParallelFMOffUnchanged guards the default path: ParallelFM = false
-// must be bit-identical to the same config before
-// this mode existed — i.e. the flag off is a true no-op, not a third
-// behaviour. (The expectation is cross-checked structurally: the off run
-// must equal itself across pool sizes, which the dispatch only preserves
-// if no parallel layer fires.)
+// TestParallelFMOffUnchanged guards the default path: with ParallelFM
+// off no racing may fire, so a run must equal itself across pool sizes.
 func TestParallelFMOffUnchanged(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -83,7 +79,7 @@ func TestParallelFMOffUnchanged(t *testing.T) {
 }
 
 // TestRefineRaceImprovesOrMatchesSerial checks the winner semantics of
-// layer 1: try 0 is the serial continuation, so from the same RNG state
+// try racing: try 0 is the serial continuation, so from the same RNG state
 // the raced result is never worse than a plain serial refine by
 // (overload, cut), the caller's stream ends at exactly the serial-mode
 // state, and the result is a consistent cut with feasible weights when
@@ -109,7 +105,7 @@ func TestRefineRaceImprovesOrMatchesSerial(t *testing.T) {
 		serialCut := refine(context.Background(), h, serialParts, maxW, rngSerial, scfg, nil, &Scratch{})
 		serialOver := overloadOf(h, serialParts, maxW)
 
-		cut := refineRace(context.Background(), h, parts, maxW, rngRace, cfg, nil, nil)
+		cut := refineRace(context.Background(), h, parts, maxW, rngRace, cfg, nil)
 		if cut != h.ConnectivityMinusOne(parts, 2) {
 			return false
 		}
@@ -128,50 +124,14 @@ func TestRefineRaceImprovesOrMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSpeculativeRoundMonotoneAndConsistent drives layer 2 directly: a
-// round on a feasible state must never increase the cut, must leave the
-// tracked cut equal to the recomputed connectivity-minus-one, and must
-// keep both part weights within their caps.
-func TestSpeculativeRoundMonotoneAndConsistent(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		h := randomHypergraph(rng, 80, 60)
-		maxW := balancedCaps(h.TotalWeight(), 1) // loose caps: feasible start
-		parts := randomBipartitionOf(rng, h)
-		s := newBipState(h, parts, maxW)
-		if s.overload() != 0 {
-			return true // infeasible start: the prepass skips it anyway
-		}
-		before := s.cut
-		var sc Scratch
-		committed := speculativeRound(s, rng, nil, &sc)
-		if s.cut > before {
-			return false
-		}
-		if committed == 0 && s.cut != before {
-			return false
-		}
-		if s.cut != h.ConnectivityMinusOne(parts, 2) {
-			return false
-		}
-		w := h.PartWeights(parts, 2)
-		return w[0] <= maxW[0] && w[1] <= maxW[1]
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestParallelFMStressRace hammers the concurrent phases — racing tries
-// and batched snapshot-gain computation — on a real pool. Run under
-// -race this is the concurrent-batch-validation stress test: any write
-// overlap between batches, or between a try and the winner scan, is a
-// detector hit.
+// TestParallelFMStressRace hammers the concurrent racing tries on a
+// real pool. Run under -race, any write overlap between tries, or
+// between a try and the winner scan, is a detector hit.
 func TestParallelFMStressRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
 	}
-	h := gridHypergraph(2 * specMinVerts)
+	h := gridHypergraph(2 * raceMaxVerts)
 	cfg := ConfigMondriaanLike()
 	cfg.ParallelFM = true
 	pl := pool.New(8)

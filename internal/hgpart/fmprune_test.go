@@ -1,7 +1,6 @@
 package hgpart
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -220,37 +219,5 @@ func TestIncrementalGainsBoundaryMode(t *testing.T) {
 			}
 		}
 		s.trackBoundary = false
-	}
-}
-
-// TestRefineBoundaryVsExactBothValid runs the same refinement in both
-// modes and checks both outputs are monotone non-worsening, feasible
-// bipartitions with cuts matching their partitions — the contract the
-// ≤5% bench-volume gate builds on.
-func TestRefineBoundaryVsExactBothValid(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		h := randomHypergraph(rng, 40, 30)
-		parts := randomBipartitionOf(rng, h)
-		caps := balancedCaps(h.TotalWeight(), 0.5)
-		before := h.ConnectivityMinusOne(parts, 2)
-		feasBefore := overloadOf(h, parts, caps) == 0
-
-		for _, exact := range []bool{false, true} {
-			cfg := Config{ExactFM: exact}
-			p := append([]int(nil), parts...)
-			cut := RefineBipartition(context.Background(), h, p, caps, rand.New(rand.NewSource(seed+1)), cfg, nil)
-			if cut != h.ConnectivityMinusOne(p, 2) {
-				t.Fatalf("seed %d exact=%v: returned cut %d does not match partition", seed, exact, cut)
-			}
-			// From a feasible start the cut never increases; from an
-			// infeasible one FM may trade cut for balance.
-			if feasBefore && cut > before {
-				t.Fatalf("seed %d exact=%v: cut worsened %d -> %d", seed, exact, before, cut)
-			}
-			if feasBefore && overloadOf(h, p, caps) != 0 {
-				t.Fatalf("seed %d exact=%v: refinement broke feasibility", seed, exact)
-			}
-		}
 	}
 }

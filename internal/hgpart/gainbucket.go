@@ -26,12 +26,11 @@
 //
 // FM refinement is the package's hot path — it runs at every
 // recursive-bisection node, every multilevel uncoarsening step, and
-// every iterative-refinement/V-cycle round — and is built as four
+// every iterative-refinement/V-cycle round — and is built as three
 // layers over the textbook algorithm: two constant-factor reductions
 // of the serial work (locked-net pruning, boundary-driven passes), and
-// two ways to spend idle workers inside a single refine call (coarse-
-// level try racing, speculative boundary batches), all on a
-// zero-allocation scratch substrate:
+// one way to spend idle workers inside a single refine call (coarse-
+// level try racing), all on a zero-allocation scratch substrate:
 //
 // Locked-net pruning (always on, bit-identical). bipState tracks, per
 // net and side, how many pins are locked in the current pass
@@ -42,57 +41,39 @@
 // that holds a lock is that locked pin, so the scan that would find it
 // is skipped too. Every skipped update is provably a no-op — locked
 // vertices have left the gain buckets — so pruning never moves a
-// result bit in either refinement mode.
+// result bit.
 //
-// Boundary-driven passes (the default; Config.ExactFM restores the
-// historical behavior). An exact pass seeds its gain buckets from all
-// nv vertices and moves each at most once to exhaustion. Boundary mode
-// instead seeds from the boundary — the pins of cut nets — grows the
-// bucket set incrementally as moves cut new nets (move() reports the
-// newly-boundary vertices, which enter with from-scratch gains), and
-// bounds the exhaustive tail with an adaptive early exit (64 + nv/16
-// consecutive non-improving moves; measured on the bench corpus, ~96%
-// of exhaustive-pass moves were rolled-back tail). An infeasible state
-// still gets exact passes until a pass restores balance — only
-// interior vertices may be able to fix it — and every pass rolls back
-// to its best state under feasibility-first ordering, so boundary mode
-// never yields a less feasible result. Per-seed partitions differ
-// between the modes (the candidate set differs); the bench suite gates
-// the quality delta at <= 5% volume per grid point. Within each mode,
-// results remain bit-identical for a given seed at every worker count.
+// Boundary-driven passes (whenever the state is feasible). An exact
+// pass seeds its gain buckets from all nv vertices and moves each at
+// most once to exhaustion. A boundary pass instead seeds from the
+// boundary — the pins of cut nets — grows the bucket set incrementally
+// as moves cut new nets (move() reports the newly-boundary vertices,
+// which enter with from-scratch gains), and bounds the exhaustive tail
+// with an adaptive early exit (64 + nv/16 consecutive non-improving
+// moves; measured on the bench corpus, ~96% of exhaustive-pass moves
+// were rolled-back tail). An infeasible state gets exact passes until
+// a pass restores balance — only interior vertices may be able to fix
+// it — and every pass rolls back to its best state under
+// feasibility-first ordering, so boundary passes never yield a less
+// feasible result.
 //
-// Coarse-level try racing (Config.ParallelFM).
-// Refine calls on hypergraphs of at most raceMaxVerts vertices — the
-// cheap coarse levels, where workers would otherwise idle through the
-// serial upstroke — race raceTries FM pass sequences, each on its own
-// parts copy and Scratch, and keep the best by (overload, cut, lowest
-// try index). Try 0 is the serial continuation (the sole consumer of
-// the caller's RNG, drawing exactly as a plain refine would); the
-// extra tries explore substreams seeded from a hash of the input
-// partition, so they displace the serial result only when strictly
-// better and never move the caller's stream off its serial-mode
-// trajectory. Redundant work buys quality (best-of-K) and occupancy
-// at once.
+// Coarse-level try racing (Config.ParallelFM). Refine calls on
+// hypergraphs of at most raceMaxVerts vertices — the cheap coarse
+// levels, where workers would otherwise idle through the serial
+// upstroke — race raceTries FM pass sequences, each on its own parts
+// copy and Scratch, and keep the best by (overload, cut, lowest try
+// index). Try 0 is the serial continuation (the sole consumer of the
+// caller's RNG, drawing exactly as a plain refine would); the extra
+// tries explore substreams seeded from a hash of the input partition,
+// so they displace the serial result only when strictly better and
+// never move the caller's stream off its serial-mode trajectory.
+// Redundant work buys quality (best-of-K) and occupancy at once.
 //
-// Speculative boundary batches (Config.ParallelFM). On fine levels
-// (>= specMinVerts vertices) a prepass of up to specMaxRounds
-// optimistic rounds runs before the serial passes: the
-// boundary worklist, collected in permutation order, is cut into
-// fixed-size batches whose move gains are computed concurrently
-// against the current state as a read-only snapshot; commits are then
-// validated serially in worklist order against a touched-net conflict
-// set — a candidate whose nets an earlier accepted move touched has a
-// stale gain and is left as residue for the serial passes (the
-// optimistic-work / cheap-validation / serial-fallback idiom).
-// Accepted moves are strictly improving and weight-checked, so each
-// round monotonically lowers the cut and preserves feasibility.
-//
-// Determinism contract of the flags: every layer is bit-identical per
-// seed at every worker count, pool size, and scheduling (batch
-// boundaries and try seeds are fixed, never derived from the live pool;
-// commit order is worklist order). ExactFM and ParallelFM are mode
-// switches — per-seed results differ between modes, never within one,
-// and a nil pool runs the same layers inline.
+// Determinism contract: every layer is bit-identical per seed at every
+// worker count, pool size, and scheduling (try seeds are fixed, never
+// derived from the live pool). ParallelFM is a mode switch — per-seed
+// results differ between the modes, never within one, and a nil pool
+// runs the racing tries inline.
 //
 // Zero-allocation pass setup. All per-pass working memory — the
 // permutation (a scratch-backed Fisher–Yates reproducing rand.Perm's
@@ -137,19 +118,6 @@ func newGainBuckets(numVerts, maxDeg int) *gainBuckets {
 		g.maxGain[s] = -1 // empty
 	}
 	return g
-}
-
-func (g *gainBuckets) reset() {
-	for s := 0; s < 2; s++ {
-		for i := range g.heads[s] {
-			g.heads[s][i] = -1
-		}
-		g.maxGain[s] = -1
-		g.count[s] = 0
-	}
-	for i := range g.in {
-		g.in[i] = false
-	}
 }
 
 // insert adds vertex v with the given gain to the list of side s.

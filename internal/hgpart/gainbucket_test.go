@@ -95,16 +95,38 @@ func TestBestFeasibleSkipsRejected(t *testing.T) {
 	}
 }
 
-func TestGainBucketsReset(t *testing.T) {
-	g := newGainBuckets(3, 2)
-	g.insert(0, 0, 1)
-	g.insert(1, 1, -2)
-	g.reset()
+// TestGainBucketsDrain checks the drained invariant the O(1) reinit
+// relies on: after drain no vertex is listed, both counts are 0, every
+// in flag is false and every head is -1 — including vertices relinked
+// by adjust and a top bucket emptied by remove.
+func TestGainBucketsDrain(t *testing.T) {
+	g := newGainBuckets(6, 3)
+	g.insert(0, 0, 3)
+	g.insert(1, 0, -3)
+	g.insert(2, 1, 0)
+	g.insert(3, 1, 0)
+	g.insert(4, 0, 1)
+	g.adjust(2, 3)  // relinked to side 1's top bucket
+	g.remove(0)     // empties side 0's top bucket; maxGain decays lazily
+	g.adjust(4, -2) // leaves gain 1 for -1
+	g.drain()
 	if g.count[0] != 0 || g.count[1] != 0 {
-		t.Fatal("reset left counts")
+		t.Fatalf("drain left counts %v", g.count)
 	}
-	if _, ok := g.peekGain(0); ok {
-		t.Fatal("reset left entries")
+	for s := 0; s < 2; s++ {
+		if _, ok := g.peekGain(s); ok {
+			t.Fatalf("drain left entries on side %d", s)
+		}
+		for i, h := range g.heads[s] {
+			if h != -1 {
+				t.Fatalf("side %d head %d = %d after drain, want -1", s, i, h)
+			}
+		}
+	}
+	for v, in := range g.in {
+		if in {
+			t.Fatalf("vertex %d still listed after drain", v)
+		}
 	}
 }
 

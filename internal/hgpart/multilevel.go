@@ -41,27 +41,19 @@ type Config struct {
 	// MaxPasses bounds FM passes per refinement run (default 8).
 	MaxPasses int
 	// EarlyExit aborts an FM pass after this many consecutive moves
-	// without a new best state (0 = full passes).
+	// without a new best state. 0 selects 64 + nv/16 for boundary
+	// passes and runs exact passes to exhaustion.
 	EarlyExit int
-	// ExactFM restores the historical all-vertex FM passes: every pass
-	// seeds its gain buckets from every vertex. The default (false) runs
-	// boundary-driven refinement — after each refine call's first pass,
-	// buckets are seeded from the pins of cut nets only and grown
-	// incrementally as moves cut new nets. Boundary mode is deterministic
-	// per seed at every worker count but explores a restricted move set,
-	// so its per-seed partitions (not their feasibility) may differ from
-	// ExactFM's; the bench suite gates the quality delta at <= 5% volume.
-	ExactFM bool
 	// ParallelFM spends the worker budget inside refinement itself:
-	// coarse levels race independent FM pass sequences and keep the best
-	// result, fine levels run speculative boundary move batches —
-	// snapshot gains computed concurrently, commits validated serially
-	// against a touched-net conflict set — before the serial passes.
-	// Like ExactFM, this is a mode switch: per-seed partitions differ
-	// from the serial-refinement default, but within the mode every
-	// result is bit-identical per seed at every worker count (including
-	// a nil pool); the bench suite gates the quality delta at <= 5%
-	// volume. Default off.
+	// refine calls on coarse levels (at most 2048 vertices) race four
+	// independent FM pass sequences on the pool and keep the best
+	// result; finer levels refine serially. It is a quality knob: on the
+	// scale-1 mgbench grid at workers 2 it costs about 30% more wall
+	// time for about 1.1% less total volume, a better trade than
+	// Search.Tries = 2 (about 70% more for 0.7% less). It is a mode
+	// switch: per-seed partitions differ from the default, but within
+	// the mode every result is bit-identical per seed at every worker
+	// count (including a nil pool). Default off.
 	ParallelFM bool
 	// Workers is not read: the pool passed to Bipartition sets the
 	// parallelism, and results are identical for every pool size. The

@@ -32,17 +32,11 @@ type Scratch struct {
 	// FM refinement.
 	netSt   []netState
 	locked  []bool
-	gains   []int32
 	moves   []int32
 	buckets gainBuckets
 	// Boundary-only passes.
 	bndMark []bool
 	bndWork []int32
-	// Speculative boundary batches (ParallelFM): per-net touched marks
-	// (all-false between rounds) and the touched-net log that re-lowers
-	// them in O(touched).
-	specMark []bool
-	specNets []int32
 	// Randomized orders (fmPass, matching).
 	permBuf []int
 }
@@ -64,9 +58,7 @@ func (sc *Scratch) reserve(numVerts, numNets int) {
 	sc.levelWork = sparse.Resize(sc.levelWork, max(2*numVerts, mergeTableSize(numNets)))
 	sc.netSt = sparse.Resize(sc.netSt, numNets)
 	sc.locked = sparse.Resize(sc.locked, numVerts)
-	sc.gains = sparse.Resize(sc.gains, numVerts)
 	sc.bndMark = sparse.Resize(sc.bndMark, numVerts)
-	sc.specMark = sparse.Resize(sc.specMark, numNets)
 	sc.permBuf = sparse.Resize(sc.permBuf, numVerts)
 	g := &sc.buckets
 	g.next = sparse.Resize(g.next, numVerts)
@@ -227,34 +219,6 @@ func (sc *Scratch) keepBoundaryWork(work []int32) {
 	}
 }
 
-// specMarks returns the all-false per-net touched flags of a
-// speculative round. No clearing happens here: the round re-lowers
-// every flag it raised via its touched-net log, and freshly grown
-// arrays come zeroed, so acquisition is O(1).
-func (sc *Scratch) specMarks(numNets int) []bool {
-	if sc == nil {
-		return make([]bool, numNets)
-	}
-	sc.specMark = sparse.Resize(sc.specMark, numNets)
-	return sc.specMark
-}
-
-// specNetLog returns an empty touched-net log for a speculative round.
-func (sc *Scratch) specNetLog() []int32 {
-	if sc == nil {
-		return make([]int32, 0, 64)
-	}
-	return sc.specNets[:0]
-}
-
-// keepSpecNetLog records the (possibly grown) touched-net log back into
-// the scratch so its capacity carries over to the next round.
-func (sc *Scratch) keepSpecNetLog(log []int32) {
-	if sc != nil {
-		sc.specNets = log[:0]
-	}
-}
-
 // fmBuffers returns the per-pass FM arrays: the gain buckets sized for
 // (numVerts, maxDeg), the all-false locked flags, and an empty move
 // log. No clearing happens here: fmPass leaves the buckets drained and
@@ -274,15 +238,6 @@ func (sc *Scratch) keepMoves(moves []int32) {
 	if sc != nil {
 		sc.moves = moves[:0]
 	}
-}
-
-// gainBuf returns the parallel-gain-initialization array.
-func (sc *Scratch) gainBuf(numVerts int) []int32 {
-	if sc == nil {
-		return make([]int32, numVerts)
-	}
-	sc.gains = sparse.Resize(sc.gains, numVerts)
-	return sc.gains
 }
 
 // reinit resizes the bucket structure for a hypergraph of numVerts

@@ -15,9 +15,8 @@ import (
 // same side (so the current bipartition projects exactly onto every
 // coarse level), and FM refinement then runs at all levels from coarsest
 // to finest. Like the paper's IR, the procedure is monotonically
-// non-increasing in the cut. The per-level FM runs follow cfg.ExactFM
-// like every other refinement: boundary-driven by default, exact
-// all-vertex passes when set (see the package comment).
+// non-increasing in the cut. The per-level FM runs are the same
+// refine calls as every other refinement (see the package comment).
 //
 // The restricted matching is the greedy heavy-connectivity sweep of
 // unrestricted coarsening, side-restricted, and like contraction it

@@ -1,8 +1,9 @@
 // Package pool provides the shared worker-pool scheduler behind every
 // parallel code path of the library: recursive bisection fans the two
 // disjoint halves of each split out over it, the multilevel partitioner
-// runs its initial-partition tries and gain initialization on it, and the
-// metric evaluators split row/column scans across it.
+// runs its initial-partition tries (and ParallelFM's coarse-level FM
+// tries) on it, and the metric evaluators split row/column scans across
+// it.
 //
 // The pool is a counting semaphore, not a task queue: work is executed by
 // the goroutine that asks for it whenever no extra worker slot is free,

@@ -71,18 +71,11 @@ type BenchReport struct {
 	Workers int   `json:"workers,omitempty"`
 	Seed    int64 `json:"seed"`
 	Runs    int   `json:"runs"`
-	// ExactFM records which FM refinement mode produced the report:
-	// false = the boundary-driven default, true = exact all-vertex
-	// passes. Per-seed volumes legitimately differ between the modes,
-	// so benchdiff refuses to gate one against the other. Absent in
-	// pre-PR-5 reports, which decode as false.
-	ExactFM bool `json:"exact_fm,omitempty"`
-	// ParallelFM records whether the run used the parallel refinement
-	// layers (coarse-level try racing + speculative boundary batches).
-	// Like ExactFM it is a mode switch with legitimately different
-	// per-seed volumes, but unlike ExactFM the modes are meant to be
-	// gated against each other by the volume threshold, so benchdiff
-	// warns instead of refusing. Absent in pre-PR-7 reports (false).
+	// ParallelFM records whether the run used coarse-level FM try
+	// racing. It is a mode switch with legitimately different per-seed
+	// volumes, but the modes are meant to be gated against each other
+	// by the volume threshold, so benchdiff warns instead of refusing.
+	// Absent in pre-PR-7 reports (false).
 	ParallelFM bool `json:"parallel_fm,omitempty"`
 	// Tries records the race-to-best search width the report was taken
 	// with (Request.Search.Tries). 0 — the value pre-search reports

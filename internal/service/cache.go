@@ -24,7 +24,6 @@ type CachedResult struct {
 	Seed       int64   `json:"seed"`
 	Eps        float64 `json:"eps"`
 	Refine     bool    `json:"refine"`
-	ExactFM    bool    `json:"exact_fm,omitempty"`
 	ParallelFM bool    `json:"parallel_fm,omitempty"`
 	// Tries/BudgetMS record the race-to-best search spec the result was
 	// computed under (0/absent = single run); WinnerTry is the 1-based

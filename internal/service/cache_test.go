@@ -3,6 +3,7 @@ package service
 import (
 	"testing"
 
+	"mediumgrain/internal/cluster"
 	"mediumgrain/internal/corpus"
 	"mediumgrain/internal/gen"
 )
@@ -39,15 +40,15 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestMatrixHashIsContentAddressed(t *testing.T) {
 	a := gen.Laplacian2D(8, 8)
 	b := gen.Laplacian2D(8, 8)
-	if MatrixHash(a) != MatrixHash(b) {
+	if cluster.MatrixHash(a) != cluster.MatrixHash(b) {
 		t.Fatal("equal patterns must hash equally")
 	}
 	cpy := a.Clone()
-	if MatrixHash(cpy) != MatrixHash(a) {
+	if cluster.MatrixHash(cpy) != cluster.MatrixHash(a) {
 		t.Fatal("clone must hash equally")
 	}
 	d := gen.Laplacian2D(8, 9)
-	if MatrixHash(d) == MatrixHash(a) {
+	if cluster.MatrixHash(d) == cluster.MatrixHash(a) {
 		t.Fatal("different patterns must hash differently")
 	}
 	// Values are ignored: pattern-only vs valued same structure.
@@ -56,26 +57,25 @@ func TestMatrixHashIsContentAddressed(t *testing.T) {
 	for i := range v.Val {
 		v.Val[i] = float64(i)
 	}
-	if MatrixHash(v) != MatrixHash(a) {
+	if cluster.MatrixHash(v) != cluster.MatrixHash(a) {
 		t.Fatal("values must not affect the content address")
 	}
 }
 
 func TestCacheKeySensitivity(t *testing.T) {
 	in := corpus.Build(corpus.DefaultOptions())
-	h := MatrixHash(in[0].A)
-	base := CacheKey(h, 4, "MG", 42, 0.03, false, false, false, 1, 0)
+	h := cluster.MatrixHash(in[0].A)
+	base := cluster.CacheKey(h, 4, "MG", 42, 0.03, false, false, 1, 0)
 	variants := []string{
-		CacheKey(h, 8, "MG", 42, 0.03, false, false, false, 1, 0),
-		CacheKey(h, 4, "FG", 42, 0.03, false, false, false, 1, 0),
-		CacheKey(h, 4, "MG", 43, 0.03, false, false, false, 1, 0),
-		CacheKey(h, 4, "MG", 42, 0.1, false, false, false, 1, 0),
-		CacheKey(h, 4, "MG", 42, 0.03, true, false, false, 1, 0),
-		CacheKey(h, 4, "MG", 42, 0.03, false, true, false, 1, 0),
-		CacheKey(h, 4, "MG", 42, 0.03, false, false, true, 1, 0),
-		CacheKey(MatrixHash(in[1].A), 4, "MG", 42, 0.03, false, false, false, 1, 0),
-		CacheKey(h, 4, "MG", 42, 0.03, false, false, false, 8, 0),
-		CacheKey(h, 4, "MG", 42, 0.03, false, false, false, 8, 500),
+		cluster.CacheKey(h, 8, "MG", 42, 0.03, false, false, 1, 0),
+		cluster.CacheKey(h, 4, "FG", 42, 0.03, false, false, 1, 0),
+		cluster.CacheKey(h, 4, "MG", 43, 0.03, false, false, 1, 0),
+		cluster.CacheKey(h, 4, "MG", 42, 0.1, false, false, 1, 0),
+		cluster.CacheKey(h, 4, "MG", 42, 0.03, true, false, 1, 0),
+		cluster.CacheKey(h, 4, "MG", 42, 0.03, false, true, 1, 0),
+		cluster.CacheKey(cluster.MatrixHash(in[1].A), 4, "MG", 42, 0.03, false, false, 1, 0),
+		cluster.CacheKey(h, 4, "MG", 42, 0.03, false, false, 8, 0),
+		cluster.CacheKey(h, 4, "MG", 42, 0.03, false, false, 8, 500),
 	}
 	seen := map[string]bool{base: true}
 	for i, v := range variants {
@@ -84,7 +84,7 @@ func TestCacheKeySensitivity(t *testing.T) {
 		}
 		seen[v] = true
 	}
-	if base != CacheKey(h, 4, "MG", 42, 0.03, false, false, false, 1, 0) {
+	if base != cluster.CacheKey(h, 4, "MG", 42, 0.03, false, false, 1, 0) {
 		t.Fatal("key not deterministic")
 	}
 }

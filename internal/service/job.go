@@ -106,7 +106,7 @@ func (s *Server) resolve(spec JobSpec) (*resolvedSpec, error) {
 	// O(nnz) rehash on the submission path.
 	hash, ok := s.hashes[name]
 	if !ok {
-		hash = MatrixHash(a)
+		hash = cluster.MatrixHash(a)
 	}
 	return &resolvedSpec{
 		spec:   spec,
@@ -116,7 +116,7 @@ func (s *Server) resolve(spec JobSpec) (*resolvedSpec, error) {
 		matrix: a,
 		name:   name,
 		hash:   hash,
-		key:    CacheKey(hash, spec.P, method.String(), spec.Seed, eps, spec.Refine, spec.ExactFM, spec.ParallelFM, tries, spec.BudgetMS),
+		key:    cluster.CacheKey(hash, spec.P, method.String(), spec.Seed, eps, spec.Refine, spec.ParallelFM, tries, spec.BudgetMS),
 	}, nil
 }
 
@@ -186,7 +186,6 @@ type ResultView struct {
 	Seed       int64   `json:"seed"`
 	Eps        float64 `json:"eps"`
 	Refine     bool    `json:"refine"`
-	ExactFM    bool    `json:"exact_fm,omitempty"`
 	ParallelFM bool    `json:"parallel_fm,omitempty"`
 	// Tries/BudgetMS echo the job's race-to-best search spec (absent for
 	// single-run jobs); WinnerTry is the 1-based winning variant, whose
@@ -398,7 +397,6 @@ func (st *jobStore) Result(j *Job) (ResultView, bool) {
 		Seed:       r.Seed,
 		Eps:        r.Eps,
 		Refine:     r.Refine,
-		ExactFM:    r.ExactFM,
 		ParallelFM: r.ParallelFM,
 		Tries:      r.Tries,
 		BudgetMS:   r.BudgetMS,

@@ -206,7 +206,7 @@ func loadCacheEntryMatrix(dir, key string) (*CachedResult, *sparse.Matrix, error
 		return nil, nil, fmt.Errorf("service: cache entry %s: bundle (p=%d, nnz=%d) disagrees with meta (p=%d, nnz=%d)",
 			key, b.P, b.A.NNZ(), meta.P, meta.NNZ)
 	}
-	if h := MatrixHash(b.A); h != meta.MatrixHash {
+	if h := cluster.MatrixHash(b.A); h != meta.MatrixHash {
 		return nil, nil, fmt.Errorf("service: cache entry %s: matrix hash %s != recorded %s", key, h, meta.MatrixHash)
 	}
 	if v := b.Volume(); v != meta.Volume {
@@ -218,7 +218,7 @@ func loadCacheEntryMatrix(dir, key string) (*CachedResult, *sparse.Matrix, error
 		tries = 1 // stored as 0 for single runs; the key uses >= 1
 	}
 	derived := cluster.CacheKey(res.MatrixHash, res.P, res.Method, res.Seed, res.Eps,
-		res.Refine, res.ExactFM, res.ParallelFM, tries, res.BudgetMS)
+		res.Refine, res.ParallelFM, tries, res.BudgetMS)
 	if derived != key {
 		return nil, nil, fmt.Errorf("service: cache entry %s: fields derive key %s", key, derived)
 	}

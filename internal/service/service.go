@@ -19,17 +19,11 @@
 //	  "eps":        0.03,            // load-imbalance bound; omitted = 0.03,
 //	                                 // an explicit 0 requests exact balance
 //	  "refine":     false,           // apply the paper's iterative refinement
-//	  "exact_fm":   false,           // exact all-vertex FM passes (historical
-//	                                 // behavior); omitted = the faster
-//	                                 // boundary-driven refinement. Per-seed
-//	                                 // results differ between the modes, so the
-//	                                 // choice is part of the cache key
-//	  "parallel_fm": false,          // parallel refinement layers (coarse-level
-//	                                 // try racing + speculative boundary move
-//	                                 // batches) inside each run. Per-seed
-//	                                 // results differ from the serial-
-//	                                 // refinement default, so the choice is
-//	                                 // part of the cache key
+//	  "parallel_fm": false,          // coarse-level FM try racing inside each
+//	                                 // run: about 1% less volume for about 30%
+//	                                 // more compute. Per-seed results differ
+//	                                 // from the default, so the choice is part
+//	                                 // of the cache key
 //	  "workers":    1,               // accepted and ignored: every job runs on
 //	                                 // the server's shared engine
 //	  "tries":      1,               // > 1 races that many deterministic seed
@@ -44,6 +38,9 @@
 //	                                 // computation's context, so a timed-out
 //	                                 // job's work actually stops
 //	}
+//
+// Unknown fields are ignored. That includes "exact_fm", an FM mode that
+// no longer exists: a job carrying it runs in the default mode.
 //
 // Responses: 200 with the job in state "done" when the result was
 // served from cache ("cached": true); 202 with state "queued" when the
@@ -97,7 +94,7 @@
 // # Determinism and the cache key
 //
 // Results are content-addressed by (matrix hash, p, method, seed, eps,
-// refine, exact_fm, parallel_fm, tries, budget_ms). The worker count is
+// refine, parallel_fm, tries, budget_ms). The worker count is
 // not part of the key: the library guarantees bit-identical results at
 // every worker count, so a spec's "workers" field is ignored and all
 // submissions of one spec share one cache slot. The race-to-best search
@@ -324,7 +321,7 @@ func New(cfg Config) (*Server, []error) {
 	}
 	s.hashes = make(map[string]string, len(s.instances))
 	for _, in := range s.instances {
-		s.hashes[in.Name] = MatrixHash(in.A)
+		s.hashes[in.Name] = cluster.MatrixHash(in.A)
 	}
 	s.sched = newScheduler(cfg.Runners, cfg.QueueDepth, s.execute)
 	var warns []error
@@ -645,7 +642,6 @@ func (s *Server) partition(ctx context.Context, rs *resolvedSpec, a *sparse.Matr
 	opts := core.DefaultOptions()
 	opts.Eps = rs.eps
 	opts.Refine = rs.spec.Refine
-	opts.Config.ExactFM = rs.spec.ExactFM
 	opts.Config.ParallelFM = rs.spec.ParallelFM
 	rng := rand.New(rand.NewSource(rs.spec.Seed))
 
@@ -690,7 +686,6 @@ func (s *Server) partition(ctx context.Context, rs *resolvedSpec, a *sparse.Matr
 		Seed:       rs.spec.Seed,
 		Eps:        rs.eps,
 		Refine:     rs.spec.Refine,
-		ExactFM:    rs.spec.ExactFM,
 		ParallelFM: rs.spec.ParallelFM,
 		Tries:      tries,
 		BudgetMS:   rs.spec.BudgetMS,

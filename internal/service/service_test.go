@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"mediumgrain/internal/cluster"
 	"mediumgrain/internal/core"
 	"mediumgrain/internal/corpus"
 	"mediumgrain/internal/sparse"
@@ -144,7 +145,7 @@ func TestSubmitCorpusJobMatchesOffline(t *testing.T) {
 	if rv.Volume <= 0 || rv.Predict == nil || rv.NNZ != in.A.NNZ() {
 		t.Fatalf("result facts incomplete: %+v", rv)
 	}
-	if rv.Hash != MatrixHash(in.A) {
+	if rv.Hash != cluster.MatrixHash(in.A) {
 		t.Fatal("matrix hash mismatch")
 	}
 }
@@ -212,6 +213,28 @@ func TestWorkersShareOneCacheSlot(t *testing.T) {
 	v2, code := postJob(t, ts, four)
 	if code != http.StatusOK || !v2.Cached || v2.Key != v1.Key {
 		t.Fatalf("workers 0 and 4 must share one cache slot: code=%d %+v vs %+v", code, v2, v1)
+	}
+}
+
+// TestRetiredExactFMFieldIgnored: a body still carrying the retired
+// "exact_fm" field is accepted, runs in the default mode, and shares
+// the plain spec's cache slot.
+func TestRetiredExactFMFieldIgnored(t *testing.T) {
+	_, ts := newTestServer(t, testConfig())
+	v1, _ := postJob(t, ts, JobSpec{Corpus: "tridiag", P: 2, Seed: 6})
+	waitDone(t, ts, v1.ID)
+	body := `{"corpus": "tridiag", "p": 2, "seed": 6, "exact_fm": true}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var v2 JobView
+	if err := json.NewDecoder(resp.Body).Decode(&v2); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !v2.Cached || v2.Key != v1.Key {
+		t.Fatalf("exact_fm must be ignored: code=%d %+v vs %+v", resp.StatusCode, v2, v1)
 	}
 }
 

@@ -42,11 +42,12 @@
 // over it (Partition on p parts exposes up to p-way task parallelism);
 // inside each bisection, the medium-grain split scores nonzeros in
 // parallel, and the multilevel hypergraph partitioner runs its
-// initial-partition tries as independent subproblems and initializes
-// FM gains in parallel; metric and k-way evaluation split their
-// row/column scans. Coarsening's matching (one greedy sweep) and
+// initial-partition tries (and, with ParallelFM, its coarse-level FM
+// tries) as independent subproblems; metric and k-way evaluation split
+// their row/column scans. Coarsening's matching (one greedy sweep),
 // contraction (which merges nets with identical pin sets into one
-// weighted net) run sequentially per level on the calling goroutine.
+// weighted net) and every FM pass sequence that is not raced run
+// sequentially on the calling goroutine.
 //
 // Determinism: every random choice is drawn from a deterministic
 // stream — child subproblems receive RNG streams seeded from the parent
@@ -54,42 +55,38 @@
 // their randomness before fanning out — so a given seed produces
 // bit-identical partitionings for every worker count, 0 included, and
 // any scheduling. Where the pool size does select between two
-// implementations (inline or parallel gain initialization, fused or
-// per-row k-way counts), both produce the same bits.
+// implementations (fused or per-row k-way counts), both produce the
+// same bits.
 //
-// # FM refinement modes
+// # FM refinement
 //
-// The hypergraph partitioner's FM refinement is a four-layer engine
-// (see internal/hgpart's package comment for the full mechanics):
+// The hypergraph partitioner's FM refinement has three layers (see
+// internal/hgpart's package comment for the full mechanics):
 //
-//   - Locked-net pruning (always on): per-net locked-pin counts skip
-//     gain-update scans that are provably no-ops. Bit-identical in
-//     every mode.
-//   - Boundary-driven passes (the default): each pass seeds its gain
-//     buckets from the pins of cut nets only, grown incrementally as
-//     moves cut new nets, with an adaptive early exit — refinement
-//     cost tracks the partition boundary instead of the hypergraph
-//     size. PartitionerConfig.ExactFM restores the historical exact
-//     all-vertex passes.
+//   - Locked-net pruning: per-net locked-pin counts skip gain-update
+//     scans that are provably no-ops. It never changes a result bit.
+//   - Boundary-driven passes: once the state is feasible, each pass
+//     seeds its gain buckets from the pins of cut nets only, grown
+//     incrementally as moves cut new nets, with an adaptive early
+//     exit — refinement cost tracks the partition boundary instead of
+//     the hypergraph size. An infeasible state gets exact all-vertex
+//     passes until balance is restored.
 //   - Coarse-level try racing (PartitionerConfig.ParallelFM): small
 //     coarse levels race several FM sequences across the worker pool —
 //     the serial continuation plus extra tries on side substreams — and
 //     keep the best by (overload, cut, try index), so an extra try
 //     displaces the serial result only when strictly better.
-//   - Speculative boundary batches (ParallelFM): large fine levels run
-//     optimistic prepass rounds — boundary move gains computed
-//     concurrently in fixed-size batches against a read-only snapshot,
-//     then committed serially in deterministic order under a
-//     touched-net conflict set, with conflicted residue falling back to
-//     the serial passes.
 //
-// Determinism contract: ExactFM and ParallelFM are mode switches.
-// Per-seed results differ between modes — the bench suite gates every
-// mode's quality delta at <= 5% volume per grid point — but within
-// each mode results are bit-identical for a given seed at every worker
-// count, 0 included. ParallelFM shapes the multilevel bisections only:
-// the paper's iterative refinement (Request.Refine, Algorithm 2) is a
-// single serial KL/FM run per encoding in every mode.
+// ParallelFM is a quality knob, not a speedup: on the scale-1 mgbench
+// grid at two workers it costs about 30% more wall time for about 1.1%
+// less total volume, a better trade than Search.Tries = 2 (about 70%
+// more time for 0.7% less volume). It is a mode switch: per-seed
+// results differ from the default — the bench suite gates its quality
+// delta at <= 5% volume per grid point — but within the mode results
+// are bit-identical for a given seed at every worker count, 0
+// included. ParallelFM shapes the multilevel bisections only: the
+// paper's iterative refinement (Request.Refine, Algorithm 2) is a
+// single serial KL/FM run per encoding in both modes.
 //
 // # Race-to-best search
 //
@@ -104,8 +101,8 @@
 // pruned, so the winner — lowest volume, then lowest try index — is
 // bit-identical across repeated runs and worker counts. Search.Budget
 // bounds the race's wall time (returning the best completed variant),
-// Search.VaryFM additionally races the two FM refinement modes, and
-// progress events stream the race via Event.Try and Event.BestVolume.
+// and progress events stream the race via Event.Try and
+// Event.BestVolume.
 // See the Search type and ExampleEngine_search.
 //
 // # Memory model
