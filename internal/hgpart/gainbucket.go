@@ -61,8 +61,8 @@
 // hypergraphs of at most raceMaxVerts vertices — the cheap coarse
 // levels, where workers would otherwise idle through the serial
 // upstroke — race raceTries FM pass sequences, each on its own parts
-// copy and Scratch, and keep the best by (overload, cut, lowest try
-// index). Try 0 is the serial continuation (the sole consumer of the
+// copy and a private Scratch, and keep the best by (overload, cut,
+// lowest try index). Try 0 is the serial continuation (the sole consumer of the
 // caller's RNG, drawing exactly as a plain refine would); the extra
 // tries explore substreams seeded from a hash of the input partition,
 // so they displace the serial result only when strictly better and
