@@ -27,9 +27,7 @@ type JobSpec struct {
 	Refine bool     `json:"refine,omitempty"`
 	// ParallelFM enables coarse-level FM try racing inside each
 	// partition run; per-seed results differ from the serial-refinement
-	// default, so the choice is part of the cache key. It is the only
-	// FM mode field: encoding/json ignores unknown fields, so a body
-	// carrying a retired mode flag runs in the default mode.
+	// default, so the choice is part of the cache key.
 	ParallelFM bool `json:"parallel_fm,omitempty"`
 	// Workers is accepted and ignored: every job runs on the server's
 	// shared engine, and the worker count never changes a result.
