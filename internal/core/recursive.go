@@ -56,14 +56,18 @@ func (h *runHooks) split(vol int64) {
 // Each node works on its subproblem relabeled to the occupied rows and
 // columns (a compact view) — O(nnz(sub)) per node instead of the
 // O(Rows+Cols) a full-dimension copy would cost at every tree level.
-// The continuing branch keeps its scratch (the parent's buffers are dead
-// once left/right are computed); the forked branch checks one out of the
-// run's store, bounding live scratches by the pool's concurrency.
+//
+// Scratches: sc belongs to the goroutine running this node. Once the
+// split is done the node's buffers are dead, so the left branch keeps
+// sc, and so does the right branch when Fork runs it inline after the
+// left one; only a right branch that Fork spawned checks a scratch out
+// of the run's store. A call therefore holds at most one scratch per
+// goroutine that runs its tree.
 //
 // Cancellation: ctx is checked at every node entry and threaded into the
 // multilevel engine below, so a cancel unwinds the whole tree promptly;
 // forked branches still join (Fork always joins) and every checked-out
-// scratch is returned on the way out, keeping the free list balanced.
+// scratch is returned on the way out, keeping the store balanced.
 func bisect(ctx context.Context, a *sparse.Matrix, subset []int, base, q int, parts []int, method Method, opts Options, delta float64, rng *rand.Rand, pl *pool.Pool, st *scratchStore, sc *scratch, hooks *runHooks) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -101,11 +105,14 @@ func bisect(ctx context.Context, a *sparse.Matrix, subset []int, base, q int, pa
 	pl.Fork(func() {
 		errL = bisect(ctx, a, left, base, q0, parts, method, opts, delta,
 			rand.New(rand.NewSource(seedL)), pl, st, sc, hooks)
-	}, func() {
-		sc2 := st.get()
+	}, func(spawned bool) {
+		scR := sc
+		if spawned {
+			scR = st.get()
+			defer st.put(scR)
+		}
 		errR = bisect(ctx, a, right, base+q0, q1, parts, method, opts, delta,
-			rand.New(rand.NewSource(seedR)), pl, st, sc2, hooks)
-		st.put(sc2)
+			rand.New(rand.NewSource(seedR)), pl, st, scR, hooks)
 	})
 	if errL != nil {
 		return errL

@@ -97,7 +97,7 @@ func RefineOn(ctx context.Context, a *sparse.Matrix, parts []int, p int, opts Op
 					}
 				}
 			})
-		}, func() {
+		}, func(bool) {
 			ix.Col.Reset(a)
 			pl.ForEach(a.Cols, func(lo, hi int) {
 				for j := lo; j < hi; j++ {

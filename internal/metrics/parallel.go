@@ -50,7 +50,7 @@ func LambdasIndexed(ctx context.Context, a *sparse.Matrix, parts []int, p int, r
 				}
 			}
 		})
-	}, func() {
+	}, func(bool) {
 		if cix == nil {
 			cix = sparse.BuildColIndex(a)
 		}

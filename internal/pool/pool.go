@@ -51,12 +51,16 @@ func (p *Pool) Workers() int {
 }
 
 // Fork runs a and b and returns when both are done. When a worker slot
-// is free, b runs on it concurrently with a; otherwise both run inline,
-// a first. Never blocks waiting for capacity.
-func (p *Pool) Fork(a, b func()) {
+// is free, b runs on a helper goroutine concurrently with a and is
+// called with spawned = true; otherwise both run inline on the calling
+// goroutine, a first, and b gets spawned = false. The flag lets b reuse
+// per-goroutine state that a is done with when it runs inline (recursive
+// bisection hands the parent's scratch to an inline right branch). Never
+// blocks waiting for capacity.
+func (p *Pool) Fork(a func(), b func(spawned bool)) {
 	if p == nil {
 		a()
-		b()
+		b(false)
 		return
 	}
 	select {
@@ -65,13 +69,13 @@ func (p *Pool) Fork(a, b func()) {
 		go func() {
 			defer close(done)
 			defer func() { <-p.tokens }()
-			b()
+			b(true)
 		}()
 		a()
 		<-done
 	default:
 		a()
-		b()
+		b(false)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestNilPoolRunsInline(t *testing.T) {
@@ -12,7 +13,7 @@ func TestNilPoolRunsInline(t *testing.T) {
 		t.Fatalf("nil pool Workers() = %d, want 1", got)
 	}
 	order := []int{}
-	p.Fork(func() { order = append(order, 1) }, func() { order = append(order, 2) })
+	p.Fork(func() { order = append(order, 1) }, func(bool) { order = append(order, 2) })
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("nil Fork order = %v, want [1 2]", order)
 	}
@@ -30,7 +31,7 @@ func TestNilPoolRunsInline(t *testing.T) {
 func TestForkRunsBoth(t *testing.T) {
 	p := New(4)
 	var a, b atomic.Bool
-	p.Fork(func() { a.Store(true) }, func() { b.Store(true) })
+	p.Fork(func() { a.Store(true) }, func(bool) { b.Store(true) })
 	if !a.Load() || !b.Load() {
 		t.Fatalf("Fork did not run both branches: a=%v b=%v", a.Load(), b.Load())
 	}
@@ -47,12 +48,39 @@ func TestForkNested(t *testing.T) {
 			count.Add(1)
 			return
 		}
-		p.Fork(func() { rec(depth - 1) }, func() { rec(depth - 1) })
+		p.Fork(func() { rec(depth - 1) }, func(bool) { rec(depth - 1) })
 	}
 	rec(10)
 	if got := count.Load(); got != 1024 {
 		t.Fatalf("nested Fork ran %d leaves, want 1024", got)
 	}
+}
+
+func TestForkReportsSpawned(t *testing.T) {
+	// No free slot (nil pool, pool of one): b runs inline after a and is
+	// told so.
+	for _, p := range []*Pool{nil, New(1)} {
+		aDone := false
+		var spawned, sawA bool
+		p.Fork(func() { aDone = true }, func(s bool) { spawned, sawA = s, aDone })
+		if spawned || !sawA {
+			t.Fatalf("workers=%d: inline b got spawned=%v, ran after a=%v", p.Workers(), spawned, sawA)
+		}
+	}
+	// A free slot: b runs on a helper while a is still running, so a can
+	// wait for it.
+	p := New(2)
+	got := make(chan bool, 1)
+	p.Fork(func() {
+		select {
+		case s := <-got:
+			if !s {
+				t.Error("concurrent b got spawned=false")
+			}
+		case <-time.After(10 * time.Second):
+			t.Error("b did not run concurrently with a")
+		}
+	}, func(s bool) { got <- s })
 }
 
 func TestForEachCoversRangeExactlyOnce(t *testing.T) {
