@@ -13,10 +13,13 @@ import (
 )
 
 // Engine is a reusable, concurrency-safe partitioning handle: it owns
-// the worker-pool semaphore and the per-worker scratch free list, so a
-// long-lived caller (library user, CLI, the mgserve daemon) creates one
-// Engine and runs every request through it instead of paying pool and
-// scratch setup per call. All methods take a context and stop
+// the worker-pool semaphore and a free list of at most max(workers, 1)
+// scratches. A call holds one scratch per goroutine that runs its
+// bisection tree and checks the root's in last, so the next call starts
+// on warm root-sized buffers. A long-lived caller (library user, CLI,
+// the mgserve daemon) therefore creates one Engine and runs every
+// request through it instead of paying pool and scratch setup per call.
+// All methods take a context and stop
 // cooperatively — at bisection-node, coarsening-level, FM-pass, and
 // scan-chunk boundaries — when it is canceled, returning ctx.Err() with
 // every scratch checked back in and no goroutine left behind.
@@ -179,4 +182,10 @@ func (e *Engine) Volume(ctx context.Context, a *sparse.Matrix, parts []int, p in
 // assert).
 func (e *Engine) scratchesOutstanding() int64 {
 	return e.st.outstanding()
+}
+
+// scratchesMade reports how many scratches the engine has allocated
+// since it was created.
+func (e *Engine) scratchesMade() int64 {
+	return e.st.made.Load()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"mediumgrain/internal/hgpart"
@@ -12,9 +13,9 @@ import (
 // partitioning engine: the compactor and CSR/CSC index for subproblem
 // extraction, the hypergraph build arrays, the multilevel engine's
 // working sets, and the composite-model assembly buffers. Recursive
-// bisection hands one scratch to every concurrently active branch; a
-// branch reuses its scratch level after level, so the steady-state cost
-// of a bisection node is O(nnz(sub)) data movement with no
+// bisection hands one scratch to each goroutine that runs part of its
+// tree, and the goroutine reuses it node after node, so the steady-state
+// cost of a bisection node is O(nnz(sub)) data movement with no
 // dimension-sized allocations.
 //
 // Scratches never influence results: every buffer is fully overwritten
@@ -97,45 +98,64 @@ func (sc *scratch) inRowBuf(n int) []bool {
 	return sc.inRow
 }
 
-// scratchStore is the explicit free-list of per-worker scratches shared
-// by every run of one Engine. Branches of the bisection tree check a
-// scratch out when they fork and return it when they join, so the
-// number of live scratches is bounded by the pool's concurrency — one
-// per worker and concurrent run — without the nondeterministic lifetime
-// of sync.Pool. The outstanding counter exists for the cancellation
-// tests: every get must be matched by a put on all paths, canceled runs
-// included.
+// scratchStore is the free list of scratches shared by every run of one
+// Engine. A run checks out one scratch for its root and one for each
+// bisection branch the pool spawns on a helper goroutine, so a call
+// holds at most one scratch per goroutine running its tree — at most
+// max(Workers(), 1) — with none of sync.Pool's nondeterministic
+// lifetime.
+//
+// The list is a LIFO of at most bound entries (the pool size, one for an
+// inline engine); a put into a full list evicts the oldest entry. A run
+// returns its root scratch last, after every branch has joined, so the
+// next call's root gets the warm root-sized buffers back and a
+// steady-state call regrows nothing.
+//
+// out counts checked-out scratches for the cancellation tests: every get
+// must be matched by a put on all paths, canceled runs included. made
+// counts the scratches ever allocated, for the reuse tests.
 type scratchStore struct {
-	ch  chan *scratch
-	out atomic.Int64
+	mu    sync.Mutex
+	free  []*scratch // free[len-1] was returned most recently
+	bound int
+	out   atomic.Int64
+	made  atomic.Int64
 }
 
 func newScratchStore(workers int) *scratchStore {
-	if workers < 1 {
-		workers = 1
-	}
-	return &scratchStore{ch: make(chan *scratch, workers)}
+	bound := max(workers, 1)
+	return &scratchStore{free: make([]*scratch, 0, bound), bound: bound}
 }
 
-// get returns a free scratch, allocating one when none is checked in.
+// get returns the most recently returned scratch, allocating one when
+// the list is empty.
 func (st *scratchStore) get() *scratch {
 	st.out.Add(1)
-	select {
-	case sc := <-st.ch:
-		return sc
-	default:
+	st.mu.Lock()
+	n := len(st.free)
+	if n == 0 {
+		st.mu.Unlock()
+		st.made.Add(1)
 		return &scratch{}
 	}
+	sc := st.free[n-1]
+	st.free[n-1] = nil
+	st.free = st.free[:n-1]
+	st.mu.Unlock()
+	return sc
 }
 
-// put checks a scratch back in; overflow beyond the worker count is
-// dropped for the GC.
+// put checks a scratch back in, evicting the oldest entry when the list
+// is full.
 func (st *scratchStore) put(sc *scratch) {
 	st.out.Add(-1)
-	select {
-	case st.ch <- sc:
-	default:
+	st.mu.Lock()
+	if len(st.free) == st.bound {
+		copy(st.free, st.free[1:])
+		st.free = st.free[:st.bound-1]
 	}
+	st.free = append(st.free, sc)
+	st.mu.Unlock()
 }
 
 // outstanding reports how many scratches are checked out right now; 0
