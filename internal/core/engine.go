@@ -93,6 +93,8 @@ func (e *Engine) partition(ctx context.Context, a *sparse.Matrix, p int, method 
 	// Per-level imbalance δ with (1+δ)^levels = 1+ε.
 	delta := math.Pow(1+opts.Eps, 1/float64(levels)) - 1
 
+	// all is the run's only index array: bisect reorders it in place and
+	// hands each child its own subslice.
 	all := make([]int, a.NNZ())
 	for k := range all {
 		all[k] = k

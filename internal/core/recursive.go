@@ -56,6 +56,10 @@ func (h *runHooks) split(vol int64) {
 // Each node works on its subproblem relabeled to the occupied rows and
 // columns (a compact view) — O(nnz(sub)) per node instead of the
 // O(Rows+Cols) a full-dimension copy would cost at every tree level.
+// The node then reorders subset in place, left side first, each side in
+// its original order, and hands the children the disjoint halves, so the
+// caller's one index array serves the whole tree. bisect owns subset for
+// the duration of the call.
 //
 // Scratches: sc belongs to the goroutine running this node. Once the
 // split is done the node's buffers are dead, so the left branch keeps
@@ -92,14 +96,22 @@ func bisect(ctx context.Context, a *sparse.Matrix, subset []int, base, q int, pa
 	}
 	hooks.split(res.Volume)
 
-	var left, right []int
-	for sk, k := range view.NzOf {
+	// Stable in-place split of subset (= view.NzOf): left entries move
+	// down as they are met, right entries park in the compact matrix's
+	// row array, which holds len(subset) ints and is dead now.
+	park := view.A.RowIdx[:0]
+	nl := 0
+	for sk, k := range subset {
 		if res.Parts[sk] == 0 {
-			left = append(left, k)
+			subset[nl] = k
+			nl++
 		} else {
-			right = append(right, k)
+			park = append(park, k)
 		}
 	}
+	copy(subset[nl:], park)
+	left, right := subset[:nl:nl], subset[nl:]
+
 	seedL, seedR := rng.Int63(), rng.Int63()
 	var errL, errR error
 	pl.Fork(func() {
