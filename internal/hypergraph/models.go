@@ -122,10 +122,10 @@ func FineGrainIndexed(a *sparse.Matrix, ix *sparse.Index, sc *Scratch) *Hypergra
 	}
 	b := sc.Builder(n, wt)
 	for i := 0; i < a.Rows; i++ {
-		b.AddNetInts(ix.Row.Row(i))
+		b.AddNet(ix.Row.Row(i))
 	}
 	for j := 0; j < a.Cols; j++ {
-		b.AddNetInts(ix.Col.Col(j))
+		b.AddNet(ix.Col.Col(j))
 	}
 	return b.Build()
 }

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -154,26 +155,14 @@ func TestIndexResetMatchesBuild(t *testing.T) {
 		wantRow := BuildRowIndex(a)
 		wantCol := BuildColIndex(a)
 		for i := 0; i < a.Rows; i++ {
-			if !equalInts(ix.Row.Row(i), wantRow.Row(i)) {
+			if !slices.Equal(ix.Row.Row(i), wantRow.Row(i)) {
 				t.Fatalf("trial %d: row %d differs after Reset", trial, i)
 			}
 		}
 		for j := 0; j < a.Cols; j++ {
-			if !equalInts(ix.Col.Col(j), wantCol.Col(j)) {
+			if !slices.Equal(ix.Col.Col(j), wantCol.Col(j)) {
 				t.Fatalf("trial %d: col %d differs after Reset", trial, j)
 			}
 		}
 	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

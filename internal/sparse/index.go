@@ -3,16 +3,18 @@ package sparse
 // RowIndex is a CSR-style index over the nonzeros of a Matrix: for each
 // row it lists the positions (into the COO slices) of the nonzeros of
 // that row. It does not copy coordinates, so it stays valid as long as
-// the matrix is not mutated.
+// the matrix is not mutated. Positions are int32, half the size of the
+// COO arrays they index: the hypergraph models store pins as int32
+// already, so a matrix with more nonzeros cannot be partitioned anyway.
 type RowIndex struct {
-	Ptr []int // len Rows+1
-	Nz  []int // len NNZ; indices into the COO arrays, grouped by row
+	Ptr []int   // len Rows+1
+	Nz  []int32 // len NNZ; indices into the COO arrays, grouped by row
 }
 
 // ColIndex is the CSC-style analogue of RowIndex.
 type ColIndex struct {
 	Ptr []int
-	Nz  []int
+	Nz  []int32
 }
 
 // BuildRowIndex groups the nonzero positions of a by row using a
@@ -48,7 +50,7 @@ func (ix *ColIndex) Reset(a *Matrix) {
 // given, possibly reused, Ptr/Nz buckets. The bucket cursor runs inside
 // ptr itself — ptr[i] is bumped while filling and the array is shifted
 // back afterwards — so no extra per-call scratch is needed.
-func buildCompressed(ids []int, n int, ptr, nz []int) ([]int, []int) {
+func buildCompressed(ids []int, n int, ptr []int, nz []int32) ([]int, []int32) {
 	ptr = Resize(ptr, n+1)
 	clear(ptr)
 	nz = Resize(nz, len(ids))
@@ -59,7 +61,7 @@ func buildCompressed(ids []int, n int, ptr, nz []int) ([]int, []int) {
 		ptr[i+1] += ptr[i]
 	}
 	for k, i := range ids {
-		nz[ptr[i]] = k
+		nz[ptr[i]] = int32(k)
 		ptr[i]++
 	}
 	// Filling advanced ptr[i] to the end of group i; shift back so
@@ -106,10 +108,10 @@ func (ix *Index) Reset(a *Matrix) {
 }
 
 // Row returns the nonzero positions of row i.
-func (ix *RowIndex) Row(i int) []int { return ix.Nz[ix.Ptr[i]:ix.Ptr[i+1]] }
+func (ix *RowIndex) Row(i int) []int32 { return ix.Nz[ix.Ptr[i]:ix.Ptr[i+1]] }
 
 // Col returns the nonzero positions of column j.
-func (ix *ColIndex) Col(j int) []int { return ix.Nz[ix.Ptr[j]:ix.Ptr[j+1]] }
+func (ix *ColIndex) Col(j int) []int32 { return ix.Nz[ix.Ptr[j]:ix.Ptr[j+1]] }
 
 // CSR is a compressed-sparse-row matrix with values, used by the SpMV
 // substrate. Rows are contiguous; columns within a row are in COO order.
