@@ -117,10 +117,9 @@ type tieShape struct {
 
 // bipartitionScratch is the engine behind every bipartition entry point:
 // it indexes the matrix once and shares that CSR/CSC index between the
-// model build, iterative refinement, and the volume evaluation, drawing
-// all working memory from the per-worker scratch (nil = allocate). A
-// canceled ctx aborts between phases with ctx.Err(); an uncanceled ctx
-// never changes any result bit.
+// model build and iterative refinement, drawing all working memory from
+// the per-worker scratch (nil = allocate). A canceled ctx aborts between
+// phases with ctx.Err(); an uncanceled ctx never changes any result bit.
 func bipartitionScratch(ctx context.Context, a *sparse.Matrix, shape tieShape, method Method, opts Options, rng *rand.Rand, pl *pool.Pool, sc *scratch) (*Result, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
@@ -138,27 +137,26 @@ func bipartitionScratch(ctx context.Context, a *sparse.Matrix, shape tieShape, m
 		return nil, err
 	}
 
+	// Every method returns the cut of its hypergraph model, which is the
+	// volume of the nonzero bipartition it decodes to (§III-A), so no
+	// node pays a recount; partition recounts the final p-way answer.
 	ix := sc.index(a)
 	var parts []int
+	var vol int64
 	switch method {
 	case MethodRowNet:
-		parts = bipartitionRowNet(ctx, a, opts, rng, pl, ix, sc)
+		parts, vol = bipartitionRowNet(ctx, a, opts, rng, pl, ix, sc)
 	case MethodColNet:
-		parts = bipartitionColNet(ctx, a, opts, rng, pl, ix, sc)
+		parts, vol = bipartitionColNet(ctx, a, opts, rng, pl, ix, sc)
 	case MethodLocalBest:
-		p1 := bipartitionRowNet(ctx, a, opts, rng, pl, ix, sc)
-		p2 := bipartitionColNet(ctx, a, opts, rng, pl, ix, sc)
-		v1 := metrics.VolumeIndexed(ctx, a, p1, 2, &ix.Row, &ix.Col, pl)
-		v2 := metrics.VolumeIndexed(ctx, a, p2, 2, &ix.Row, &ix.Col, pl)
-		if v1 <= v2 {
-			parts = p1
-		} else {
-			parts = p2
+		parts, vol = bipartitionRowNet(ctx, a, opts, rng, pl, ix, sc)
+		if p2, v2 := bipartitionColNet(ctx, a, opts, rng, pl, ix, sc); v2 < vol {
+			parts, vol = p2, v2
 		}
 	case MethodFineGrain:
-		parts = bipartitionFineGrain(ctx, a, opts, rng, pl, ix, sc)
+		parts, vol = bipartitionFineGrain(ctx, a, opts, rng, pl, ix, sc)
 	case MethodMediumGrain:
-		parts = bipartitionMediumGrain(ctx, a, shape, opts, rng, pl, ix, sc)
+		parts, vol = bipartitionMediumGrain(ctx, a, shape, opts, rng, pl, ix, sc)
 	default:
 		return nil, fmt.Errorf("core: unknown method %v", method)
 	}
@@ -166,16 +164,12 @@ func bipartitionScratch(ctx context.Context, a *sparse.Matrix, shape tieShape, m
 		return nil, err
 	}
 
-	var vol int64
 	if opts.Refine {
-		// The refinement loop's invariant is the current volume; reuse
-		// it instead of paying another full scan.
+		// The refinement loop's invariant is the current volume.
 		parts, vol = iterativeRefineIndexed(ctx, a, parts, opts, rng, ix, sc)
-	} else {
-		vol = metrics.VolumeIndexed(ctx, a, parts, 2, &ix.Row, &ix.Col, pl)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 	}
 	return &Result{
 		Parts:   parts,
@@ -203,25 +197,27 @@ func caps(nnz int, opts Options) [2]int64 {
 	return [2]int64{c0, c1}
 }
 
-func bipartitionRowNet(ctx context.Context, a *sparse.Matrix, opts Options, rng *rand.Rand, pl *pool.Pool, ix *sparse.Index, sc *scratch) []int {
+// The bipartition* method functions return the nonzero parts and their
+// volume, the cut-net count of the method's hypergraph model.
+
+func bipartitionRowNet(ctx context.Context, a *sparse.Matrix, opts Options, rng *rand.Rand, pl *pool.Pool, ix *sparse.Index, sc *scratch) ([]int, int64) {
 	h := hypergraph.RowNetIndexed(a, &ix.Row, sc.hbuild())
-	colParts, _ := hgpart.Bipartition(ctx, h, caps(a.NNZ(), opts), rng, opts.Config, pl, sc.engine())
-	return hypergraph.VertexPartsToNonzeros(a, colParts)
+	colParts, cut := hgpart.Bipartition(ctx, h, caps(a.NNZ(), opts), rng, opts.Config, pl, sc.engine())
+	return hypergraph.VertexPartsToNonzeros(a, colParts), cut
 }
 
-func bipartitionColNet(ctx context.Context, a *sparse.Matrix, opts Options, rng *rand.Rand, pl *pool.Pool, ix *sparse.Index, sc *scratch) []int {
+func bipartitionColNet(ctx context.Context, a *sparse.Matrix, opts Options, rng *rand.Rand, pl *pool.Pool, ix *sparse.Index, sc *scratch) ([]int, int64) {
 	h := hypergraph.ColNetIndexed(a, &ix.Col, sc.hbuild())
-	rowParts, _ := hgpart.Bipartition(ctx, h, caps(a.NNZ(), opts), rng, opts.Config, pl, sc.engine())
-	return hypergraph.RowPartsToNonzeros(a, rowParts)
+	rowParts, cut := hgpart.Bipartition(ctx, h, caps(a.NNZ(), opts), rng, opts.Config, pl, sc.engine())
+	return hypergraph.RowPartsToNonzeros(a, rowParts), cut
 }
 
-func bipartitionFineGrain(ctx context.Context, a *sparse.Matrix, opts Options, rng *rand.Rand, pl *pool.Pool, ix *sparse.Index, sc *scratch) []int {
+func bipartitionFineGrain(ctx context.Context, a *sparse.Matrix, opts Options, rng *rand.Rand, pl *pool.Pool, ix *sparse.Index, sc *scratch) ([]int, int64) {
 	h := hypergraph.FineGrainIndexed(a, ix, sc.hbuild())
-	parts, _ := hgpart.Bipartition(ctx, h, caps(a.NNZ(), opts), rng, opts.Config, pl, sc.engine())
-	return parts
+	return hgpart.Bipartition(ctx, h, caps(a.NNZ(), opts), rng, opts.Config, pl, sc.engine())
 }
 
-func bipartitionMediumGrain(ctx context.Context, a *sparse.Matrix, shape tieShape, opts Options, rng *rand.Rand, pl *pool.Pool, ix *sparse.Index, sc *scratch) []int {
+func bipartitionMediumGrain(ctx context.Context, a *sparse.Matrix, shape tieShape, opts Options, rng *rand.Rand, pl *pool.Pool, ix *sparse.Index, sc *scratch) ([]int, int64) {
 	var inRow []bool
 	if opts.Split == SplitNNZ {
 		inRow = splitParallelShape(a, rng, shape.rows, shape.cols, pl)
@@ -233,7 +229,7 @@ func bipartitionMediumGrain(ctx context.Context, a *sparse.Matrix, shape tieShap
 		// buildBModel only fails on length mismatch, impossible here.
 		panic(err)
 	}
-	vparts, _ := hgpart.Bipartition(ctx, bm.H, caps(a.NNZ(), opts), rng, opts.Config, pl, sc.engine())
+	vparts, cut := hgpart.Bipartition(ctx, bm.H, caps(a.NNZ(), opts), rng, opts.Config, pl, sc.engine())
 	parts := bm.NonzeroParts(vparts)
 	// Degenerate splits can produce indivisible vertices heavier than the
 	// balance cap (e.g. a matrix that is one dense column groups into a
@@ -244,5 +240,5 @@ func bipartitionMediumGrain(ctx context.Context, a *sparse.Matrix, shape tieShap
 	if sizes[0] > limits[0] || sizes[1] > limits[1] {
 		return bipartitionFineGrain(ctx, a, opts, rng, pl, ix, sc)
 	}
-	return parts
+	return parts, cut
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"mediumgrain/internal/gen"
@@ -145,5 +148,39 @@ func TestPartitionVolumeScalesWithP(t *testing.T) {
 	}
 	if r8.Volume < r2.Volume {
 		t.Fatalf("p=8 volume %d below p=2 volume %d", r8.Volume, r2.Volume)
+	}
+}
+
+// TestSplitVolumesSumToVolume pins the invariant race-to-best pruning
+// relies on: every bisection reports its split's volume through onSplit,
+// and those volumes sum to the final p-way volume, which an independent
+// recount confirms.
+func TestSplitVolumesSumToVolume(t *testing.T) {
+	mats := map[string]*sparse.Matrix{
+		"lap2d": gen.Laplacian2D(18, 18),
+		"rect":  gen.ErdosRenyi(rand.New(rand.NewSource(8)), 150, 260, 0.012),
+	}
+	engines := map[int]*Engine{0: NewEngine(0), 2: NewEngine(2)}
+	for name, a := range mats {
+		for _, m := range allMethods() {
+			for _, p := range []int{2, 3, 8, 64} {
+				for _, refine := range []bool{false, true} {
+					for w, eng := range engines {
+						opts := DefaultOptions()
+						opts.Refine = refine
+						var sum atomic.Int64
+						hooks := &runHooks{onSplit: func(v int64) { sum.Add(v) }}
+						res, err := eng.partition(context.Background(), a, p, m, opts, rand.New(rand.NewSource(9)), hooks)
+						tag := fmt.Sprintf("%s/%v/p=%d/refine=%v/workers=%d", name, m, p, refine, w)
+						if err != nil {
+							t.Fatalf("%s: %v", tag, err)
+						}
+						if got, recount := sum.Load(), metrics.Volume(a, res.Parts, p); got != res.Volume || got != recount {
+							t.Fatalf("%s: split volumes sum to %d, result volume %d, recount %d", tag, got, res.Volume, recount)
+						}
+					}
+				}
+			}
+		}
 	}
 }
