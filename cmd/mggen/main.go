@@ -73,11 +73,16 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
 		out = f
 	}
 	if err := sparse.WriteMatrixMarket(out, a); err != nil {
 		log.Fatal(err)
+	}
+	// A failed Close can mean the file is incomplete, so it is an error.
+	if out != os.Stdout {
+		if err := out.Close(); err != nil {
+			log.Fatal(err)
+		}
 	}
 	fmt.Fprintf(os.Stderr, "generated %v (class %v)\n", a, a.Classify())
 }

@@ -6,11 +6,16 @@
 //
 //	mgpart -in matrix.mtx [-method MG] [-p 2] [-eps 0.03] [-ir]
 //	       [-engine mondriaan|alt] [-seed 1] [-workers N] [-out parts.txt]
-//	       [-tries N] [-budget 30s] [-parallel-fm]
+//	       [-tries N] [-budget 30s] [-parallel-fm] [-check]
 //
 // With -tries N > 1 the run races N deterministic seed variants
 // (seed..seed+N-1) and keeps the lowest-volume result; -budget bounds
 // the race's wall time.
+//
+// With -check the result must pass the output oracle: a valid p-way
+// assignment, within the -eps balance bound, whose volume an
+// independent recount reproduces. A failure names the failed check and
+// exits 1 before any output file is written.
 //
 // The output lists one part id per nonzero, in the (row-sorted) order of
 // the input file's nonzeros after canonicalization.
@@ -29,6 +34,7 @@ import (
 	"sync/atomic"
 
 	"mediumgrain"
+	"mediumgrain/internal/metrics"
 	"mediumgrain/internal/report"
 )
 
@@ -53,6 +59,7 @@ func main() {
 		stats      = flag.Bool("stats", false, "print per-part statistics and the lambda histogram")
 		distDir    = flag.String("dist", "", "write a distributed bundle (<dir>/<matrixbase>.{mtx,parts,invec,outvec})")
 		kway       = flag.Bool("kway", false, "apply direct k-way refinement after recursive bisection")
+		check      = flag.Bool("check", false, "verify the result (valid parts, balance within -eps, volume recount) and exit 1 on a failure")
 	)
 	flag.Parse()
 	if *inPath == "" {
@@ -139,6 +146,12 @@ func main() {
 	fmt.Printf("volume:    %d\n", res.Volume)
 	fmt.Printf("imbalance: %.4f (allowed %.4f)\n", mediumgrain.Imbalance(res.Parts, *p), *eps)
 	fmt.Printf("BSP cost:  %d\n", mediumgrain.BSPCost(a, res.Parts, *p))
+	if *check {
+		if err := checkResult(a, res.Parts, *p, *eps, res.Volume); err != nil {
+			log.Fatalf("check failed: %v", err)
+		}
+		fmt.Println("check:     ok (parts valid, balance within eps, volume recount equal)")
+	}
 
 	if *spy {
 		fmt.Println()
@@ -180,4 +193,19 @@ func main() {
 		}
 		fmt.Printf("partition written to %s\n", *outPath)
 	}
+}
+
+// checkResult is the output oracle behind -check. The error names the
+// failed check: parts, balance or volume.
+func checkResult(a *mediumgrain.Matrix, parts []int, p int, eps float64, volume int64) error {
+	if err := metrics.ValidateParts(a, parts, p); err != nil {
+		return fmt.Errorf("parts: %w", err)
+	}
+	if err := metrics.CheckBalance(parts, p, eps); err != nil {
+		return fmt.Errorf("balance: %w", err)
+	}
+	if v := metrics.Volume(a, parts, p); v != volume {
+		return fmt.Errorf("volume: recount %d, reported %d", v, volume)
+	}
+	return nil
 }
