@@ -34,10 +34,11 @@ type EngineConfig struct {
 // Engine is a reusable, cancellable partitioning handle — the single
 // entry point for library, CLI, and daemon callers. Create one with
 // New, keep it for the lifetime of the process, and run every request
-// through it: the engine owns the worker-pool semaphore and the
-// per-worker scratch free list, so repeated calls reuse memory instead
-// of reallocating, and concurrent calls share one machine-wide worker
-// budget instead of multiplying goroutines.
+// through it: the engine owns the worker-pool semaphore and keeps up to
+// max(Workers, 1) scratches warm between calls, so a repeated call on a
+// matrix no larger than before reuses the buffers instead of regrowing
+// them, and concurrent calls share one machine-wide worker budget
+// instead of multiplying goroutines.
 //
 // All methods are safe for concurrent use and honor their context:
 // cancellation propagates cooperatively into recursive bisection, the

@@ -114,11 +114,16 @@
 // working memory (the compaction maps, the CSR/CSC index shared by
 // model build and metric evaluation, hypergraph build arrays, the
 // multilevel engine's matching/contraction/FM buffers) comes from an
-// explicit per-worker scratch that is reused level to level. Scratches
-// are handed out by the recursion — the continuing branch keeps its
-// scratch, the forked branch checks one out of a free list bounded by
-// the worker count — so buffer reuse is deterministic, unlike
-// sync.Pool, and an inline engine reuses a single scratch.
+// explicit scratch that is reused node to node. A call holds one
+// scratch per goroutine that runs its bisection tree: a branch that runs
+// inline keeps its parent's, and only a branch the pool runs on a helper
+// goroutine checks one out. So a call holds at most max(Workers, 1)
+// scratches, and an inline engine uses exactly one. The engine keeps up
+// to that many between calls and hands the root's back first, so a
+// steady-state call regrows no buffer, and buffer reuse is
+// deterministic, unlike sync.Pool. Each node reorders the call's one
+// index array in place rather than copying its halves out, and the
+// CSR/CSC index stores nonzero positions as int32.
 //
 // Compaction never changes a tie: the relabeling is order preserving,
 // and the medium-grain split's global tie orientation is decided from
