@@ -14,7 +14,7 @@ import (
 func TestCheckResultNamesFailedCheck(t *testing.T) {
 	a := gen.Laplacian2D(12, 12)
 	const p = 4
-	res, err := mediumgrain.New(mediumgrain.EngineConfig{}).Partition(context.Background(), mediumgrain.Request{Matrix: a, P: p, Seed: 1})
+	res, err := mediumgrain.New(mediumgrain.EngineConfig{}).Partition(context.Background(), mediumgrain.Request{Matrix: a, P: p, Method: mediumgrain.MethodMediumGrain, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,9 +197,6 @@ func caps(nnz int, opts Options) [2]int64 {
 	return [2]int64{c0, c1}
 }
 
-// The bipartition* method functions return the nonzero parts and their
-// volume, the cut-net count of the method's hypergraph model.
-
 func bipartitionRowNet(ctx context.Context, a *sparse.Matrix, opts Options, rng *rand.Rand, pl *pool.Pool, ix *sparse.Index, sc *scratch) ([]int, int64) {
 	h := hypergraph.RowNetIndexed(a, &ix.Row, sc.hbuild())
 	colParts, cut := hgpart.Bipartition(ctx, h, caps(a.NNZ(), opts), rng, opts.Config, pl, sc.engine())

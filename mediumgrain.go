@@ -112,7 +112,7 @@
 // relabeled onto the occupied rows and columns, with back-maps to the
 // parent's coordinates — instead of a full-dimension copy, and all
 // working memory (the compaction maps, the CSR/CSC index shared by
-// model build and metric evaluation, hypergraph build arrays, the
+// model build and refinement, hypergraph build arrays, the
 // multilevel engine's matching/contraction/FM buffers) comes from an
 // explicit scratch that is reused node to node. A call holds one
 // scratch per goroutine that runs its bisection tree: a branch that runs
