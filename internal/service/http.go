@@ -93,7 +93,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "decoding job spec: " + err.Error()})
 		return
 	}
-	job, err := s.Submit(spec)
+	_, v, err := s.submit(spec)
 	if err != nil {
 		var bad *BadSpecError
 		switch {
@@ -107,10 +107,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	v := s.jobs.View(job)
-	// Status follows the cached flag, not the state: a fast job can
-	// already be done by the time we snapshot it, and the contract says
-	// 200 means "served from cache".
+	// v is the job as admitted (submit snapshots it before a runner can
+	// claim it): 200 with a done view means "served from cache", 202
+	// with a queued view means "accepted".
 	status := http.StatusAccepted
 	if v.Cached {
 		status = http.StatusOK

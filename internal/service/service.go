@@ -371,9 +371,19 @@ func (s *Server) Members() *membership.Set { return s.members }
 // returned error is ErrDraining, ErrQueueFull, or a *BadSpecError; the
 // job is non-nil exactly when err is nil.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
+	job, _, err := s.submit(spec)
+	return job, err
+}
+
+// submit is Submit that also returns the job's view at admission: done
+// and cached for a cache hit, queued otherwise. The queued view is taken
+// before the job is published to a flight or the scheduler, because a
+// runner may claim the job the moment it is, and the submit response
+// must describe the job as admitted, not as a runner has since moved it.
+func (s *Server) submit(spec JobSpec) (*Job, JobView, error) {
 	if s.draining.Load() {
 		s.stats.rejected()
-		return nil, ErrDraining
+		return nil, JobView{}, ErrDraining
 	}
 	// Shed expensive upload resolution (parse + canonicalize + hash of
 	// up to 64MB) before doing it when the queue is already full: the
@@ -383,11 +393,11 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	// named corpus specs stay cheap to resolve and are never shed here.
 	if spec.MatrixMM != "" && s.sched.full() {
 		s.stats.rejected()
-		return nil, ErrQueueFull
+		return nil, JobView{}, ErrQueueFull
 	}
 	rs, err := s.resolve(spec)
 	if err != nil {
-		return nil, err
+		return nil, JobView{}, err
 	}
 	job := s.jobs.create(rs)
 	if res, hits, ok := s.cache.Touch(rs.key); ok {
@@ -397,8 +407,9 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		}
 		s.jobs.completeCached(job, res)
 		s.maybeReplicate(res, hits)
-		return job, nil
+		return job, s.jobs.View(job), nil
 	}
+	queued := s.jobs.View(job)
 	// Single-flight: attach to an identical in-flight computation
 	// instead of queueing a duplicate.
 	s.flightMu.Lock()
@@ -407,7 +418,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		s.flightMu.Unlock()
 		s.stats.deduped()
 		s.stats.accepted()
-		return job, nil
+		return job, queued, nil
 	}
 	f := &flight{key: rs.key, jobs: []*Job{job}, matrix: rs.matrix}
 	s.flights[rs.key] = f
@@ -433,13 +444,13 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		}
 		s.jobs.drop(job.id)
 		s.stats.rejected()
-		return nil, err
+		return nil, JobView{}, err
 	}
 	// Counted only for admitted jobs, so an overloaded queue does not
 	// deflate the hit rate with submissions that never computed.
 	s.stats.cacheMiss()
 	s.stats.accepted()
-	return job, nil
+	return job, queued, nil
 }
 
 // Cancel moves a queued or running job to the canceled state. When it
