@@ -7,8 +7,9 @@
 // Wall-time and allocation changes are reported but never fail the run —
 // CI machines are too noisy for hard time gates — while a communication
 // volume more than the tolerance above the baseline on any common grid
-// point exits nonzero. `make bench-diff OLD=a.json NEW=b.json` is the
-// Makefile entry point.
+// point exits nonzero. The table ends with the volume summed over the
+// common grid points, old and new, and their ratio. `make bench-diff
+// OLD=a.json NEW=b.json` is the Makefile entry point.
 package main
 
 import (

@@ -101,9 +101,20 @@ func VolumeRegressions(rows []DiffRow, tol float64) []DiffRow {
 	return bad
 }
 
+// VolumeTotals sums the old and new volume over the rows, so a
+// grid-level quality claim reads off one pair of numbers.
+func VolumeTotals(rows []DiffRow) (oldSum, newSum int64) {
+	for _, r := range rows {
+		oldSum += r.OldVolume
+		newSum += r.NewVolume
+	}
+	return oldSum, newSum
+}
+
 // FormatDiff renders the comparison as an aligned text table: the
 // quality gate's volume columns plus the informational wall-time and
 // bytes-per-op deltas, so the CI log doubles as the perf trend record.
+// A last line gives the volume summed over all rows and its ratio.
 func FormatDiff(rows []DiffRow) string {
 	if len(rows) == 0 {
 		return "no common grid points\n"
@@ -120,6 +131,12 @@ func FormatDiff(rows []DiffRow) string {
 			r.OldVolume, r.NewVolume, r.VolumeRatio,
 			mb(r.OldBytes), mb(r.NewBytes), r.BytesRatio)
 	}
+	oldSum, newSum := VolumeTotals(rows)
+	fmt.Fprintf(&b, "total volume over %d points: %d -> %d", len(rows), oldSum, newSum)
+	if oldSum > 0 {
+		fmt.Fprintf(&b, " (x%.4f)", float64(newSum)/float64(oldSum))
+	}
+	b.WriteString("\n")
 	return b.String()
 }
 
