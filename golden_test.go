@@ -30,62 +30,62 @@ type goldenRow struct {
 // computed under the old semantics can never answer a current request.
 // On a mismatch the test prints the new table ready to paste here.
 var goldenTable = []goldenRow{
-	{"lap2d-24", "MG", 2, "default", 48, 0xddb9a31c8bbfd804},
-	{"lap2d-24", "MG", 16, "default", 274, 0x1192109464859fbc},
-	{"lap2d-24", "FG", 2, "default", 48, 0x4657ec186eef26b4},
-	{"lap2d-24", "FG", 16, "default", 275, 0x0bf8442461cbf827},
-	{"lap2d-24", "LB", 2, "default", 48, 0x060d1a16b4cbe145},
-	{"lap2d-24", "LB", 16, "default", 267, 0x26c69a138f048218},
-	{"lap2d-24", "MG", 2, "refine", 48, 0xddb9a31c8bbfd804},
-	{"lap2d-24", "MG", 16, "refine", 266, 0xcfe01dd1e0ce9078},
-	{"lap2d-24", "MG", 2, "tries2", 48, 0xddb9a31c8bbfd804},
-	{"lap2d-24", "MG", 16, "tries2", 270, 0x43a9b9079bca98bf},
-	{"lap2d-24", "MG", 2, "parallel-fm", 48, 0xddb9a31c8bbfd804},
-	{"lap2d-24", "MG", 16, "parallel-fm", 267, 0xf29ef901bf5c23c9},
-	{"lap2d-24", "FG", 2, "parallel-fm", 48, 0xe9f4b807ea48bca5},
-	{"lap2d-24", "FG", 16, "parallel-fm", 273, 0x798b2aa24bf5c795},
-	{"powerlaw-3", "MG", 2, "default", 151, 0xb8cba50d4df07294},
-	{"powerlaw-3", "MG", 16, "default", 789, 0xfae8ed22f0474f62},
-	{"powerlaw-3", "FG", 2, "default", 161, 0x992850e6390193d5},
-	{"powerlaw-3", "FG", 16, "default", 806, 0x672fdc389732424e},
-	{"powerlaw-3", "LB", 2, "default", 231, 0xd6ca3c969c70cf15},
-	{"powerlaw-3", "LB", 16, "default", 859, 0xd497bb6c2e1e9554},
-	{"powerlaw-3", "MG", 2, "refine", 150, 0xe35ac753fca074b5},
-	{"powerlaw-3", "MG", 16, "refine", 772, 0xd0407e3268dc39c6},
-	{"powerlaw-3", "MG", 2, "tries2", 151, 0xb8cba50d4df07294},
-	{"powerlaw-3", "MG", 16, "tries2", 789, 0xfae8ed22f0474f62},
-	{"powerlaw-3", "MG", 2, "parallel-fm", 153, 0x44f0bd2013c4ab35},
-	{"powerlaw-3", "MG", 16, "parallel-fm", 781, 0x496493fa0ecbf070},
-	{"powerlaw-3", "FG", 2, "parallel-fm", 166, 0x98158cb5591913f4},
-	{"powerlaw-3", "FG", 16, "parallel-fm", 767, 0x0eba739ebe7ab7d9},
-	{"asym-pl", "MG", 2, "default", 152, 0xc5ca80b716464055},
-	{"asym-pl", "MG", 16, "default", 755, 0xdbbc8ebcb5175101},
-	{"asym-pl", "FG", 2, "default", 156, 0xc171ac7a0cf00184},
-	{"asym-pl", "FG", 16, "default", 776, 0x7e8d21308ecaf271},
-	{"asym-pl", "LB", 2, "default", 164, 0x99a4dd90adc8ba54},
-	{"asym-pl", "LB", 16, "default", 758, 0xbaec81e6dc243020},
-	{"asym-pl", "MG", 2, "refine", 148, 0xab024a7d82288885},
-	{"asym-pl", "MG", 16, "refine", 751, 0xb59d073043061237},
-	{"asym-pl", "MG", 2, "tries2", 152, 0xc5ca80b716464055},
-	{"asym-pl", "MG", 16, "tries2", 755, 0xdbbc8ebcb5175101},
-	{"asym-pl", "MG", 2, "parallel-fm", 159, 0x0db940eb5fcf0445},
-	{"asym-pl", "MG", 16, "parallel-fm", 736, 0xc2d17f6234fcb2fe},
-	{"asym-pl", "FG", 2, "parallel-fm", 163, 0xd58e7ceb09a7d055},
-	{"asym-pl", "FG", 16, "parallel-fm", 751, 0x11997aaf42d401c7},
-	{"bip-tall", "MG", 2, "default", 89, 0x56ffc7fc009000c5},
-	{"bip-tall", "MG", 16, "default", 463, 0x80569518c669f1e3},
-	{"bip-tall", "FG", 2, "default", 97, 0xddecec276af8b235},
-	{"bip-tall", "FG", 16, "default", 471, 0x409ee276ef22266c},
-	{"bip-tall", "LB", 2, "default", 91, 0x720aa8267bff23a5},
-	{"bip-tall", "LB", 16, "default", 461, 0xe266614275ab891b},
-	{"bip-tall", "MG", 2, "refine", 89, 0x56ffc7fc009000c5},
-	{"bip-tall", "MG", 16, "refine", 454, 0xdc82160ced8f37e1},
-	{"bip-tall", "MG", 2, "tries2", 89, 0x56ffc7fc009000c5},
-	{"bip-tall", "MG", 16, "tries2", 463, 0x80569518c669f1e3},
-	{"bip-tall", "MG", 2, "parallel-fm", 86, 0x471243bfc061fe65},
-	{"bip-tall", "MG", 16, "parallel-fm", 458, 0xf6b417fb8e35d0ec},
-	{"bip-tall", "FG", 2, "parallel-fm", 95, 0xe929141c73b6f914},
-	{"bip-tall", "FG", 16, "parallel-fm", 475, 0xe0f4d5474078f8e0},
+	{"lap2d-24", "MG", 2, "default", 48, 0x61d63857bcc2de84},
+	{"lap2d-24", "MG", 16, "default", 267, 0x32f13ed392dcd496},
+	{"lap2d-24", "FG", 2, "default", 48, 0x2b48656405b55775},
+	{"lap2d-24", "FG", 16, "default", 282, 0x9a8ee8f6446cc286},
+	{"lap2d-24", "LB", 2, "default", 48, 0xec752dc2730ddf65},
+	{"lap2d-24", "LB", 16, "default", 264, 0x43d015c62a9714b9},
+	{"lap2d-24", "MG", 2, "refine", 48, 0x61d63857bcc2de84},
+	{"lap2d-24", "MG", 16, "refine", 270, 0x6944d14e052d1a14},
+	{"lap2d-24", "MG", 2, "tries2", 48, 0x61d63857bcc2de84},
+	{"lap2d-24", "MG", 16, "tries2", 267, 0x32f13ed392dcd496},
+	{"lap2d-24", "MG", 2, "parallel-fm", 48, 0x61d63857bcc2de84},
+	{"lap2d-24", "MG", 16, "parallel-fm", 260, 0xd0e1e56fb9abf357},
+	{"lap2d-24", "FG", 2, "parallel-fm", 48, 0x2b48656405b55775},
+	{"lap2d-24", "FG", 16, "parallel-fm", 277, 0x11598c74e5f41f77},
+	{"powerlaw-3", "MG", 2, "default", 152, 0xfd81a4c5d60cce15},
+	{"powerlaw-3", "MG", 16, "default", 791, 0x70d5bd2c4a501c38},
+	{"powerlaw-3", "FG", 2, "default", 162, 0x2b5db9d17b8af604},
+	{"powerlaw-3", "FG", 16, "default", 801, 0x6c74e0271ee125e9},
+	{"powerlaw-3", "LB", 2, "default", 239, 0xebd42062c0d83084},
+	{"powerlaw-3", "LB", 16, "default", 868, 0x90ce078573929cd1},
+	{"powerlaw-3", "MG", 2, "refine", 151, 0x17e755a5729aa3a5},
+	{"powerlaw-3", "MG", 16, "refine", 756, 0x2a56e2ebf09dd18c},
+	{"powerlaw-3", "MG", 2, "tries2", 152, 0xfd81a4c5d60cce15},
+	{"powerlaw-3", "MG", 16, "tries2", 791, 0x70d5bd2c4a501c38},
+	{"powerlaw-3", "MG", 2, "parallel-fm", 145, 0x5334f8ecc4deab84},
+	{"powerlaw-3", "MG", 16, "parallel-fm", 801, 0x47871b2be6df1e85},
+	{"powerlaw-3", "FG", 2, "parallel-fm", 158, 0xbf202d0c4b3f9515},
+	{"powerlaw-3", "FG", 16, "parallel-fm", 784, 0x3ba84c095e0f4991},
+	{"asym-pl", "MG", 2, "default", 154, 0x70a6046fbbd48824},
+	{"asym-pl", "MG", 16, "default", 754, 0x4b3321e08d71cfff},
+	{"asym-pl", "FG", 2, "default", 160, 0xc4d6652d0999f025},
+	{"asym-pl", "FG", 16, "default", 770, 0x32c03022d8159e52},
+	{"asym-pl", "LB", 2, "default", 162, 0x8cbe106b806644a5},
+	{"asym-pl", "LB", 16, "default", 766, 0x1f5992e0d724bc06},
+	{"asym-pl", "MG", 2, "refine", 153, 0x51ea30e71898b705},
+	{"asym-pl", "MG", 16, "refine", 747, 0x393bc66739fe1fcf},
+	{"asym-pl", "MG", 2, "tries2", 154, 0x70a6046fbbd48824},
+	{"asym-pl", "MG", 16, "tries2", 754, 0x4b3321e08d71cfff},
+	{"asym-pl", "MG", 2, "parallel-fm", 151, 0xea4d919a55011fe4},
+	{"asym-pl", "MG", 16, "parallel-fm", 731, 0xce3bda93d8b15f41},
+	{"asym-pl", "FG", 2, "parallel-fm", 162, 0x752314a66615b695},
+	{"asym-pl", "FG", 16, "parallel-fm", 748, 0x1a8e3937d23948ff},
+	{"bip-tall", "MG", 2, "default", 86, 0x5a688ff22683a305},
+	{"bip-tall", "MG", 16, "default", 460, 0x73fb3e7393fadb76},
+	{"bip-tall", "FG", 2, "default", 104, 0x5926e316b03476a4},
+	{"bip-tall", "FG", 16, "default", 482, 0xd37cb3ae38e00972},
+	{"bip-tall", "LB", 2, "default", 90, 0x771ea0b9a0b8ba54},
+	{"bip-tall", "LB", 16, "default", 469, 0xf61a59419bf2bdd8},
+	{"bip-tall", "MG", 2, "refine", 86, 0x5a688ff22683a305},
+	{"bip-tall", "MG", 16, "refine", 459, 0x50009df7ffbe7d66},
+	{"bip-tall", "MG", 2, "tries2", 86, 0x5a688ff22683a305},
+	{"bip-tall", "MG", 16, "tries2", 456, 0xe83eba44529283f5},
+	{"bip-tall", "MG", 2, "parallel-fm", 85, 0xe45355bfe9854a35},
+	{"bip-tall", "MG", 16, "parallel-fm", 449, 0x6ce531dbaa330e3f},
+	{"bip-tall", "FG", 2, "parallel-fm", 96, 0xfaa3cf9841b393a4},
+	{"bip-tall", "FG", 16, "parallel-fm", 468, 0xe23698721b2e6f3b},
 }
 
 // goldenVariants are the request shapes the table covers and the

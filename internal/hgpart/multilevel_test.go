@@ -341,21 +341,6 @@ func TestGreedyGrowCoversAllVertices(t *testing.T) {
 	}
 }
 
-func TestRandomAssignRoughBalance(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	h := gridHypergraph(101) // odd
-	maxW := balancedCaps(h.TotalWeight(), 0.03)
-	parts := randomAssign(h, maxW, rng)
-	var w [2]int64
-	for v, p := range parts {
-		w[p] += h.VertWt[v]
-	}
-	tw := h.TotalWeight()
-	if w[0] < tw/4 || w[1] < tw/4 {
-		t.Fatalf("random assignment badly skewed: %v of %d", w, tw)
-	}
-}
-
 func TestCapsToEps(t *testing.T) {
 	h := gridHypergraph(10)
 	tw := h.TotalWeight()
