@@ -101,20 +101,11 @@ func VolumeRegressions(rows []DiffRow, tol float64) []DiffRow {
 	return bad
 }
 
-// VolumeTotals sums the old and new volume over the rows, so a
-// grid-level quality claim reads off one pair of numbers.
-func VolumeTotals(rows []DiffRow) (oldSum, newSum int64) {
-	for _, r := range rows {
-		oldSum += r.OldVolume
-		newSum += r.NewVolume
-	}
-	return oldSum, newSum
-}
-
 // FormatDiff renders the comparison as an aligned text table: the
 // quality gate's volume columns plus the informational wall-time and
 // bytes-per-op deltas, so the CI log doubles as the perf trend record.
-// A last line gives the volume summed over all rows and its ratio.
+// A last line gives the volume summed over all rows, old and new, and
+// their ratio, so a grid-level quality claim reads off one line.
 func FormatDiff(rows []DiffRow) string {
 	if len(rows) == 0 {
 		return "no common grid points\n"
@@ -124,14 +115,16 @@ func FormatDiff(rows []DiffRow) string {
 	fmt.Fprintf(&b, "%-18s %-4s %-3s %-3s %12s %12s %8s %10s %10s %8s %9s %9s %8s\n",
 		"matrix", "p", "w", "m", "old ms", "new ms", "ms x", "old vol", "new vol", "vol x",
 		"old MB/op", "new MB/op", "MB x")
+	var oldSum, newSum int64
 	for _, r := range rows {
+		oldSum += r.OldVolume
+		newSum += r.NewVolume
 		fmt.Fprintf(&b, "%-18s %-4d %-3d %-3s %12.2f %12.2f %8.2f %10d %10d %8.3f %9.1f %9.1f %8.2f\n",
 			r.Matrix, r.P, r.Workers, r.Method,
 			r.OldWallMS, r.NewWallMS, r.WallRatio,
 			r.OldVolume, r.NewVolume, r.VolumeRatio,
 			mb(r.OldBytes), mb(r.NewBytes), r.BytesRatio)
 	}
-	oldSum, newSum := VolumeTotals(rows)
 	fmt.Fprintf(&b, "total volume over %d points: %d -> %d", len(rows), oldSum, newSum)
 	if oldSum > 0 {
 		fmt.Fprintf(&b, " (x%.4f)", float64(newSum)/float64(oldSum))
