@@ -172,6 +172,15 @@ func (b *Breaker) Failure(node string) {
 	}
 }
 
+// Abandon records no outcome for an attempt its caller called off, which
+// says nothing about node's health; it only frees a half-open probe slot
+// the attempt held, so the next attempt can probe.
+func (b *Breaker) Abandon(node string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.node(node).probing = false
+}
+
 // trip opens node's circuit; caller holds b.mu.
 func (b *Breaker) trip(node string, n *breakerNode) {
 	n.state = BreakerOpen

@@ -106,6 +106,41 @@ func TestBreakerOpenHalfOpenClose(t *testing.T) {
 	}
 }
 
+// TestBreakerAbandonFreesProbeSlot: an attempt its caller called off
+// records no outcome: it neither counts toward the threshold nor closes
+// or reopens a circuit, and a half-open probe slot it held goes to the
+// next caller.
+func TestBreakerAbandonFreesProbeSlot(t *testing.T) {
+	clk := newManualClock()
+	b := testBreaker(clk, 1)
+	const node = "s3:1"
+
+	b.Allow(node)
+	b.Abandon(node)
+	if st := b.State(node); st != BreakerClosed {
+		t.Fatalf("state after an abandoned attempt = %q, want closed", st)
+	}
+
+	b.Failure(node)
+	clk.Advance(time.Second)
+	if !b.Allow(node) {
+		t.Fatal("due circuit refused the half-open probe")
+	}
+	b.Abandon(node)
+	if st := b.State(node); st != BreakerHalfOpen {
+		t.Fatalf("state after an abandoned probe = %q, want half-open", st)
+	}
+	if !b.Allow(node) {
+		t.Fatal("abandoned probe kept its slot")
+	}
+	if b.Allow(node) {
+		t.Fatal("second caller won a probe slot while one was in flight")
+	}
+	if b.Opened() != 1 || b.Closed() != 0 {
+		t.Fatalf("opened=%d closed=%d, want 1/0", b.Opened(), b.Closed())
+	}
+}
+
 func TestBreakerReopenGrowsInterval(t *testing.T) {
 	clk := newManualClock()
 	b := testBreaker(clk, 1)

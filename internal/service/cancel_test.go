@@ -218,6 +218,15 @@ func TestCancelOneDedupJobKeepsComputation(t *testing.T) {
 	waitDone(t, ts, park.ID)
 }
 
+// waitPersisted returns once the disk writes of every job already seen
+// done have finished: finishFlight marks jobs done while holding
+// persistMu and writes before releasing it, the barrier every export
+// path waits on too.
+func waitPersisted(s *Server) {
+	s.persistMu.Lock()
+	s.persistMu.Unlock()
+}
+
 // TestEvictionGarbageCollectsPersistedBundle: when the LRU evicts an
 // entry, its distio bundle and meta JSON disappear from the data
 // directory; the surviving entry's files remain.
@@ -226,7 +235,7 @@ func TestEvictionGarbageCollectsPersistedBundle(t *testing.T) {
 	cfg := testConfig()
 	cfg.DataDir = dir
 	cfg.CacheEntries = 1
-	_, ts := newTestServer(t, cfg)
+	s, ts := newTestServer(t, cfg)
 
 	v1, _ := postJob(t, ts, JobSpec{Corpus: "tridiag", P: 2, Seed: 51, Workers: 1})
 	d1 := waitDone(t, ts, v1.ID)
@@ -239,6 +248,7 @@ func TestEvictionGarbageCollectsPersistedBundle(t *testing.T) {
 		}
 		return present
 	}
+	waitPersisted(s)
 	if got := entryFiles(d1.Key); len(got) != 5 {
 		t.Fatalf("first entry persisted %v, want all 5 files", got)
 	}
@@ -247,6 +257,7 @@ func TestEvictionGarbageCollectsPersistedBundle(t *testing.T) {
 	// and must garbage-collect its files.
 	v2, _ := postJob(t, ts, JobSpec{Corpus: "tridiag", P: 2, Seed: 52, Workers: 1})
 	d2 := waitDone(t, ts, v2.ID)
+	waitPersisted(s)
 	if got := entryFiles(d1.Key); len(got) != 0 {
 		t.Fatalf("evicted entry left files behind: %v", got)
 	}

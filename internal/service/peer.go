@@ -19,7 +19,7 @@ import (
 // Peer cache-entry exchange: the shard-to-shard half of cluster mode.
 // On a local miss a shard asks the key's other ring replicas for their
 // persisted entry (GET /cache/{key}, a tar-framed distio bundle + meta)
-// before computing; entries that cross the configured hit threshold are
+// while it computes; entries that cross the configured hit threshold are
 // pushed to the key's other replicas (PUT /cache/{key}) so hot keys are
 // answerable by every replica. Every adopted entry — fetched or pushed —
 // passes the same validation as cache rehydration plus a re-derivation
@@ -219,7 +219,7 @@ func (s *Server) adoptEntryTar(r io.Reader, key, from string) (*CachedResult, *s
 }
 
 // tryPeerFetch asks the key's other ring replicas for a persisted entry
-// before computing. First validated answer wins; every failed attempt
+// while the job computes. First validated answer wins; every failed attempt
 // (unreachable peer, 404, corrupt transfer) counts peer_fetch_failed and
 // falls through — worst case the shard computes locally, exactly as if
 // it had no peers. Peers whose circuit is open are skipped outright
@@ -257,7 +257,11 @@ func (s *Server) notePeer(node string, err error, status int) {
 	s.peerBreaker.Success(node)
 }
 
-// fetchFrom retrieves and validates one peer's entry for key.
+// fetchFrom retrieves and validates one peer's entry for key. A request
+// that failed because the caller canceled ctx (a DELETE of the job) is
+// no verdict on the peer and leaves its circuit as it was; one cut by
+// ctx's deadline counts as a failure, which is how a hung peer opens its
+// circuit.
 func (s *Server) fetchFrom(ctx context.Context, node, key string) (*CachedResult, *sparse.Matrix, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cluster.NodeURL(node)+"/cache/"+key, nil)
 	if err != nil {
@@ -268,7 +272,11 @@ func (s *Server) fetchFrom(ctx context.Context, node, key string) (*CachedResult
 	}
 	resp, err := s.clu.Client.Do(req)
 	if err != nil {
-		s.notePeer(node, err, 0)
+		if errors.Is(ctx.Err(), context.Canceled) {
+			s.peerBreaker.Abandon(node)
+		} else {
+			s.notePeer(node, err, 0)
+		}
 		return nil, nil, err
 	}
 	defer resp.Body.Close()

@@ -21,13 +21,19 @@ import (
 // address.
 func startClusterShard(t *testing.T, ring *cluster.Ring, ln net.Listener, self string, replicateAfter int64) *Server {
 	t.Helper()
+	return serveShard(t, ln, cluster.ShardConfig{Self: self, Ring: ring, ReplicateAfter: replicateAfter})
+}
+
+// serveShard is startClusterShard with the whole cluster configuration.
+func serveShard(t *testing.T, ln net.Listener, clu cluster.ShardConfig) *Server {
+	t.Helper()
 	s, warns := New(Config{
 		Workers: 2, Runners: 2, QueueDepth: 16, CacheEntries: 32,
 		DataDir: t.TempDir(),
-		Cluster: &cluster.ShardConfig{Self: self, Ring: ring, ReplicateAfter: replicateAfter},
+		Cluster: &clu,
 	})
 	for _, w := range warns {
-		t.Fatalf("shard %s: %v", self, w)
+		t.Fatalf("shard %s: %v", clu.Self, w)
 	}
 	// Drain before TempDir's removal (cleanups run last-in first-out).
 	t.Cleanup(s.Drain)
@@ -430,6 +436,9 @@ func TestCacheEndpointsRequireSecret(t *testing.T) {
 		for _, w := range warns {
 			t.Fatalf("shard %s: %v", self, w)
 		}
+		// Drain before TempDir's removal (cleanups run last-in first-out):
+		// a job is done before its entry is written.
+		t.Cleanup(s.Drain)
 		hs := &http.Server{Handler: s.Handler()}
 		go hs.Serve(ln)
 		t.Cleanup(func() { hs.Close() })
@@ -492,6 +501,189 @@ func TestCacheEndpointsRequireSecret(t *testing.T) {
 	}
 	if res := shardResult(t, baseB, vB.ID); res.Origin != "peer:"+addrA {
 		t.Fatalf("B's result origin %q, want peer:%s", res.Origin, addrA)
+	}
+}
+
+// startFakePeer serves h as a ring peer's GET /cache/{key} and returns
+// the peer's node address. stop is closed before the peer shuts down, so
+// a handler that blocks on it cannot hold up the test's end.
+func startFakePeer(t *testing.T, h func(w http.ResponseWriter, r *http.Request, stop <-chan struct{})) string {
+	t.Helper()
+	stop := make(chan struct{})
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /cache/{key}", func(w http.ResponseWriter, r *http.Request) { h(w, r, stop) })
+	fake := httptest.NewServer(mux)
+	t.Cleanup(fake.Close)
+	t.Cleanup(func() { close(stop) })
+	return cluster.NormalizeNode(fake.URL)
+}
+
+// TestHungPeerFetchOverlapsCompute: a ring peer that accepts the cache
+// fetch and never answers must not starve the computation. The job
+// computes while the fetch hangs, waits out its 500ms budget for the
+// peer's answer, and ends done with the computed parts. The fetch cut by
+// the deadline counts against the peer, so at threshold 1 its circuit
+// opens.
+func TestHungPeerFetchOverlapsCompute(t *testing.T) {
+	addrFake := startFakePeer(t, func(_ http.ResponseWriter, r *http.Request, stop <-chan struct{}) {
+		select {
+		case <-r.Context().Done():
+		case <-stop:
+		}
+	})
+	ln, addr := clusterListen(t)
+	ring, err := cluster.NewRing([]string{addr, addrFake}, 32, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serveShard(t, ln, cluster.ShardConfig{
+		Self: addr, Ring: ring, ReplicateAfter: 100,
+		Breaker: cluster.BreakerConfig{Threshold: 1},
+	})
+	base := cluster.NodeURL(addr)
+
+	spec := JobSpec{Corpus: "tridiag", P: 2, Method: "MG", Seed: 43, Workers: 1, TimeoutMS: 500}
+	v, code := shardPost(t, base, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	if done := shardWaitDone(t, base, v.ID); done.State != StateDone {
+		t.Fatalf("job ended %q: %s", done.State, done.Error)
+	}
+	res := shardResult(t, base, v.ID)
+	if res.Origin != "" {
+		t.Fatalf("origin %q, want a local computation", res.Origin)
+	}
+	a, err := srv.lookupInstance("tridiag")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := offlineParts(t, a, spec); !slices.Equal(want, res.Parts) {
+		t.Fatal("computed parts differ from the offline library")
+	}
+	if st := srv.peerBreaker.State(addrFake); st != cluster.BreakerOpen {
+		t.Fatalf("hung peer's circuit %q, want open", st)
+	}
+}
+
+// TestCanceledPeerFetchLeavesBreakerClosed: a DELETE that cuts a job's
+// peer fetch short says nothing about the peer, so even at threshold 1
+// the peer's circuit stays closed.
+func TestCanceledPeerFetchLeavesBreakerClosed(t *testing.T) {
+	arrived := make(chan struct{}, 1)
+	release := make(chan struct{})
+	addrFake := startFakePeer(t, func(w http.ResponseWriter, r *http.Request, stop <-chan struct{}) {
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		case <-stop:
+		}
+		w.WriteHeader(http.StatusNotFound)
+	})
+	ln, addr := clusterListen(t)
+	ring, err := cluster.NewRing([]string{addr, addrFake}, 32, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serveShard(t, ln, cluster.ShardConfig{
+		Self: addr, Ring: ring, ReplicateAfter: 100,
+		Breaker: cluster.BreakerConfig{Threshold: 1},
+	})
+	base := cluster.NodeURL(addr)
+
+	v, code := shardPost(t, base, JobSpec{Corpus: "tridiag", P: 2, Method: "MG", Seed: 41, Workers: 1})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	select {
+	case <-arrived:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the shard never asked its peer")
+	}
+	req, err := http.NewRequest(http.MethodDelete, base+"/jobs/"+v.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE: status %d", resp.StatusCode)
+	}
+	close(release)
+
+	// tryPeerFetch counts the failed fetch after fetchFrom has reported
+	// (or declined to report) it to the breaker.
+	deadline := time.Now().Add(30 * time.Second)
+	for srv.Stats().Cluster.PeerFetchFailed < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the canceled fetch never ended")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := srv.peerBreaker.State(addrFake); st != cluster.BreakerClosed {
+		t.Fatalf("peer's circuit %q after a canceled fetch, want closed", st)
+	}
+}
+
+// TestDoneEntryIsExportable: a job is marked done before its files are
+// written, but under persistMu, which GET /cache/{key} takes too, so a
+// peer asking right after a client saw "done" gets the entry. The
+// ~50k-nonzero upload makes the write long enough that a GET not held
+// back by the lock would find no entry.
+func TestDoneEntryIsExportable(t *testing.T) {
+	ln, addr := clusterListen(t)
+	ring, err := cluster.NewRing([]string{addr}, 32, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	startClusterShard(t, ring, ln, addr, 100)
+	base := cluster.NodeURL(addr)
+
+	for seed := int64(1); seed <= 2; seed++ {
+		v, code := shardPost(t, base, JobSpec{MatrixMM: slowMatrixMM(), P: 2, Method: "MG", Seed: seed, Workers: 1})
+		if code != http.StatusAccepted {
+			t.Fatalf("seed %d: submit status %d", seed, code)
+		}
+		// Poll without pausing, so the GET follows "done" as closely as
+		// a client can.
+		deadline := time.Now().Add(60 * time.Second)
+		for {
+			if time.Now().After(deadline) {
+				t.Fatalf("seed %d: job did not finish", seed)
+			}
+			resp, err := http.Get(base + "/jobs/" + v.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var jv JobView
+			err = json.NewDecoder(resp.Body).Decode(&jv)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if jv.State == StateDone {
+				break
+			}
+			if terminal(jv.State) {
+				t.Fatalf("seed %d: job ended %q: %s", seed, jv.State, jv.Error)
+			}
+		}
+		resp, err := http.Get(base + "/cache/" + v.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("seed %d: GET /cache right after done: status %d, want 200", seed, resp.StatusCode)
+		}
 	}
 }
 

@@ -132,6 +132,22 @@
 // the evicted key, so the data directory tracks the cache instead of
 // growing without bound. Draining stops admission, lets the queue
 // empty, and waits for in-flight jobs — accepted work is never dropped.
+//
+// # Peer fetch and persistence
+//
+// In cluster mode a shard asks the key's ring peers for a persisted
+// entry while it computes a miss, so the miss costs the longer of the
+// two, not their sum. A peer's entry is preferred: a valid one cancels
+// the computation, and a computation that ends first waits for the
+// fetch's answer. The job's budget and the peer breaker bound the wait.
+//
+// A job is marked done before its result's files are written, but while
+// the runner holds persistMu, which every export path takes (peer
+// GET /cache/{key}, replication and degraded-mode pushback, the leave
+// handoff). A peer asking for an entry a client saw done therefore
+// waits for its files, and Drain returns only after every write. A
+// crash between the two loses only that entry's files, which
+// best-effort persistence never promised.
 package service
 
 import (
@@ -186,7 +202,7 @@ type Config struct {
 	Machine spmv.Machine
 	// Cluster, when set, runs the server as one shard of a consistent-
 	// hash cluster: on a local cache miss the shard fetches persisted
-	// entries from the key's ring peers before computing, and hot
+	// entries from the key's ring peers while computing, and hot
 	// entries replicate to the key's other replicas. Nil (the default)
 	// is plain single-node operation — nothing about keys, caching, or
 	// the HTTP contract changes either way; cluster mode only adds the
@@ -279,7 +295,12 @@ type Server struct {
 	// collection: distio writes bundle files in place, so two runners
 	// completing the same key concurrently must not interleave — the
 	// second writer sees the first's meta file and skips, keeping the
-	// meta-exists ⇒ bundle-complete invariant.
+	// meta-exists ⇒ bundle-complete invariant. Export paths take it
+	// too, so they wait for a write that finishFlight has begun.
+	//
+	// Lock order: persistMu → flightMu → the job store's lock
+	// (finishFlight marks jobs done while holding persistMu). Nothing
+	// may take persistMu while holding either of the others.
 	persistMu sync.Mutex
 	started   time.Time
 	draining  atomic.Bool
@@ -520,13 +541,28 @@ type outcome struct {
 	err error
 }
 
+// peerEntry is one peer fetch's answer; ok reports a validated entry.
+type peerEntry struct {
+	res    *CachedResult
+	matrix *sparse.Matrix
+	ok     bool
+}
+
 // finishFlight retires a flight and delivers its outcome to every still
 // attached job. Successful results enter the cache (and disk) even when
 // every job has been canceled meanwhile: the work is done, and a
-// re-submission should hit.
+// re-submission should hit. The jobs are marked done before the disk
+// write but under persistMu, which every export path takes, so a peer
+// that asks for the entry after a client saw "done" waits for its files.
 func (s *Server) finishFlight(f *flight, o outcome, matrix *sparse.Matrix) {
+	var evicted string
+	persist := o.err == nil && s.cfg.DataDir != ""
 	if o.err == nil {
-		s.keepResult(o.res, matrix)
+		evicted = s.cache.Put(o.res.Key, o.res)
+	}
+	if persist {
+		s.persistMu.Lock()
+		defer s.persistMu.Unlock()
 	}
 	s.flightMu.Lock()
 	f.done = true
@@ -550,6 +586,9 @@ func (s *Server) finishFlight(f *flight, o outcome, matrix *sparse.Matrix) {
 			s.stats.failed()
 			s.jobs.fail(j, o.err.Error())
 		}
+	}
+	if persist {
+		s.persistLocked(o.res, matrix, evicted)
 	}
 }
 
@@ -582,19 +621,37 @@ func (s *Server) execute(job *Job) {
 	for _, j := range members {
 		s.jobs.markRunning(j)
 	}
-	// Cluster mode: before computing, ask the key's ring peers for a
+	// Cluster mode: while computing, ask the key's ring peers for a
 	// persisted entry — another shard may have computed this key already
-	// (direct submission, or ownership moved). The adopted result enters
-	// the cache and disk through the normal finish path; it is marked
+	// (direct submission, or ownership moved). A miss then costs the
+	// longer of the fetch and the computation, not their sum. The fetch
+	// runs under the job's context and is never cut short because the
+	// computation ended: a peer's entry is preferred, and a valid one
+	// cancels a computation still running. The adopted result enters the
+	// cache and disk through the normal finish path; it is marked
 	// replicated so this shard never pushes it back where it came from.
+	computeCtx, stopCompute := context.WithCancel(ctx)
+	defer stopCompute()
+	var fetched chan peerEntry
 	if s.clu != nil {
-		if res, m, ok := s.tryPeerFetch(ctx, rs); ok {
-			s.finishFlight(f, outcome{res, nil}, m)
+		fetched = make(chan peerEntry, 1)
+		go func() {
+			var e peerEntry
+			e.res, e.matrix, e.ok = s.tryPeerFetch(ctx, rs)
+			if e.ok {
+				stopCompute()
+			}
+			fetched <- e
+		}()
+	}
+	res, err := s.partition(computeCtx, rs, matrix)
+	if fetched != nil {
+		if e := <-fetched; e.ok {
+			s.finishFlight(f, outcome{e.res, nil}, e.matrix)
 			s.cache.MarkReplicated(rs.key)
 			return
 		}
 	}
-	res, err := s.partition(ctx, rs, matrix)
 	if err != nil && errors.Is(err, context.DeadlineExceeded) {
 		err = fmt.Errorf("timeout after %s (computation canceled)", timeout)
 	}
@@ -632,6 +689,12 @@ func (s *Server) keepResult(res *CachedResult, matrix *sparse.Matrix) {
 	}
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
+	s.persistLocked(res, matrix, evicted)
+}
+
+// persistLocked writes a result's files and removes those of the entry
+// its cache insert evicted. Callers hold persistMu.
+func (s *Server) persistLocked(res *CachedResult, matrix *sparse.Matrix, evicted string) {
 	if err := saveCacheEntry(s.cfg.DataDir, res, matrix); err != nil {
 		// Persistence is best-effort: the result is still served
 		// from memory; the entry is simply absent after restart.
