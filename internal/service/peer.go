@@ -219,13 +219,14 @@ func (s *Server) adoptEntryTar(r io.Reader, key, from string) (*CachedResult, *s
 }
 
 // tryPeerFetch asks the key's other ring replicas for a persisted entry
-// while the job computes. First validated answer wins; every failed attempt
-// (unreachable peer, 404, corrupt transfer) counts peer_fetch_failed and
-// falls through — worst case the shard computes locally, exactly as if
-// it had no peers. Peers whose circuit is open are skipped outright
+// while the job computes, calling found when a peer answers that it has
+// one. First validated answer wins; every failed attempt (unreachable
+// peer, 404, corrupt transfer) counts peer_fetch_failed and falls
+// through — worst case the shard computes locally, exactly as if it had
+// no peers. Peers whose circuit is open are skipped outright
 // (peer_fetch_skipped), so a dead peer costs a few connect timeouts
 // total, not one per cache miss.
-func (s *Server) tryPeerFetch(ctx context.Context, rs *resolvedSpec) (*CachedResult, *sparse.Matrix, bool) {
+func (s *Server) tryPeerFetch(ctx context.Context, rs *resolvedSpec, found func()) (*CachedResult, *sparse.Matrix, bool) {
 	for _, node := range s.ring().Replicas(rs.key) {
 		if node == s.clu.Self {
 			continue
@@ -234,7 +235,7 @@ func (s *Server) tryPeerFetch(ctx context.Context, rs *resolvedSpec) (*CachedRes
 			s.stats.peerFetchSkipped()
 			continue
 		}
-		res, matrix, err := s.fetchFrom(ctx, node, rs.key)
+		res, matrix, err := s.fetchEntry(ctx, node, rs.key, found)
 		if err != nil {
 			s.stats.peerFetchFailed()
 			continue
@@ -257,12 +258,17 @@ func (s *Server) notePeer(node string, err error, status int) {
 	s.peerBreaker.Success(node)
 }
 
-// fetchFrom retrieves and validates one peer's entry for key. A request
-// that failed because the caller canceled ctx (a DELETE of the job) is
-// no verdict on the peer and leaves its circuit as it was; one cut by
-// ctx's deadline counts as a failure, which is how a hung peer opens its
-// circuit.
+// fetchFrom retrieves and validates one peer's entry for key.
 func (s *Server) fetchFrom(ctx context.Context, node, key string) (*CachedResult, *sparse.Matrix, error) {
+	return s.fetchEntry(ctx, node, key, func() {})
+}
+
+// fetchEntry is fetchFrom that calls found once the peer has answered
+// 200, before the entry's transfer and validation. A request that failed
+// because the caller canceled ctx (a DELETE of the job) is no verdict on
+// the peer and leaves its circuit as it was; one cut by ctx's deadline
+// counts as a failure, which is how a hung peer opens its circuit.
+func (s *Server) fetchEntry(ctx context.Context, node, key string, found func()) (*CachedResult, *sparse.Matrix, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cluster.NodeURL(node)+"/cache/"+key, nil)
 	if err != nil {
 		return nil, nil, err
@@ -284,6 +290,7 @@ func (s *Server) fetchFrom(ctx context.Context, node, key string) (*CachedResult
 	if resp.StatusCode != http.StatusOK {
 		return nil, nil, fmt.Errorf("service: peer %s has no entry %s (status %d)", node, key, resp.StatusCode)
 	}
+	found()
 	return s.adoptEntryTar(resp.Body, key, node)
 }
 

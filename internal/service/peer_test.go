@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mediumgrain/internal/cluster"
+	"mediumgrain/internal/sparse"
 )
 
 // startClusterShard serves a shard on a real loopback listener (the
@@ -563,6 +564,56 @@ func TestHungPeerFetchOverlapsCompute(t *testing.T) {
 	}
 	if st := srv.peerBreaker.State(addrFake); st != cluster.BreakerOpen {
 		t.Fatalf("hung peer's circuit %q, want open", st)
+	}
+}
+
+// TestInvalidPeerEntryRecomputes: a peer's 200 stops the computation
+// before the entry arrives, so when that entry fails validation the job
+// must compute again, not end canceled. The 10,000-row upload keeps
+// the computation running well past the fake peer's immediate answer.
+func TestInvalidPeerEntryRecomputes(t *testing.T) {
+	addrFake := startFakePeer(t, func(w http.ResponseWriter, _ *http.Request, _ <-chan struct{}) {
+		w.Write([]byte("not a tar stream"))
+	})
+	ln, addr := clusterListen(t)
+	ring, err := cluster.NewRing([]string{addr, addrFake}, 32, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startClusterShard(t, ring, ln, addr, 100)
+	base := cluster.NodeURL(addr)
+
+	spec := JobSpec{MatrixMM: slowMatrixMM(), P: 8, Method: "MG", Seed: 45, Workers: 1}
+	v, code := shardPost(t, base, spec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	// Wait for any end state: a job that failed to recompute ends
+	// canceled, which shardWaitDone would not return on.
+	job, _ := srv.Job(v.ID)
+	deadline := time.Now().Add(60 * time.Second)
+	for !terminal(srv.jobs.state(job)) {
+		if time.Now().After(deadline) {
+			t.Fatal("job did not finish")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if done := srv.jobs.View(job); done.State != StateDone {
+		t.Fatalf("job ended %q: %s", done.State, done.Error)
+	}
+	res := shardResult(t, base, v.ID)
+	if res.Origin != "" {
+		t.Fatalf("invalid entry adopted: origin %q", res.Origin)
+	}
+	a, err := sparse.ReadMatrixMarket(strings.NewReader(slowMatrixMM()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := offlineParts(t, a, spec); !slices.Equal(want, res.Parts) {
+		t.Fatal("recomputed parts differ from the offline library")
+	}
+	if st := srv.Stats(); st.Cluster.PeerFetchFailed != 1 || st.Cluster.PeerFetchOK != 0 {
+		t.Fatalf("peer fetch ok %d failed %d, want 0 and 1", st.Cluster.PeerFetchOK, st.Cluster.PeerFetchFailed)
 	}
 }
 

@@ -136,10 +136,14 @@
 // # Peer fetch and persistence
 //
 // In cluster mode a shard asks the key's ring peers for a persisted
-// entry while it computes a miss, so the miss costs the longer of the
-// two, not their sum. A peer's entry is preferred: a valid one cancels
-// the computation, and a computation that ends first waits for the
-// fetch's answer. The job's budget and the peer breaker bound the wait.
+// entry while it computes a miss, so a miss no peer can answer costs the
+// longer of the two, not their sum. A peer's entry is preferred: a peer
+// that answers 200 stops the computation before its entry is transferred
+// and validated (an entry that then fails validation is recomputed), and
+// a computation that ends first waits for the fetch's answer. The job's
+// budget and the peer breaker bound the wait. A miss a peer answers
+// still computes until that answer arrives, which costs CPU the
+// sequential order did not spend.
 //
 // A job is marked done before its result's files are written, but while
 // the runner holds persistMu, which every export path takes (peer
@@ -623,13 +627,16 @@ func (s *Server) execute(job *Job) {
 	}
 	// Cluster mode: while computing, ask the key's ring peers for a
 	// persisted entry — another shard may have computed this key already
-	// (direct submission, or ownership moved). A miss then costs the
-	// longer of the fetch and the computation, not their sum. The fetch
-	// runs under the job's context and is never cut short because the
-	// computation ended: a peer's entry is preferred, and a valid one
-	// cancels a computation still running. The adopted result enters the
-	// cache and disk through the normal finish path; it is marked
-	// replicated so this shard never pushes it back where it came from.
+	// (direct submission, or ownership moved). A miss no peer can answer
+	// then costs the longer of the fetch and the computation, not their
+	// sum. The fetch runs under the job's context and is never cut short
+	// because the computation ended: a peer's entry is preferred. A peer
+	// that answers 200 stops a computation still running, so the entry's
+	// transfer and validation do not compete with it for CPU; should that
+	// entry then fail validation, the job computes after all. The adopted
+	// result enters the cache and disk through the normal finish path; it
+	// is marked replicated so this shard never pushes it back where it
+	// came from.
 	computeCtx, stopCompute := context.WithCancel(ctx)
 	defer stopCompute()
 	var fetched chan peerEntry
@@ -637,10 +644,7 @@ func (s *Server) execute(job *Job) {
 		fetched = make(chan peerEntry, 1)
 		go func() {
 			var e peerEntry
-			e.res, e.matrix, e.ok = s.tryPeerFetch(ctx, rs)
-			if e.ok {
-				stopCompute()
-			}
+			e.res, e.matrix, e.ok = s.tryPeerFetch(ctx, rs, stopCompute)
 			fetched <- e
 		}()
 	}
@@ -650,6 +654,9 @@ func (s *Server) execute(job *Job) {
 			s.finishFlight(f, outcome{e.res, nil}, e.matrix)
 			s.cache.MarkReplicated(rs.key)
 			return
+		}
+		if err != nil && computeCtx.Err() != nil && ctx.Err() == nil {
+			res, err = s.partition(ctx, rs, matrix)
 		}
 	}
 	if err != nil && errors.Is(err, context.DeadlineExceeded) {
