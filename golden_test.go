@@ -44,6 +44,10 @@ var goldenTable = []goldenRow{
 	{"lap2d-24", "MG", 16, "parallel-fm", 260, 0xd0e1e56fb9abf357},
 	{"lap2d-24", "FG", 2, "parallel-fm", 48, 0x2b48656405b55775},
 	{"lap2d-24", "FG", 16, "parallel-fm", 277, 0x11598c74e5f41f77},
+	{"lap2d-24", "MG", 2, "alt", 48, 0xedf5cb45c9f579a5},
+	{"lap2d-24", "MG", 16, "alt", 285, 0xf984075244d34a66},
+	{"lap2d-24", "FG", 2, "alt", 48, 0xd87368fc9b0c41a4},
+	{"lap2d-24", "FG", 16, "alt", 280, 0x8cdafdde4b168a4b},
 	{"powerlaw-3", "MG", 2, "default", 152, 0xfd81a4c5d60cce15},
 	{"powerlaw-3", "MG", 16, "default", 791, 0x70d5bd2c4a501c38},
 	{"powerlaw-3", "FG", 2, "default", 162, 0x2b5db9d17b8af604},
@@ -58,6 +62,10 @@ var goldenTable = []goldenRow{
 	{"powerlaw-3", "MG", 16, "parallel-fm", 801, 0x47871b2be6df1e85},
 	{"powerlaw-3", "FG", 2, "parallel-fm", 158, 0xbf202d0c4b3f9515},
 	{"powerlaw-3", "FG", 16, "parallel-fm", 784, 0x3ba84c095e0f4991},
+	{"powerlaw-3", "MG", 2, "alt", 152, 0x8c8b46f3ac5d6885},
+	{"powerlaw-3", "MG", 16, "alt", 799, 0x6b41989789ff5017},
+	{"powerlaw-3", "FG", 2, "alt", 151, 0xafce1ba64e591e74},
+	{"powerlaw-3", "FG", 16, "alt", 797, 0x806aca1352a0ae25},
 	{"asym-pl", "MG", 2, "default", 154, 0x70a6046fbbd48824},
 	{"asym-pl", "MG", 16, "default", 754, 0x4b3321e08d71cfff},
 	{"asym-pl", "FG", 2, "default", 160, 0xc4d6652d0999f025},
@@ -72,6 +80,10 @@ var goldenTable = []goldenRow{
 	{"asym-pl", "MG", 16, "parallel-fm", 731, 0xce3bda93d8b15f41},
 	{"asym-pl", "FG", 2, "parallel-fm", 162, 0x752314a66615b695},
 	{"asym-pl", "FG", 16, "parallel-fm", 748, 0x1a8e3937d23948ff},
+	{"asym-pl", "MG", 2, "alt", 151, 0x809c651a3eda08f5},
+	{"asym-pl", "MG", 16, "alt", 768, 0x01a317564992c7ef},
+	{"asym-pl", "FG", 2, "alt", 162, 0x3b9b08912416f1b4},
+	{"asym-pl", "FG", 16, "alt", 768, 0x9c75638653330afc},
 	{"bip-tall", "MG", 2, "default", 86, 0x5a688ff22683a305},
 	{"bip-tall", "MG", 16, "default", 460, 0x73fb3e7393fadb76},
 	{"bip-tall", "FG", 2, "default", 104, 0x5926e316b03476a4},
@@ -86,11 +98,17 @@ var goldenTable = []goldenRow{
 	{"bip-tall", "MG", 16, "parallel-fm", 449, 0x6ce531dbaa330e3f},
 	{"bip-tall", "FG", 2, "parallel-fm", 96, 0xfaa3cf9841b393a4},
 	{"bip-tall", "FG", 16, "parallel-fm", 468, 0xe23698721b2e6f3b},
+	{"bip-tall", "MG", 2, "alt", 88, 0xa2d45e8afcaa9c14},
+	{"bip-tall", "MG", 16, "alt", 467, 0x7956e1c29ce024f4},
+	{"bip-tall", "FG", 2, "alt", 97, 0xe4a4833f3fc7c675},
+	{"bip-tall", "FG", 16, "alt", 483, 0x943ce8182a93a642},
 }
 
 // goldenVariants are the request shapes the table covers and the
 // methods each runs. parallel-fm also runs FG: the fine-grain model
-// gives the largest hypergraphs in the set.
+// gives the largest hypergraphs in the set. alt runs the ConfigAlt
+// engine (random matching), so its rows show whether a change to the
+// Mondriaan-like preset's coarsening left the other preset alone.
 var goldenVariants = []struct {
 	name    string
 	methods []mediumgrain.Method
@@ -99,6 +117,7 @@ var goldenVariants = []struct {
 	{"refine", []mediumgrain.Method{mediumgrain.MethodMediumGrain}},
 	{"tries2", []mediumgrain.Method{mediumgrain.MethodMediumGrain}},
 	{"parallel-fm", []mediumgrain.Method{mediumgrain.MethodMediumGrain, mediumgrain.MethodFineGrain}},
+	{"alt", []mediumgrain.Method{mediumgrain.MethodMediumGrain, mediumgrain.MethodFineGrain}},
 }
 
 // goldenInstances are scale-1 corpus instances covering the three
@@ -123,6 +142,7 @@ func goldenRun(t *testing.T) []goldenRow {
 	pcfg := mediumgrain.MondriaanLikeConfig()
 	pcfg.ParallelFM = true
 	parallel := mediumgrain.New(mediumgrain.EngineConfig{Workers: 2, Partitioner: pcfg})
+	alt := mediumgrain.New(mediumgrain.EngineConfig{Workers: 2, Partitioner: mediumgrain.AltConfig()})
 
 	var rows []goldenRow
 	for _, name := range goldenInstances {
@@ -142,6 +162,8 @@ func goldenRun(t *testing.T) []goldenRow {
 						req.Search.Tries = 2
 					case "parallel-fm":
 						eng = parallel
+					case "alt":
+						eng = alt
 					}
 					res, err := eng.Partition(context.Background(), req)
 					if err != nil {
