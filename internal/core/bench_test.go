@@ -45,6 +45,23 @@ func benchmarkRecursive(b *testing.B, p, workers int) {
 	}
 }
 
+// BenchmarkRootBisection times the root bisection of a mesh-huge call:
+// Engine.Bipartition of the 330x330 Laplacian (543,180 nonzeros) with MG
+// on an inline engine. Every Partition of that mesh runs this bisection
+// before its two halves can fork, so it is the serial critical path of
+// the call at any worker count. Iteration i uses seed i+1.
+func BenchmarkRootBisection(b *testing.B) {
+	a := gen.Laplacian2D(330, 330)
+	eng := NewEngine(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Bipartition(context.Background(), a, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(int64(i+1)))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkRecursiveP16(b *testing.B) {
 	b.Run("w0", func(b *testing.B) { benchmarkRecursive(b, 16, 0) })
 	b.Run("w1", func(b *testing.B) { benchmarkRecursive(b, 16, 1) })
