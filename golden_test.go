@@ -30,74 +30,74 @@ type goldenRow struct {
 // computed under the old semantics can never answer a current request.
 // On a mismatch the test prints the new table ready to paste here.
 var goldenTable = []goldenRow{
-	{"lap2d-24", "MG", 2, "default", 48, 0x61d63857bcc2de84},
-	{"lap2d-24", "MG", 16, "default", 267, 0x32f13ed392dcd496},
-	{"lap2d-24", "FG", 2, "default", 48, 0x2b48656405b55775},
-	{"lap2d-24", "FG", 16, "default", 282, 0x9a8ee8f6446cc286},
-	{"lap2d-24", "LB", 2, "default", 48, 0xec752dc2730ddf65},
-	{"lap2d-24", "LB", 16, "default", 264, 0x43d015c62a9714b9},
-	{"lap2d-24", "MG", 2, "refine", 48, 0x61d63857bcc2de84},
-	{"lap2d-24", "MG", 16, "refine", 270, 0x6944d14e052d1a14},
-	{"lap2d-24", "MG", 2, "tries2", 48, 0x61d63857bcc2de84},
-	{"lap2d-24", "MG", 16, "tries2", 267, 0x32f13ed392dcd496},
-	{"lap2d-24", "MG", 2, "parallel-fm", 48, 0x61d63857bcc2de84},
-	{"lap2d-24", "MG", 16, "parallel-fm", 260, 0xd0e1e56fb9abf357},
-	{"lap2d-24", "FG", 2, "parallel-fm", 48, 0x2b48656405b55775},
-	{"lap2d-24", "FG", 16, "parallel-fm", 277, 0x11598c74e5f41f77},
+	{"lap2d-24", "MG", 2, "default", 48, 0xf177dd2bd7c5b6e5},
+	{"lap2d-24", "MG", 16, "default", 257, 0xa9f565280e1966b6},
+	{"lap2d-24", "FG", 2, "default", 48, 0x5293c3fc6bcc6784},
+	{"lap2d-24", "FG", 16, "default", 276, 0x0748944f84d36b38},
+	{"lap2d-24", "LB", 2, "default", 48, 0x5102ac1e57290515},
+	{"lap2d-24", "LB", 16, "default", 264, 0x6d709af15aff1876},
+	{"lap2d-24", "MG", 2, "refine", 48, 0xf177dd2bd7c5b6e5},
+	{"lap2d-24", "MG", 16, "refine", 276, 0x888574f707e0ddd4},
+	{"lap2d-24", "MG", 2, "tries2", 48, 0xf177dd2bd7c5b6e5},
+	{"lap2d-24", "MG", 16, "tries2", 257, 0xa9f565280e1966b6},
+	{"lap2d-24", "MG", 2, "parallel-fm", 48, 0xf177dd2bd7c5b6e5},
+	{"lap2d-24", "MG", 16, "parallel-fm", 256, 0x1fd071fa0868a2e4},
+	{"lap2d-24", "FG", 2, "parallel-fm", 48, 0x5293c3fc6bcc6784},
+	{"lap2d-24", "FG", 16, "parallel-fm", 281, 0xb5b2d3a82f9bd75f},
 	{"lap2d-24", "MG", 2, "alt", 48, 0xedf5cb45c9f579a5},
 	{"lap2d-24", "MG", 16, "alt", 285, 0xf984075244d34a66},
 	{"lap2d-24", "FG", 2, "alt", 48, 0xd87368fc9b0c41a4},
 	{"lap2d-24", "FG", 16, "alt", 280, 0x8cdafdde4b168a4b},
-	{"powerlaw-3", "MG", 2, "default", 152, 0xfd81a4c5d60cce15},
-	{"powerlaw-3", "MG", 16, "default", 791, 0x70d5bd2c4a501c38},
-	{"powerlaw-3", "FG", 2, "default", 162, 0x2b5db9d17b8af604},
-	{"powerlaw-3", "FG", 16, "default", 801, 0x6c74e0271ee125e9},
-	{"powerlaw-3", "LB", 2, "default", 239, 0xebd42062c0d83084},
-	{"powerlaw-3", "LB", 16, "default", 868, 0x90ce078573929cd1},
-	{"powerlaw-3", "MG", 2, "refine", 151, 0x17e755a5729aa3a5},
-	{"powerlaw-3", "MG", 16, "refine", 756, 0x2a56e2ebf09dd18c},
-	{"powerlaw-3", "MG", 2, "tries2", 152, 0xfd81a4c5d60cce15},
-	{"powerlaw-3", "MG", 16, "tries2", 791, 0x70d5bd2c4a501c38},
-	{"powerlaw-3", "MG", 2, "parallel-fm", 145, 0x5334f8ecc4deab84},
-	{"powerlaw-3", "MG", 16, "parallel-fm", 801, 0x47871b2be6df1e85},
-	{"powerlaw-3", "FG", 2, "parallel-fm", 158, 0xbf202d0c4b3f9515},
-	{"powerlaw-3", "FG", 16, "parallel-fm", 784, 0x3ba84c095e0f4991},
+	{"powerlaw-3", "MG", 2, "default", 156, 0xfe11e6b5542db2b5},
+	{"powerlaw-3", "MG", 16, "default", 790, 0xafe74a162f45615f},
+	{"powerlaw-3", "FG", 2, "default", 149, 0x6756f7208cdff425},
+	{"powerlaw-3", "FG", 16, "default", 803, 0x5b319a17e431b0ce},
+	{"powerlaw-3", "LB", 2, "default", 229, 0xbe8ab1261df09844},
+	{"powerlaw-3", "LB", 16, "default", 862, 0x8ff90af050378c7e},
+	{"powerlaw-3", "MG", 2, "refine", 154, 0xbe9cf8757794b205},
+	{"powerlaw-3", "MG", 16, "refine", 751, 0xb7679f5d44eaa3bd},
+	{"powerlaw-3", "MG", 2, "tries2", 154, 0xe2d13552cf520625},
+	{"powerlaw-3", "MG", 16, "tries2", 790, 0xafe74a162f45615f},
+	{"powerlaw-3", "MG", 2, "parallel-fm", 154, 0xba50f21d23f94b74},
+	{"powerlaw-3", "MG", 16, "parallel-fm", 771, 0x14ba550b02fe2e03},
+	{"powerlaw-3", "FG", 2, "parallel-fm", 149, 0x7aa04835a93f1fd4},
+	{"powerlaw-3", "FG", 16, "parallel-fm", 787, 0x1dbb37d7b5640895},
 	{"powerlaw-3", "MG", 2, "alt", 152, 0x8c8b46f3ac5d6885},
 	{"powerlaw-3", "MG", 16, "alt", 799, 0x6b41989789ff5017},
 	{"powerlaw-3", "FG", 2, "alt", 151, 0xafce1ba64e591e74},
 	{"powerlaw-3", "FG", 16, "alt", 797, 0x806aca1352a0ae25},
-	{"asym-pl", "MG", 2, "default", 154, 0x70a6046fbbd48824},
-	{"asym-pl", "MG", 16, "default", 754, 0x4b3321e08d71cfff},
-	{"asym-pl", "FG", 2, "default", 160, 0xc4d6652d0999f025},
-	{"asym-pl", "FG", 16, "default", 770, 0x32c03022d8159e52},
-	{"asym-pl", "LB", 2, "default", 162, 0x8cbe106b806644a5},
-	{"asym-pl", "LB", 16, "default", 766, 0x1f5992e0d724bc06},
-	{"asym-pl", "MG", 2, "refine", 153, 0x51ea30e71898b705},
-	{"asym-pl", "MG", 16, "refine", 747, 0x393bc66739fe1fcf},
-	{"asym-pl", "MG", 2, "tries2", 154, 0x70a6046fbbd48824},
-	{"asym-pl", "MG", 16, "tries2", 754, 0x4b3321e08d71cfff},
-	{"asym-pl", "MG", 2, "parallel-fm", 151, 0xea4d919a55011fe4},
-	{"asym-pl", "MG", 16, "parallel-fm", 731, 0xce3bda93d8b15f41},
-	{"asym-pl", "FG", 2, "parallel-fm", 162, 0x752314a66615b695},
-	{"asym-pl", "FG", 16, "parallel-fm", 748, 0x1a8e3937d23948ff},
+	{"asym-pl", "MG", 2, "default", 153, 0x39bb5164fe5b4754},
+	{"asym-pl", "MG", 16, "default", 746, 0x41ce13d233f75d0e},
+	{"asym-pl", "FG", 2, "default", 157, 0x7593474f9e16fa24},
+	{"asym-pl", "FG", 16, "default", 771, 0xac9a4d0f77828c3a},
+	{"asym-pl", "LB", 2, "default", 165, 0x6e41a16832618884},
+	{"asym-pl", "LB", 16, "default", 753, 0x3b36e1addc8434c2},
+	{"asym-pl", "MG", 2, "refine", 146, 0xb30abea54e34f154},
+	{"asym-pl", "MG", 16, "refine", 747, 0x09d8d3127ce2e529},
+	{"asym-pl", "MG", 2, "tries2", 152, 0xc4c58ff297c43075},
+	{"asym-pl", "MG", 16, "tries2", 746, 0x41ce13d233f75d0e},
+	{"asym-pl", "MG", 2, "parallel-fm", 150, 0x1825ff5f6cb214a5},
+	{"asym-pl", "MG", 16, "parallel-fm", 755, 0xa9af122bc500255f},
+	{"asym-pl", "FG", 2, "parallel-fm", 162, 0xb31f23b9a9c510e4},
+	{"asym-pl", "FG", 16, "parallel-fm", 742, 0x2cddfc501607ea4f},
 	{"asym-pl", "MG", 2, "alt", 151, 0x809c651a3eda08f5},
 	{"asym-pl", "MG", 16, "alt", 768, 0x01a317564992c7ef},
 	{"asym-pl", "FG", 2, "alt", 162, 0x3b9b08912416f1b4},
 	{"asym-pl", "FG", 16, "alt", 768, 0x9c75638653330afc},
-	{"bip-tall", "MG", 2, "default", 86, 0x5a688ff22683a305},
-	{"bip-tall", "MG", 16, "default", 460, 0x73fb3e7393fadb76},
-	{"bip-tall", "FG", 2, "default", 104, 0x5926e316b03476a4},
-	{"bip-tall", "FG", 16, "default", 482, 0xd37cb3ae38e00972},
-	{"bip-tall", "LB", 2, "default", 90, 0x771ea0b9a0b8ba54},
-	{"bip-tall", "LB", 16, "default", 469, 0xf61a59419bf2bdd8},
-	{"bip-tall", "MG", 2, "refine", 86, 0x5a688ff22683a305},
-	{"bip-tall", "MG", 16, "refine", 459, 0x50009df7ffbe7d66},
-	{"bip-tall", "MG", 2, "tries2", 86, 0x5a688ff22683a305},
-	{"bip-tall", "MG", 16, "tries2", 456, 0xe83eba44529283f5},
-	{"bip-tall", "MG", 2, "parallel-fm", 85, 0xe45355bfe9854a35},
-	{"bip-tall", "MG", 16, "parallel-fm", 449, 0x6ce531dbaa330e3f},
-	{"bip-tall", "FG", 2, "parallel-fm", 96, 0xfaa3cf9841b393a4},
-	{"bip-tall", "FG", 16, "parallel-fm", 468, 0xe23698721b2e6f3b},
+	{"bip-tall", "MG", 2, "default", 92, 0x7f6d055c1ac621c5},
+	{"bip-tall", "MG", 16, "default", 469, 0xdd3783b1d859a8d9},
+	{"bip-tall", "FG", 2, "default", 100, 0xa59bead5c0dbbe94},
+	{"bip-tall", "FG", 16, "default", 485, 0x48cea930c8359901},
+	{"bip-tall", "LB", 2, "default", 93, 0xfde346db58ac5ad5},
+	{"bip-tall", "LB", 16, "default", 458, 0x2b33d0827a323ed4},
+	{"bip-tall", "MG", 2, "refine", 92, 0x7f6d055c1ac621c5},
+	{"bip-tall", "MG", 16, "refine", 464, 0x4df1a609c7cd9119},
+	{"bip-tall", "MG", 2, "tries2", 87, 0x5a03b7d3d764f144},
+	{"bip-tall", "MG", 16, "tries2", 458, 0xaf61a419b3894202},
+	{"bip-tall", "MG", 2, "parallel-fm", 91, 0x7572b760eaa65ea5},
+	{"bip-tall", "MG", 16, "parallel-fm", 463, 0x2690231a291010ad},
+	{"bip-tall", "FG", 2, "parallel-fm", 93, 0x0df3074d0607b795},
+	{"bip-tall", "FG", 16, "parallel-fm", 469, 0x6e2816f3fb6e4c13},
 	{"bip-tall", "MG", 2, "alt", 88, 0xa2d45e8afcaa9c14},
 	{"bip-tall", "MG", 16, "alt", 467, 0x7956e1c29ce024f4},
 	{"bip-tall", "FG", 2, "alt", 97, 0xe4a4833f3fc7c675},

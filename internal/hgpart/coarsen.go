@@ -10,12 +10,12 @@ import (
 // Multilevel coarsening: vertices are pairwise matched — by default with
 // the heavy-connectivity criterion (match the neighbor sharing the most
 // net weight), the analogue of Mondriaan's inner-product matching, in
-// one greedy sweep as Mondriaan does — and contracted into a coarser
-// hypergraph until the instance is small enough for direct initial
-// partitioning. Contraction merges nets whose coarse pin sets coincide
-// into one net carrying their summed weight, so coarse levels do not
-// fill up with parallel nets. Both steps run sequentially on the
-// calling goroutine.
+// one greedy sweep in vertex index order with hashed tie-breaking — and
+// contracted into a coarser hypergraph until the instance is small
+// enough for direct initial partitioning. Contraction merges nets whose
+// coarse pin sets coincide into one net carrying their summed weight,
+// so coarse levels do not fill up with parallel nets. Both steps run
+// sequentially on the calling goroutine.
 
 // level records one coarsening step: the coarse hypergraph plus the map
 // from fine vertices to coarse vertices, so partitions can be projected
@@ -35,30 +35,38 @@ func matchingNetLimit(cfg Config) int {
 
 // match pairs up vertices and returns the fine→coarse vertex map and the
 // number of coarse vertices. maxClusterWt bounds merged weights so no
-// coarse vertex becomes unplaceable under the balance constraint. The
-// mate, rank, and connectivity arrays come from sc; the returned vmap is
-// always freshly allocated because the caller keeps it per level.
+// coarse vertex becomes unplaceable under the balance constraint.
+// Heavy-connectivity matching draws one level seed from rng and sweeps
+// the vertices in index order; random matching draws a permutation and
+// visits the vertices in it. The mate and connectivity arrays and the
+// permutation come from sc; the returned vmap is always freshly
+// allocated because the caller keeps it per level.
 func match(h *hypergraph.Hypergraph, rng *rand.Rand, cfg Config, maxClusterWt int64, sc *Scratch) ([]int32, int) {
 	mate := sc.mateBuffer(h.NumVerts)
-	order := sc.perm(rng, h.NumVerts)
 	if cfg.RandomMatching {
+		order := sc.perm(rng, h.NumVerts)
 		matchRandom(h, order, mate, matchingNetLimit(cfg), maxClusterWt)
-	} else {
-		matchHeavy(h, order, mate, nil, matchingNetLimit(cfg), maxClusterWt, sc)
+		return clusterIDs(order, mate)
 	}
-	return clusterIDs(order, mate)
+	matchHeavy(h, uint64(rng.Int63()), mate, nil, matchingNetLimit(cfg), maxClusterWt, sc)
+	return clusterIDs(nil, mate)
 }
 
 // clusterIDs numbers the coarse vertices in order of their first member
-// in the randomized order; unmatched vertices map alone.
+// in order, or, for a nil order, of their smallest member, so that an
+// index-order sweep hands every coarse level the fine level's vertex
+// locality; unmatched vertices map alone.
 func clusterIDs(order []int, mate []int32) ([]int32, int) {
-	vmap := make([]int32, len(order))
+	vmap := make([]int32, len(mate))
 	for i := range vmap {
 		vmap[i] = -1
 	}
 	next := int32(0)
-	for _, vi := range order {
-		v := int32(vi)
+	for i := range mate {
+		v := int32(i)
+		if order != nil {
+			v = int32(order[i])
+		}
 		if vmap[v] >= 0 {
 			continue
 		}
@@ -103,22 +111,21 @@ func matchRandom(h *hypergraph.Hypergraph, order []int, mate []int32, netLimit i
 }
 
 // matchHeavy is greedy heavy-connectivity matching: one sweep over the
-// randomized order pairs each still-unmatched vertex with the unmatched
-// neighbor sharing the most net weight, ties broken toward the earlier
-// position in the order, among neighbors whose merged weight stays
-// within maxClusterWt. Nets larger than netLimit are not scanned. A
-// non-nil sideOf restricts matching to vertices with equal sideOf
-// values — the restricted matching of V-cycle refinement, which must
-// never merge across the current bipartition.
-func matchHeavy(h *hypergraph.Hypergraph, order []int, mate []int32, sideOf []int, netLimit int, maxClusterWt int64, sc *Scratch) {
-	// rank[v] is v's position in the randomized order, the tie-breaker;
+// vertices in index order pairs each still-unmatched vertex with the
+// unmatched neighbor sharing the most net weight, among neighbors whose
+// merged weight stays within maxClusterWt. A tie goes to the candidate
+// with the smaller tieHash under the level's seed, then to the smaller
+// id; ties must not go by id alone, because on a mesh every vertex would
+// then pair with the same neighbor direction and coarsen into strips.
+// Nets larger than netLimit are not scanned. A non-nil sideOf restricts
+// matching to vertices with equal sideOf values — the restricted
+// matching of V-cycle refinement, which must never merge across the
+// current bipartition.
+func matchHeavy(h *hypergraph.Hypergraph, seed uint64, mate []int32, sideOf []int, netLimit int, maxClusterWt int64, sc *Scratch) {
 	// conn accumulates shared net weight and is all-zero between
 	// vertices.
-	rank, conn, cand := sc.matchBuffers(h.NumVerts)
-	for i, v := range order {
-		rank[v] = int32(i)
-	}
-	for _, vi := range order {
+	conn, cand := sc.matchBuffers(h.NumVerts)
+	for vi := 0; vi < h.NumVerts; vi++ {
 		v := int32(vi)
 		if mate[v] >= 0 {
 			continue
@@ -144,10 +151,13 @@ func matchHeavy(h *hypergraph.Hypergraph, order []int, mate []int32, sideOf []in
 		}
 		var best int32 = -1
 		var bestConn int32
+		var bestHash uint64
 		for _, u := range cand {
-			if h.VertWt[v]+h.VertWt[u] <= maxClusterWt &&
-				(conn[u] > bestConn || (conn[u] == bestConn && best >= 0 && rank[u] < rank[best])) {
-				best, bestConn = u, conn[u]
+			if c := conn[u]; h.VertWt[v]+h.VertWt[u] <= maxClusterWt && c >= bestConn {
+				hu := tieHash(seed, u)
+				if c > bestConn || hu < bestHash || (hu == bestHash && u < best) {
+					best, bestConn, bestHash = u, c, hu
+				}
 			}
 			conn[u] = 0 // restore the all-zero invariant
 		}
@@ -159,14 +169,25 @@ func matchHeavy(h *hypergraph.Hypergraph, order []int, mate []int32, sideOf []in
 	sc.keepMatchCand(cand)
 }
 
-// pinHash scrambles a coarse vertex id (the splitmix64 finalizer). A
-// net's fingerprint is the wrapping sum of its pins' hashes, so it does
-// not depend on pin order.
-func pinHash(v int32) uint64 {
-	x := uint64(v) + 0x9e3779b97f4a7c15
+// splitmix64 returns the output of the splitmix64 generator at state x.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
+}
+
+// tieHash ranks vertex v among equally connected matching candidates:
+// the v-th output of a splitmix64 stream started at the level's seed.
+func tieHash(seed uint64, v int32) uint64 {
+	return splitmix64(seed + uint64(v)*0x9e3779b97f4a7c15)
+}
+
+// pinHash scrambles a coarse vertex id (splitmix64 at state v). A net's
+// fingerprint is the wrapping sum of its pins' hashes, so it does not
+// depend on pin order.
+func pinHash(v int32) uint64 {
+	return splitmix64(uint64(v))
 }
 
 // contract builds the coarse hypergraph induced by vmap: vertex weights

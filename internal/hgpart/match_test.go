@@ -3,8 +3,10 @@ package hgpart
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"mediumgrain/internal/gen"
 	"mediumgrain/internal/hypergraph"
 	"mediumgrain/internal/pool"
 )
@@ -40,28 +42,74 @@ func parmatchHypergraph(seed int64, nv, nets, maxPins int) *hypergraph.Hypergrap
 	return h
 }
 
-// TestMatchProposalMatchesMostVertices guards against the greedy
-// heavy-connectivity sweep degenerating: on a structured hypergraph
-// most vertices should pair up, into a valid (symmetric) matching.
+// TestMatchProposalMatchesMostVertices guards the greedy
+// heavy-connectivity sweep. On a structured hypergraph most vertices
+// pair up into a valid matching, coarse ids ascend with each cluster's
+// smallest fine vertex, and one level seed gives one vmap whether or not
+// the buffers come from a used Scratch. On a mesh, level seeds must
+// matter and pairs must not line up along the grid rows, as they would
+// if ties went to the smaller id (same-row share 1.00; a random order
+// gives about 0.27).
 func TestMatchProposalMatchesMostVertices(t *testing.T) {
 	h := parmatchHypergraph(1, 1000, 800, 5)
-	mate := make([]int32, h.NumVerts)
-	for i := range mate {
-		mate[i] = -1
+	cfg := ConfigMondriaanLike()
+	vmap, numCoarse := match(h, rand.New(rand.NewSource(3)), cfg, h.TotalWeight(), nil)
+	size := make([]int, numCoarse)
+	next := int32(0)
+	for v, c := range vmap {
+		if c == next {
+			next++
+		} else if c > next {
+			t.Fatalf("vertex %d opens coarse id %d, want %d: ids must ascend with each cluster's smallest vertex", v, c, next)
+		}
+		size[c]++
 	}
-	order := rand.New(rand.NewSource(3)).Perm(h.NumVerts)
-	matchHeavy(h, order, mate, nil, defaultMatchingNetLimit, h.TotalWeight(), nil)
 	matched := 0
-	for v, m := range mate {
-		if m >= 0 {
-			matched++
-			if mate[m] != int32(v) {
-				t.Fatalf("mate[%d]=%d but mate[%d]=%d", v, m, m, mate[m])
-			}
+	for c, n := range size {
+		if n > 2 {
+			t.Fatalf("coarse vertex %d has %d members", c, n)
+		}
+		if n == 2 {
+			matched += 2
 		}
 	}
 	if frac := float64(matched) / float64(h.NumVerts); frac < 0.5 {
 		t.Errorf("heavy-connectivity matching paired only %.0f%% of vertices", 100*frac)
+	}
+
+	// A used scratch: its level workspace holds a contraction's table.
+	var sc Scratch
+	vm, nc := match(h, rand.New(rand.NewSource(4)), cfg, h.TotalWeight(), &sc)
+	contract(h, vm, nc, &sc)
+	if got, _ := match(h, rand.New(rand.NewSource(3)), cfg, h.TotalWeight(), &sc); !slices.Equal(got, vmap) {
+		t.Error("the same level seed gave a different vmap with a scratch")
+	}
+
+	const side = 40
+	mesh := hypergraph.RowNet(gen.Laplacian2D(side, side))
+	var mates [2][]int32
+	for i, seed := range []uint64{1, 2} {
+		mate := make([]int32, mesh.NumVerts)
+		for v := range mate {
+			mate[v] = -1
+		}
+		matchHeavy(mesh, seed, mate, nil, defaultMatchingNetLimit, mesh.TotalWeight(), nil)
+		pairs, sameRow := 0, 0
+		for v, m := range mate {
+			if int32(v) < m {
+				pairs++
+				if v/side == int(m)/side {
+					sameRow++
+				}
+			}
+		}
+		if share := float64(sameRow) / float64(pairs); share >= 0.5 {
+			t.Errorf("seed %d: %.2f of %d pairs lie along a grid row, want below 0.5", seed, share, pairs)
+		}
+		mates[i] = mate
+	}
+	if slices.Equal(mates[0], mates[1]) {
+		t.Error("two level seeds gave the same matching")
 	}
 }
 

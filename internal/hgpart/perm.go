@@ -25,7 +25,7 @@ func permSequence(rng *rand.Rand, n int, out []int) []int {
 // perm returns a random permutation of [0, n) identical to rng.Perm(n),
 // backed by the scratch's reusable buffer. It replaces the two remaining
 // O(n)-per-pass allocations of the refinement stack (fmPass's vertex
-// order and coarsening's matching order). A nil Scratch allocates fresh.
+// order and random matching's order). A nil Scratch allocates fresh.
 // The permutation is valid until the next perm call on the same Scratch.
 func (sc *Scratch) perm(rng *rand.Rand, n int) []int {
 	if sc == nil {

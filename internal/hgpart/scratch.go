@@ -25,9 +25,9 @@ type Scratch struct {
 	pins  []int32
 	ctPtr []int32
 	ctWt  []int32
-	// levelWork holds matching's rank and connectivity arrays, then
-	// contraction's identical-net table: the two phases of a level
-	// never overlap, so they share one workspace.
+	// levelWork holds matching's connectivity array, then contraction's
+	// identical-net table: the two phases of a level never overlap, so
+	// they share one workspace.
 	levelWork []int32
 	// FM refinement.
 	netSt   []netState
@@ -37,7 +37,7 @@ type Scratch struct {
 	// Boundary-only passes.
 	bndMark []bool
 	bndWork []int32
-	// Randomized orders (fmPass, matching).
+	// Randomized orders (fmPass, random matching).
 	permBuf []int
 }
 
@@ -55,7 +55,7 @@ func (sc *Scratch) reserve(numVerts, numNets int) {
 	}
 	sc.mate = sparse.Resize(sc.mate, numVerts)
 	sc.stamp = sparse.Resize(sc.stamp, numVerts)
-	sc.levelWork = sparse.Resize(sc.levelWork, max(2*numVerts, mergeTableSize(numNets)))
+	sc.levelWork = sparse.Resize(sc.levelWork, max(numVerts, mergeTableSize(numNets)))
 	sc.netSt = sparse.Resize(sc.netSt, numNets)
 	sc.locked = sparse.Resize(sc.locked, numVerts)
 	sc.bndMark = sparse.Resize(sc.bndMark, numVerts)
@@ -151,20 +151,16 @@ func (sc *Scratch) keepContract(pins, ptr, netWt []int32) {
 	}
 }
 
-// matchBuffers returns heavy-connectivity matching's rank array
-// (uninitialized: the matcher writes every entry), its all-zero
-// connectivity array, and an empty candidate list.
-func (sc *Scratch) matchBuffers(nv int) (rank, conn, cand []int32) {
-	var work []int32
+// matchBuffers returns heavy-connectivity matching's all-zero
+// connectivity array and an empty candidate list.
+func (sc *Scratch) matchBuffers(nv int) (conn, cand []int32) {
 	if sc == nil {
-		work, cand = make([]int32, 2*nv), make([]int32, 0, 64)
-	} else {
-		sc.levelWork = sparse.Resize(sc.levelWork, 2*nv)
-		work, cand = sc.levelWork, sc.matchCand[:0]
+		return make([]int32, nv), make([]int32, 0, 64)
 	}
-	rank, conn = work[:nv], work[nv:]
+	sc.levelWork = sparse.Resize(sc.levelWork, nv)
+	conn = sc.levelWork
 	clear(conn) // the previous level's table may have left it dirty
-	return rank, conn, cand
+	return conn, sc.matchCand[:0]
 }
 
 // keepMatchCand records the (possibly grown) candidate list back into

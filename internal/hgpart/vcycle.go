@@ -94,11 +94,10 @@ func VCycleRefine(ctx context.Context, h *hypergraph.Hypergraph, parts []int, ma
 }
 
 // matchRestricted is heavy-connectivity matching that only pairs vertices
-// currently on the same side, so the partition projects exactly. It
-// draws the same single permutation from rng as match.
+// currently on the same side, so the partition projects exactly. Like
+// match, it draws one level seed from rng and sweeps in index order.
 func matchRestricted(h *hypergraph.Hypergraph, parts []int, rng *rand.Rand, cfg Config, maxClusterWt int64, sc *Scratch) ([]int32, int) {
 	mate := sc.mateBuffer(h.NumVerts)
-	order := sc.perm(rng, h.NumVerts)
-	matchHeavy(h, order, mate, parts, matchingNetLimit(cfg), maxClusterWt, sc)
-	return clusterIDs(order, mate)
+	matchHeavy(h, uint64(rng.Int63()), mate, parts, matchingNetLimit(cfg), maxClusterWt, sc)
+	return clusterIDs(nil, mate)
 }
