@@ -72,6 +72,9 @@ func shardPost(t *testing.T, base string, spec JobSpec) (JobView, int) {
 	return v, resp.StatusCode
 }
 
+// shardWaitDone polls a job until it reaches any end state and returns
+// its view; callers assert the state they expect, so a job that ends
+// failed or canceled fails its test at once, not at the deadline.
 func shardWaitDone(t *testing.T, base, id string) JobView {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
@@ -86,7 +89,7 @@ func shardWaitDone(t *testing.T, base, id string) JobView {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.State == StateDone || v.State == StateFailed {
+		if terminal(v.State) {
 			return v
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -588,17 +591,8 @@ func TestInvalidPeerEntryRecomputes(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
-	// Wait for any end state: a job that failed to recompute ends
-	// canceled, which shardWaitDone would not return on.
-	job, _ := srv.Job(v.ID)
-	deadline := time.Now().Add(60 * time.Second)
-	for !terminal(srv.jobs.state(job)) {
-		if time.Now().After(deadline) {
-			t.Fatal("job did not finish")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if done := srv.jobs.View(job); done.State != StateDone {
+	// A job that failed to recompute ends canceled.
+	if done := shardWaitDone(t, base, v.ID); done.State != StateDone {
 		t.Fatalf("job ended %q: %s", done.State, done.Error)
 	}
 	res := shardResult(t, base, v.ID)
