@@ -114,9 +114,9 @@ func matchRandom(h *hypergraph.Hypergraph, order []int, mate []int32, netLimit i
 // vertices in index order pairs each still-unmatched vertex with the
 // unmatched neighbor sharing the most net weight, among neighbors whose
 // merged weight stays within maxClusterWt. A tie goes to the candidate
-// with the smaller tieHash under the level's seed, then to the smaller
-// id; ties must not go by id alone, because on a mesh every vertex would
-// then pair with the same neighbor direction and coarsen into strips.
+// with the smaller tieHash under the level's seed; ties must not go by
+// id, because on a mesh every vertex would then pair with the same
+// neighbor direction and coarsen into strips.
 // Nets larger than netLimit are not scanned. A non-nil sideOf restricts
 // matching to vertices with equal sideOf values — the restricted
 // matching of V-cycle refinement, which must never merge across the
@@ -155,7 +155,7 @@ func matchHeavy(h *hypergraph.Hypergraph, seed uint64, mate []int32, sideOf []in
 		for _, u := range cand {
 			if c := conn[u]; h.VertWt[v]+h.VertWt[u] <= maxClusterWt && c >= bestConn {
 				hu := tieHash(seed, u)
-				if c > bestConn || hu < bestHash || (hu == bestHash && u < best) {
+				if c > bestConn || hu < bestHash {
 					best, bestConn, bestHash = u, c, hu
 				}
 			}
@@ -179,6 +179,8 @@ func splitmix64(x uint64) uint64 {
 
 // tieHash ranks vertex v among equally connected matching candidates:
 // the v-th output of a splitmix64 stream started at the level's seed.
+// For a fixed seed it is a bijection of v (an odd multiplier and the
+// splitmix64 steps are all invertible), so no two candidates tie.
 func tieHash(seed uint64, v int32) uint64 {
 	return splitmix64(seed + uint64(v)*0x9e3779b97f4a7c15)
 }
