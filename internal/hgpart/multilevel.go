@@ -30,7 +30,9 @@ type Config struct {
 	// MatchingNetLimit skips nets larger than this during matching
 	// (default 64).
 	MatchingNetLimit int
-	// RandomMatching uses random instead of heavy-connectivity matching.
+	// RandomMatching uses random instead of heavy-connectivity matching:
+	// each level visits the vertices in a fresh random order and pairs
+	// each with its first unmatched neighbor.
 	RandomMatching bool
 	// InitTries is the number of initial partitions attempted at the
 	// coarsest level (default 4). Every try grows its part 0 greedily
@@ -72,6 +74,15 @@ type Config struct {
 // restarts cut that run's median call latency by about 30% at 1–2%
 // lower volume, and the total volume of the 15-seed mgbench grid moved
 // by ×1.002.
+//
+// Its matching departs from Mondriaan's random visiting order too:
+// heavy-connectivity matching sweeps the vertices in index order and
+// breaks ties by a seeded hash (see the package comment). A fresh
+// random order per level made coarsening cache-bound once a level
+// outgrew the cache. On the 330×330 Laplacian at p = 64 the sweep cut
+// the serial root bisection from about 330 to 210 ms and the median
+// call on two cores from 1,155 to 826 ms, for 0.45% more summed volume
+// over 64 seeds.
 func ConfigMondriaanLike() Config {
 	return Config{
 		CoarsenTo:        128,

@@ -44,10 +44,10 @@
 // parallel, and the multilevel hypergraph partitioner runs its
 // initial-partition tries (and, with ParallelFM, its coarse-level FM
 // tries) as independent subproblems; metric and k-way evaluation split
-// their row/column scans. Coarsening's matching (one greedy sweep),
-// contraction (which merges nets with identical pin sets into one
-// weighted net) and every FM pass sequence that is not raced run
-// sequentially on the calling goroutine.
+// their row/column scans. Coarsening's matching (one greedy sweep in
+// vertex index order), contraction (which merges nets with identical
+// pin sets into one weighted net) and every FM pass sequence that is
+// not raced run sequentially on the calling goroutine.
 //
 // Determinism: every random choice is drawn from a deterministic
 // stream — child subproblems receive RNG streams seeded from the parent
