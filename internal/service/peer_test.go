@@ -72,9 +72,9 @@ func shardPost(t *testing.T, base string, spec JobSpec) (JobView, int) {
 	return v, resp.StatusCode
 }
 
-// shardWaitDone polls a job until it reaches any end state and returns
-// its view; callers assert the state they expect, so a job that ends
-// failed or canceled fails its test at once, not at the deadline.
+// shardWaitDone polls a job until it reaches any end state (done,
+// failed or canceled) and returns its view, so a job that ends early
+// never holds its test until the deadline.
 func shardWaitDone(t *testing.T, base, id string) JobView {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
