@@ -42,19 +42,46 @@ func parmatchHypergraph(seed int64, nv, nets, maxPins int) *hypergraph.Hypergrap
 	return h
 }
 
+// heavyMates runs heavy-connectivity matching on h under one level seed
+// and fails the test unless the result is a valid (symmetric) matching:
+// each paired vertex's mate is another vertex that points back at it.
+func heavyMates(t *testing.T, h *hypergraph.Hypergraph, seed uint64) []int32 {
+	t.Helper()
+	mate := make([]int32, h.NumVerts)
+	for v := range mate {
+		mate[v] = -1
+	}
+	matchHeavy(h, seed, mate, nil, defaultMatchingNetLimit, h.TotalWeight(), nil)
+	for v, m := range mate {
+		if m >= 0 && (m == int32(v) || mate[m] != int32(v)) {
+			t.Fatalf("seed %d: vertex %d pairs with %d, whose mate is %d", seed, v, m, mate[m])
+		}
+	}
+	return mate
+}
+
 // TestMatchProposalMatchesMostVertices guards the greedy
 // heavy-connectivity sweep. On a structured hypergraph most vertices
-// pair up into a valid matching, coarse ids ascend with each cluster's
-// smallest fine vertex, and one level seed gives one vmap whether or not
-// the buffers come from a used Scratch. On a mesh, level seeds must
-// matter and pairs must not line up along the grid rows, as they would
-// if ties went to the smaller id (same-row share 1.00; a random order
-// gives about 0.27).
+// pair up into a valid (symmetric) matching, coarse ids ascend with each
+// cluster's smallest fine vertex, and one level seed gives one vmap
+// whether or not the buffers come from a used Scratch. On a mesh, level
+// seeds must matter and pairs must not line up along the grid rows, as
+// they would if ties went to the smaller id (same-row share 1.00; a
+// random order gives about 0.27).
 func TestMatchProposalMatchesMostVertices(t *testing.T) {
 	h := parmatchHypergraph(1, 1000, 800, 5)
+	matched := 0
+	for _, m := range heavyMates(t, h, 3) {
+		if m >= 0 {
+			matched++
+		}
+	}
+	if frac := float64(matched) / float64(h.NumVerts); frac < 0.5 {
+		t.Errorf("heavy-connectivity matching paired only %.0f%% of vertices", 100*frac)
+	}
+
 	cfg := ConfigMondriaanLike()
-	vmap, numCoarse := match(h, rand.New(rand.NewSource(3)), cfg, h.TotalWeight(), nil)
-	size := make([]int, numCoarse)
+	vmap, _ := match(h, rand.New(rand.NewSource(3)), cfg, h.TotalWeight(), nil)
 	next := int32(0)
 	for v, c := range vmap {
 		if c == next {
@@ -62,19 +89,6 @@ func TestMatchProposalMatchesMostVertices(t *testing.T) {
 		} else if c > next {
 			t.Fatalf("vertex %d opens coarse id %d, want %d: ids must ascend with each cluster's smallest vertex", v, c, next)
 		}
-		size[c]++
-	}
-	matched := 0
-	for c, n := range size {
-		if n > 2 {
-			t.Fatalf("coarse vertex %d has %d members", c, n)
-		}
-		if n == 2 {
-			matched += 2
-		}
-	}
-	if frac := float64(matched) / float64(h.NumVerts); frac < 0.5 {
-		t.Errorf("heavy-connectivity matching paired only %.0f%% of vertices", 100*frac)
 	}
 
 	// A used scratch: its level workspace holds a contraction's table.
@@ -89,11 +103,7 @@ func TestMatchProposalMatchesMostVertices(t *testing.T) {
 	mesh := hypergraph.RowNet(gen.Laplacian2D(side, side))
 	var mates [2][]int32
 	for i, seed := range []uint64{1, 2} {
-		mate := make([]int32, mesh.NumVerts)
-		for v := range mate {
-			mate[v] = -1
-		}
-		matchHeavy(mesh, seed, mate, nil, defaultMatchingNetLimit, mesh.TotalWeight(), nil)
+		mate := heavyMates(t, mesh, seed)
 		pairs, sameRow := 0, 0
 		for v, m := range mate {
 			if int32(v) < m {

@@ -72,9 +72,10 @@ func shardPost(t *testing.T, base string, spec JobSpec) (JobView, int) {
 	return v, resp.StatusCode
 }
 
-// shardWaitDone polls a job until it reaches any end state (done,
-// failed or canceled) and returns its view, so a job that ends early
-// never holds its test until the deadline.
+// shardWaitDone polls a job until it reaches an end state and returns
+// its view. It fails the test, naming the state and error, when that
+// state is not done, so a job that fails or is canceled stops its test
+// at once rather than at the deadline or a later check.
 func shardWaitDone(t *testing.T, base, id string) JobView {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
@@ -90,6 +91,9 @@ func shardWaitDone(t *testing.T, base, id string) JobView {
 			t.Fatal(err)
 		}
 		if terminal(v.State) {
+			if v.State != StateDone {
+				t.Fatalf("job %s ended %q: %s", id, v.State, v.Error)
+			}
 			return v
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -134,9 +138,7 @@ func TestPeerFetchServesRemoteEntry(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit to A: status %d", code)
 	}
-	if done := shardWaitDone(t, baseA, vA.ID); done.State != StateDone {
-		t.Fatalf("A job: %+v", done)
-	}
+	shardWaitDone(t, baseA, vA.ID)
 	resA := shardResult(t, baseA, vA.ID)
 
 	// Same spec directly at B: a local miss that must peer-fetch.
@@ -144,9 +146,7 @@ func TestPeerFetchServesRemoteEntry(t *testing.T) {
 	if code != http.StatusAccepted && code != http.StatusOK {
 		t.Fatalf("submit to B: status %d", code)
 	}
-	if done := shardWaitDone(t, baseB, vB.ID); done.State != StateDone {
-		t.Fatalf("B job: %+v", done)
-	}
+	shardWaitDone(t, baseB, vB.ID)
 	resB := shardResult(t, baseB, vB.ID)
 	if resB.Origin != "peer:"+addrA {
 		t.Fatalf("B's result origin %q, want peer:%s", resB.Origin, addrA)
@@ -220,9 +220,7 @@ func TestPeerFetchRejectsCorruptTransfers(t *testing.T) {
 			if code != http.StatusAccepted {
 				t.Fatalf("submit: status %d", code)
 			}
-			if done := shardWaitDone(t, base, v.ID); done.State != StateDone {
-				t.Fatalf("job: %+v", done)
-			}
+			shardWaitDone(t, base, v.ID)
 			res := shardResult(t, base, v.ID)
 			if res.Origin != "" {
 				t.Fatalf("corrupt transfer adopted: origin %q", res.Origin)
@@ -326,9 +324,6 @@ func TestHotEntryReplication(t *testing.T) {
 	spec := JobSpec{Corpus: "lap2d-24", P: 2, Seed: 11, Workers: 2}
 	v, _ := shardPost(t, baseA, spec)
 	done := shardWaitDone(t, baseA, v.ID)
-	if done.State != StateDone {
-		t.Fatalf("job: %+v", done)
-	}
 	// First repeat hit crosses ReplicateAfter=1 and triggers the push.
 	if v2, code := shardPost(t, baseA, spec); code != http.StatusOK || !v2.Cached {
 		t.Fatalf("repeat: status %d cached %v", code, v2.Cached)
@@ -455,9 +450,6 @@ func TestCacheEndpointsRequireSecret(t *testing.T) {
 	spec := JobSpec{Corpus: "tridiag", P: 2, Method: "MG", Seed: 21, Workers: 1}
 	v, _ := shardPost(t, baseA, spec)
 	done := shardWaitDone(t, baseA, v.ID)
-	if done.State != StateDone {
-		t.Fatalf("job: %+v", done)
-	}
 
 	// GET: no header and a wrong header are both 401; the right secret
 	// serves the entry.
@@ -500,9 +492,7 @@ func TestCacheEndpointsRequireSecret(t *testing.T) {
 
 	// Shards sharing the secret still peer-fetch from each other.
 	vB, _ := shardPost(t, baseB, spec)
-	if doneB := shardWaitDone(t, baseB, vB.ID); doneB.State != StateDone {
-		t.Fatalf("B job: %+v", doneB)
-	}
+	shardWaitDone(t, baseB, vB.ID)
 	if res := shardResult(t, baseB, vB.ID); res.Origin != "peer:"+addrA {
 		t.Fatalf("B's result origin %q, want peer:%s", res.Origin, addrA)
 	}
@@ -551,9 +541,7 @@ func TestHungPeerFetchOverlapsCompute(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
-	if done := shardWaitDone(t, base, v.ID); done.State != StateDone {
-		t.Fatalf("job ended %q: %s", done.State, done.Error)
-	}
+	shardWaitDone(t, base, v.ID)
 	res := shardResult(t, base, v.ID)
 	if res.Origin != "" {
 		t.Fatalf("origin %q, want a local computation", res.Origin)
@@ -591,10 +579,8 @@ func TestInvalidPeerEntryRecomputes(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
-	// A job that failed to recompute ends canceled.
-	if done := shardWaitDone(t, base, v.ID); done.State != StateDone {
-		t.Fatalf("job ended %q: %s", done.State, done.Error)
-	}
+	// A job that failed to recompute ends canceled, which fails the wait.
+	shardWaitDone(t, base, v.ID)
 	res := shardResult(t, base, v.ID)
 	if res.Origin != "" {
 		t.Fatalf("invalid entry adopted: origin %q", res.Origin)
