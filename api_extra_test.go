@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mediumgrain"
-	"mediumgrain/internal/core"
 	"mediumgrain/internal/gen"
 )
 
@@ -20,33 +19,6 @@ func TestPublicCartesianPartition(t *testing.T) {
 	}
 	if got := mediumgrain.Volume(a, res.Parts, 6); got != res.Volume {
 		t.Fatalf("volume %d != %d", got, res.Volume)
-	}
-}
-
-func TestPublicVCycleRefine(t *testing.T) {
-	a := gen.Laplacian2D(10, 10)
-	parts := make([]int, a.NNZ())
-	for k := range parts {
-		parts[k] = k % 2
-	}
-	before := mediumgrain.Volume(a, parts, 2)
-	refined, err := core.NewEngine(0).VCycleRefine(context.Background(), a, parts, mediumgrain.DefaultOptions(), mediumgrain.NewRNG(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after := mediumgrain.Volume(a, refined, 2); after > before {
-		t.Fatalf("v-cycle increased volume %d -> %d", before, after)
-	}
-}
-
-func TestPublicFullIterative(t *testing.T) {
-	a := gen.PowerLawGraph(mediumgrain.NewRNG(3), 150, 3)
-	res, err := core.NewEngine(0).FullIterative(context.Background(), a, 3, mediumgrain.DefaultOptions(), mediumgrain.NewRNG(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Volume != mediumgrain.Volume(a, res.Parts, 2) {
-		t.Fatal("volume inconsistent")
 	}
 }
 

@@ -210,25 +210,3 @@ func (bm *BModel) SeedFromNonzeroParts(aParts []int) ([]int, error) {
 	}
 	return vparts, nil
 }
-
-// BMatrix materializes the composite matrix B of eqn (4) with dummy
-// diagonal entries included — used for illustration (Fig. 1/3) and tests.
-func BMatrix(a *sparse.Matrix, inRow []bool) *sparse.Matrix {
-	m, n := a.Rows, a.Cols
-	b := sparse.New(m+n, m+n)
-	for d := 0; d < m+n; d++ {
-		b.AppendPattern(d, d)
-	}
-	for k := range a.RowIdx {
-		i, j := a.RowIdx[k], a.ColIdx[k]
-		if inRow[k] {
-			// (Ar)^T occupies the upper-right block: entry (j, n+i).
-			b.AppendPattern(j, n+i)
-		} else {
-			// Ac occupies the lower-left block: entry (n+i, j).
-			b.AppendPattern(n+i, j)
-		}
-	}
-	b.Canonicalize()
-	return b
-}

@@ -257,49 +257,6 @@ func TestSeedFromNonzeroPartsDetectsViolation(t *testing.T) {
 	}
 }
 
-func TestBMatrixStructure(t *testing.T) {
-	a := fig1Matrix()
-	rng := rand.New(rand.NewSource(2))
-	inRow := Split(a, SplitNNZ, rng)
-	b := BMatrix(a, inRow)
-	m, n := a.Rows, a.Cols
-	if b.Rows != m+n || b.Cols != m+n {
-		t.Fatalf("B dims %dx%d, want %dx%d", b.Rows, b.Cols, m+n, m+n)
-	}
-	// diagonal fully present
-	diag := 0
-	upper := 0 // (Ar)^T block count
-	lower := 0 // Ac block count
-	for k := range b.RowIdx {
-		i, j := b.RowIdx[k], b.ColIdx[k]
-		switch {
-		case i == j:
-			diag++
-		case i < n && j >= n:
-			upper++
-		case i >= n && j < n:
-			lower++
-		default:
-			t.Fatalf("entry (%d,%d) outside the block structure", i, j)
-		}
-	}
-	if diag != m+n {
-		t.Fatalf("diagonal has %d entries, want %d", diag, m+n)
-	}
-	if upper+lower != a.NNZ() {
-		t.Fatalf("off-diagonal entries %d, want N = %d", upper+lower, a.NNZ())
-	}
-	nr := 0
-	for _, r := range inRow {
-		if r {
-			nr++
-		}
-	}
-	if upper != nr || lower != a.NNZ()-nr {
-		t.Fatalf("block sizes (%d,%d) disagree with split (%d,%d)", upper, lower, nr, a.NNZ()-nr)
-	}
-}
-
 func TestBModelEmptyMatrix(t *testing.T) {
 	a := sparse.New(3, 4)
 	bm, err := BuildBModel(a, nil)

@@ -109,8 +109,8 @@ func TestEngineCancelSequential(t *testing.T) {
 	}
 }
 
-// TestEngineCancelRefinePaths: IterativeRefine, VCycleRefine, and
-// KWayRefine surface ctx.Err() when canceled beforehand.
+// TestEngineCancelRefinePaths: IterativeRefine, KWayRefine, and Volume
+// surface ctx.Err() when canceled beforehand.
 func TestEngineCancelRefinePaths(t *testing.T) {
 	a := gen.Laplacian2D(20, 20)
 	eng := NewEngine(2)
@@ -123,14 +123,8 @@ func TestEngineCancelRefinePaths(t *testing.T) {
 	if _, _, err := eng.IterativeRefine(ctx, a, res.Parts, DefaultOptions(), rand.New(rand.NewSource(2))); err != context.Canceled {
 		t.Fatalf("IterativeRefine: want context.Canceled, got %v", err)
 	}
-	if _, err := eng.VCycleRefine(ctx, a, res.Parts, DefaultOptions(), rand.New(rand.NewSource(2))); err != context.Canceled {
-		t.Fatalf("VCycleRefine: want context.Canceled, got %v", err)
-	}
 	if _, err := eng.KWayRefine(ctx, a, append([]int(nil), res.Parts...), 4, 0.03, rand.New(rand.NewSource(2))); err != context.Canceled {
 		t.Fatalf("KWayRefine: want context.Canceled, got %v", err)
-	}
-	if _, err := eng.FullIterative(ctx, a, 3, DefaultOptions(), rand.New(rand.NewSource(2))); err != context.Canceled {
-		t.Fatalf("FullIterative: want context.Canceled, got %v", err)
 	}
 	if _, err := eng.Volume(ctx, a, res.Parts, 4); err != context.Canceled {
 		t.Fatalf("Volume: want context.Canceled, got %v", err)

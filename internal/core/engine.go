@@ -140,16 +140,6 @@ func (e *Engine) IterativeRefine(ctx context.Context, a *sparse.Matrix, parts []
 	return out, vol, nil
 }
 
-// VCycleRefine is the multilevel alternative to IterativeRefine, on the
-// engine's pool and under ctx.
-func (e *Engine) VCycleRefine(ctx context.Context, a *sparse.Matrix, parts []int, opts Options, rng *rand.Rand) ([]int, error) {
-	out := vCycleRefineOn(ctx, a, parts, opts, rng, e.pl)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // KWayRefine post-processes a p-way partitioning with direct k-way
 // greedy refinement under the λ−1 metric, modifying parts in place and
 // returning the final volume. Canceled refinements leave parts valid —
@@ -160,12 +150,6 @@ func (e *Engine) KWayRefine(ctx context.Context, a *sparse.Matrix, parts []int, 
 		return 0, err
 	}
 	return vol, nil
-}
-
-// FullIterative runs the paper's §V "full iterative method" (see
-// fullIterativeOn) under ctx on the engine's pool.
-func (e *Engine) FullIterative(ctx context.Context, a *sparse.Matrix, iterations int, opts Options, rng *rand.Rand) (*Result, error) {
-	return fullIterativeOn(ctx, a, iterations, opts, rng, e)
 }
 
 // Volume evaluates the communication volume of a p-way partitioning on

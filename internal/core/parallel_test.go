@@ -39,15 +39,6 @@ func iterativeRefineInline(a *sparse.Matrix, parts []int, opts Options, rng *ran
 	return out
 }
 
-func vCycleRefineInline(a *sparse.Matrix, parts []int, opts Options, rng *rand.Rand) []int {
-	out, _ := NewEngine(0).VCycleRefine(context.Background(), a, parts, opts, rng)
-	return out
-}
-
-func fullIterativeInline(a *sparse.Matrix, iterations int, opts Options, rng *rand.Rand) (*Result, error) {
-	return NewEngine(0).FullIterative(context.Background(), a, iterations, opts, rng)
-}
-
 // TestPartitionParallelEquivalence is the determinism contract of the
 // one partitioning algorithm: for every method, FM mode (default,
 // ParallelFM) and refinement setting, Engine.Partition returns

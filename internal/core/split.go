@@ -106,18 +106,3 @@ func oneOffPostPass(a *sparse.Matrix, inRow []bool, nzr, nzc []int) {
 		}
 	}
 }
-
-// SplitMatrices materializes Ar and Ac as separate matrices with
-// A = Ar + Ac; mostly useful for tests and illustrations.
-func SplitMatrices(a *sparse.Matrix, inRow []bool) (ar, ac *sparse.Matrix) {
-	ar = sparse.New(a.Rows, a.Cols)
-	ac = sparse.New(a.Rows, a.Cols)
-	for k := range a.RowIdx {
-		if inRow[k] {
-			ar.AppendPattern(a.RowIdx[k], a.ColIdx[k])
-		} else {
-			ac.AppendPattern(a.RowIdx[k], a.ColIdx[k])
-		}
-	}
-	return ar, ac
-}

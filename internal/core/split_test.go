@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mediumgrain/internal/gen"
 	"mediumgrain/internal/sparse"
 )
 
@@ -207,31 +208,6 @@ func TestOneOffPostPassSkipsSingletons(t *testing.T) {
 	}
 }
 
-func TestSplitMatricesPartition(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := randomPattern(rng, 1+rng.Intn(10), 1+rng.Intn(10), 40)
-		inRow := Split(a, SplitNNZ, rng)
-		ar, ac := SplitMatrices(a, inRow)
-		if ar.NNZ()+ac.NNZ() != a.NNZ() {
-			return false
-		}
-		// Ar + Ac must reproduce A
-		sum := sparse.New(a.Rows, a.Cols)
-		for k := range ar.RowIdx {
-			sum.AppendPattern(ar.RowIdx[k], ar.ColIdx[k])
-		}
-		for k := range ac.RowIdx {
-			sum.AppendPattern(ac.RowIdx[k], ac.ColIdx[k])
-		}
-		sum.Canonicalize()
-		return sparse.Equal(a, sum)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSplitDeterministic(t *testing.T) {
 	rng1 := rand.New(rand.NewSource(42))
 	rng2 := rand.New(rand.NewSource(42))
@@ -250,5 +226,43 @@ func TestSplitStrategyString(t *testing.T) {
 		if s.String() == "" {
 			t.Fatal("empty String()")
 		}
+	}
+}
+
+func TestSplitParallelMatchesSequential(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		a := randomPattern(rng, 2+rng.Intn(20), 2+rng.Intn(20), 150)
+		for _, workers := range []int{1, 2, 4, 7} {
+			seq := Split(a, SplitNNZ, rand.New(rand.NewSource(seed+100)))
+			par := SplitParallel(a, rand.New(rand.NewSource(seed+100)), workers)
+			if len(seq) != len(par) {
+				return false
+			}
+			for k := range seq {
+				if seq[k] != par[k] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSplitParallelDefaultWorkers(t *testing.T) {
+	a := gen.Laplacian2D(8, 8)
+	inRow := SplitParallel(a, rand.New(rand.NewSource(7)), 0)
+	if len(inRow) != a.NNZ() {
+		t.Fatal("wrong length")
+	}
+}
+
+func TestSplitParallelEmpty(t *testing.T) {
+	a := randomPattern(rand.New(rand.NewSource(8)), 3, 3, 0)
+	if got := SplitParallel(a, rand.New(rand.NewSource(9)), 4); len(got) != a.NNZ() {
+		t.Fatal("empty split mishandled")
 	}
 }

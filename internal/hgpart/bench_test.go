@@ -82,14 +82,3 @@ func BenchmarkCoarsenHierarchy(b *testing.B) {
 	}
 	b.ReportMetric(float64(pins)/float64(b.N), "coarse-pins/op")
 }
-
-func BenchmarkVCycleRefine(b *testing.B) {
-	h := benchHypergraph(b)
-	maxW := balancedCaps(h.TotalWeight(), 0.03)
-	base, _ := bipartition(h, 0.03, rand.New(rand.NewSource(4)), ConfigMondriaanLike())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		parts := append([]int(nil), base...)
-		VCycleRefine(context.Background(), h, parts, maxW, rand.New(rand.NewSource(int64(i))), ConfigMondriaanLike(), nil)
-	}
-}

@@ -48,7 +48,7 @@ func match(h *hypergraph.Hypergraph, rng *rand.Rand, cfg Config, maxClusterWt in
 		matchRandom(h, order, mate, matchingNetLimit(cfg), maxClusterWt)
 		return clusterIDs(order, mate)
 	}
-	matchHeavy(h, uint64(rng.Int63()), mate, nil, matchingNetLimit(cfg), maxClusterWt, sc)
+	matchHeavy(h, uint64(rng.Int63()), mate, matchingNetLimit(cfg), maxClusterWt, sc)
 	return clusterIDs(nil, mate)
 }
 
@@ -117,11 +117,8 @@ func matchRandom(h *hypergraph.Hypergraph, order []int, mate []int32, netLimit i
 // with the smaller tieHash under the level's seed; ties must not go by
 // id, because on a mesh every vertex would then pair with the same
 // neighbor direction and coarsen into strips.
-// Nets larger than netLimit are not scanned. A non-nil sideOf restricts
-// matching to vertices with equal sideOf values — the restricted
-// matching of V-cycle refinement, which must never merge across the
-// current bipartition.
-func matchHeavy(h *hypergraph.Hypergraph, seed uint64, mate []int32, sideOf []int, netLimit int, maxClusterWt int64, sc *Scratch) {
+// Nets larger than netLimit are not scanned.
+func matchHeavy(h *hypergraph.Hypergraph, seed uint64, mate []int32, netLimit int, maxClusterWt int64, sc *Scratch) {
 	// conn accumulates shared net weight and is all-zero between
 	// vertices.
 	conn, cand := sc.matchBuffers(h.NumVerts)
@@ -138,9 +135,6 @@ func matchHeavy(h *hypergraph.Hypergraph, seed uint64, mate []int32, sideOf []in
 			w := h.NetWeight(int(n))
 			for _, u := range h.NetPins(int(n)) {
 				if u == v || mate[u] >= 0 {
-					continue
-				}
-				if sideOf != nil && sideOf[u] != sideOf[v] {
 					continue
 				}
 				if conn[u] == 0 {

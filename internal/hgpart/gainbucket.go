@@ -54,7 +54,7 @@
 //
 // FM refinement is the package's hot path — it runs at every
 // recursive-bisection node, every multilevel uncoarsening step, and
-// every iterative-refinement/V-cycle round — and is built as three
+// every iterative-refinement round — and is built as three
 // layers over the textbook algorithm: two constant-factor reductions
 // of the serial work (locked-net pruning, boundary-driven passes), and
 // one way to spend idle workers inside a single refine call (coarse-

@@ -51,7 +51,7 @@ func heavyMates(t *testing.T, h *hypergraph.Hypergraph, seed uint64) []int32 {
 	for v := range mate {
 		mate[v] = -1
 	}
-	matchHeavy(h, seed, mate, nil, defaultMatchingNetLimit, h.TotalWeight(), nil)
+	matchHeavy(h, seed, mate, defaultMatchingNetLimit, h.TotalWeight(), nil)
 	for v, m := range mate {
 		if m >= 0 && (m == int32(v) || mate[m] != int32(v)) {
 			t.Fatalf("seed %d: vertex %d pairs with %d, whose mate is %d", seed, v, m, mate[m])

@@ -204,18 +204,11 @@ func capsToEps(h *hypergraph.Hypergraph, maxW [2]int64) float64 {
 	if tw == 0 {
 		return 0.03
 	}
-	eps := 2*float64(minInt64(maxW[0], maxW[1]))/float64(tw) - 1
+	eps := 2*float64(min(maxW[0], maxW[1]))/float64(tw) - 1
 	if eps < 0 {
 		eps = 0
 	}
 	return eps
-}
-
-func minInt64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // initialPartition grows cfg.InitTries initial bipartitions of the

@@ -101,21 +101,3 @@ func ValidateParts(a *sparse.Matrix, parts []int, p int) error {
 	}
 	return nil
 }
-
-// VolumePerRowCol returns the row-wise and column-wise contributions to
-// the communication volume; useful for diagnostics and tests of the
-// medium-grain equivalence proof.
-func VolumePerRowCol(a *sparse.Matrix, parts []int, p int) (rowVol, colVol int64) {
-	lr, lc := Lambdas(a, parts, p)
-	for _, l := range lr {
-		if l > 1 {
-			rowVol += int64(l - 1)
-		}
-	}
-	for _, l := range lc {
-		if l > 1 {
-			colVol += int64(l - 1)
-		}
-	}
-	return rowVol, colVol
-}

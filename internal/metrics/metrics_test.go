@@ -120,20 +120,6 @@ func TestLambdas(t *testing.T) {
 	}
 }
 
-func TestVolumePerRowCol(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := randomPattern(rng, 1+rng.Intn(10), 1+rng.Intn(10), 40)
-		p := 2 + rng.Intn(3)
-		parts := randomParts(rng, a.NNZ(), p)
-		rv, cv := VolumePerRowCol(a, parts, p)
-		return rv+cv == Volume(a, parts, p)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPartSizesAndImbalance(t *testing.T) {
 	parts := []int{0, 0, 0, 1}
 	s := PartSizes(parts, 2)
