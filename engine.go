@@ -205,8 +205,9 @@ func (e *BipartitionPError) Error() string {
 }
 
 // resolve validates the request and returns the effective part count
-// (P defaulted to 2). With needParts it additionally checks that Parts
-// covers the matrix, the Refine/Evaluate precondition.
+// (P defaulted to 2, at least 1). With needParts it additionally checks
+// that Parts covers the matrix with ids in [0, P), the Refine/Evaluate
+// precondition.
 func (req Request) resolve(needParts bool) (int, error) {
 	if req.Matrix == nil {
 		return 0, ErrNoMatrix
@@ -215,8 +216,16 @@ func (req Request) resolve(needParts bool) (int, error) {
 	if p == 0 {
 		p = 2
 	}
-	if needParts && len(req.Parts) != req.Matrix.NNZ() {
-		return 0, &PartsLengthError{Got: len(req.Parts), Want: req.Matrix.NNZ()}
+	if p < 1 {
+		return 0, fmt.Errorf("mediumgrain: P must be >= 1, got %d", p)
+	}
+	if needParts {
+		if len(req.Parts) != req.Matrix.NNZ() {
+			return 0, &PartsLengthError{Got: len(req.Parts), Want: req.Matrix.NNZ()}
+		}
+		if err := metrics.ValidateParts(req.Matrix, req.Parts, p); err != nil {
+			return 0, err
+		}
 	}
 	return p, nil
 }

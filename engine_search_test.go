@@ -189,4 +189,4 @@ func TestEngineTypedErrors(t *testing.T) {
 	}
 }
 
-func firstErr(_ *mediumgrain.Result, err error) error { return err }
+func firstErr[T any](_ T, err error) error { return err }

@@ -3,6 +3,7 @@ package mediumgrain_test
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -40,7 +41,8 @@ func TestEngineReuseIsStateless(t *testing.T) {
 	}
 }
 
-// TestEngineRefineAndEvaluate: Refine never worsens the volume and
+// TestEngineRefineAndEvaluate: Refine never worsens the volume, leaves
+// req.Parts alone and reports the volume of what it returns, and
 // Evaluate agrees with the free metric functions.
 func TestEngineRefineAndEvaluate(t *testing.T) {
 	a := gen.Laplacian2D(12, 12)
@@ -53,6 +55,7 @@ func TestEngineRefineAndEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := append([]int(nil), res.Parts...)
 	refined, err := eng.Refine(ctx, mediumgrain.Request{Matrix: a, P: 4, Seed: 6, Parts: res.Parts})
 	if err != nil {
 		t.Fatal(err)
@@ -60,6 +63,7 @@ func TestEngineRefineAndEvaluate(t *testing.T) {
 	if refined.Volume > res.Volume {
 		t.Fatalf("refine worsened volume: %d -> %d", res.Volume, refined.Volume)
 	}
+	checkRefineContract(t, a, 4, before, res.Parts, refined)
 	ev, err := eng.Evaluate(ctx, mediumgrain.Request{Matrix: a, P: 4, Parts: refined.Parts})
 	if err != nil {
 		t.Fatal(err)
@@ -75,12 +79,27 @@ func TestEngineRefineAndEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before = append([]int(nil), bi.Parts...)
 	ir, err := eng.Refine(ctx, mediumgrain.Request{Matrix: a, Seed: 8, Parts: bi.Parts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ir.Volume > bi.Volume {
 		t.Fatalf("iterative refine worsened volume: %d -> %d", bi.Volume, ir.Volume)
+	}
+	checkRefineContract(t, a, 2, before, bi.Parts, ir)
+}
+
+// checkRefineContract checks Refine's documented contract: the
+// request's parts (input) still equal the copy taken before the call,
+// and the result's volume is the volume of the parts it returns.
+func checkRefineContract(t *testing.T, a *mediumgrain.Matrix, p int, before, input []int, res *mediumgrain.Result) {
+	t.Helper()
+	if !slices.Equal(input, before) {
+		t.Fatalf("p=%d: Refine modified req.Parts", p)
+	}
+	if got := mediumgrain.Volume(a, res.Parts, p); res.Volume != got {
+		t.Fatalf("p=%d: Refine reported volume %d, recount %d", p, res.Volume, got)
 	}
 }
 
@@ -124,20 +143,42 @@ func TestEngineProgressEvents(t *testing.T) {
 	}
 }
 
-// TestEngineRequestValidation: nil matrices and mismatched parts are
-// rejected, not partially executed.
+// TestEngineRequestValidation: nil matrices, part counts below 1 and
+// parts that do not give every nonzero an id in [0, P) are rejected with
+// an error, never partially executed or left to panic, on an inline and
+// a pooled engine alike.
 func TestEngineRequestValidation(t *testing.T) {
-	eng := mediumgrain.New(mediumgrain.EngineConfig{})
 	ctx := context.Background()
-	if _, err := eng.Partition(ctx, mediumgrain.Request{}); err == nil {
-		t.Fatal("nil matrix accepted")
+	a := gen.Laplacian2D(40, 40)
+	// withID returns a valid bipartition with one nonzero's id set to id.
+	withID := func(id int) []int {
+		parts := make([]int, a.NNZ())
+		for k := range parts {
+			parts[k] = k % 2
+		}
+		parts[a.NNZ()/2] = id
+		return parts
 	}
-	a := gen.Laplacian2D(6, 6)
-	if _, err := eng.Refine(ctx, mediumgrain.Request{Matrix: a, Parts: []int{0, 1}}); err == nil {
-		t.Fatal("short parts accepted by Refine")
-	}
-	if _, err := eng.Evaluate(ctx, mediumgrain.Request{Matrix: a, Parts: []int{0}}); err == nil {
-		t.Fatal("short parts accepted by Evaluate")
+	for _, workers := range []int{0, 2} {
+		eng := mediumgrain.New(mediumgrain.EngineConfig{Workers: workers})
+		for name, err := range map[string]error{
+			"Partition without matrix":  firstErr(eng.Partition(ctx, mediumgrain.Request{})),
+			"Refine with short parts":   firstErr(eng.Refine(ctx, mediumgrain.Request{Matrix: a, Parts: []int{0, 1}})),
+			"Evaluate with short parts": firstErr(eng.Evaluate(ctx, mediumgrain.Request{Matrix: a, Parts: []int{0}})),
+			"Refine with id 7 at P=0":   firstErr(eng.Refine(ctx, mediumgrain.Request{Matrix: a, Parts: withID(7)})),
+			"Refine with id 4 at P=4":   firstErr(eng.Refine(ctx, mediumgrain.Request{Matrix: a, P: 4, Parts: withID(4)})),
+			"Refine with id -1":         firstErr(eng.Refine(ctx, mediumgrain.Request{Matrix: a, Parts: withID(-1)})),
+			"Evaluate with id 7 at P=0": firstErr(eng.Evaluate(ctx, mediumgrain.Request{Matrix: a, Parts: withID(7)})),
+			"Evaluate with id 2 at P=2": firstErr(eng.Evaluate(ctx, mediumgrain.Request{Matrix: a, P: 2, Parts: withID(2)})),
+			"Partition at P=-1":         firstErr(eng.Partition(ctx, mediumgrain.Request{Matrix: a, P: -1})),
+			"Bipartition at P=-1":       firstErr(eng.Bipartition(ctx, mediumgrain.Request{Matrix: a, P: -1})),
+			"Refine at P=-1":            firstErr(eng.Refine(ctx, mediumgrain.Request{Matrix: a, P: -1, Parts: withID(0)})),
+			"Evaluate at P=-1":          firstErr(eng.Evaluate(ctx, mediumgrain.Request{Matrix: a, P: -1, Parts: withID(0)})),
+		} {
+			if err == nil {
+				t.Errorf("workers=%d: %s accepted", workers, name)
+			}
+		}
 	}
 }
 
