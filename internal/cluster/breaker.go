@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/binary"
 	"hash/fnv"
 	"sync"
@@ -46,6 +47,22 @@ func (b Backoff) Delay(attempt int, salt string) time.Duration {
 	h.Write(buf[:])
 	jitter := 0.75 + float64(h.Sum32()%1000)/2000.0
 	return time.Duration(float64(d) * jitter)
+}
+
+// SleepCtx sleeps d unless ctx ends first; false means ctx ended and the
+// caller should stop retrying.
+func SleepCtx(ctx context.Context, d time.Duration) bool {
+	if d <= 0 {
+		return true
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }
 
 // Breaker states, as reported by State and /stats.

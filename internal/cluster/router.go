@@ -422,7 +422,7 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				break
 			}
 			if pass+1 < submitPasses {
-				if !sleepCtx(r.Context(), rt.backoff.Delay(pass, key)) {
+				if !SleepCtx(r.Context(), rt.backoff.Delay(pass, key)) {
 					break
 				}
 				rt.retries.Add(1)
@@ -553,22 +553,6 @@ func (rt *Router) setRetryAfter(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(ra))
 }
 
-// sleepCtx sleeps d unless ctx ends first; false means the client is
-// gone and the caller should give up.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // shardID returns the stable id for a node, consulting (and populating)
 // the retained map.
 func (rt *Router) shardID(node string) string {
@@ -669,7 +653,7 @@ func (rt *Router) proxyRead(r *http.Request, node, path, method string) (*http.R
 	var lastErr error
 	for attempt := 0; attempt <= proxyReadRetries; attempt++ {
 		if attempt > 0 {
-			if !sleepCtx(r.Context(), rt.backoff.Delay(attempt-1, path)) {
+			if !SleepCtx(r.Context(), rt.backoff.Delay(attempt-1, path)) {
 				break
 			}
 			rt.retries.Add(1)

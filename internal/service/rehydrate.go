@@ -29,22 +29,6 @@ import (
 // rehydratePageSize is the /cache/keys page the rehydrator requests.
 const rehydratePageSize = 256
 
-// sleepCtx sleeps d unless ctx ends first; false means the caller
-// should stop retrying.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // rehydratePageRetries bounds retries of one enumeration page against a
 // flaky source before the source is abandoned (its remaining keys are
 // counted failed).
@@ -181,7 +165,7 @@ func (s *Server) Rehydrate(ctx context.Context, before *cluster.Ring, pause time
 				}
 				// Resume from the same cursor — the pages already consumed
 				// stay consumed — after the shared backoff schedule.
-				if !sleepCtx(ctx, s.clu.Breaker.Backoff.Delay(retries-1, node)) {
+				if !cluster.SleepCtx(ctx, s.clu.Breaker.Backoff.Delay(retries-1, node)) {
 					return rep
 				}
 				continue
