@@ -128,7 +128,7 @@ type Event struct {
 type Request struct {
 	// Matrix is the sparse matrix to partition (required).
 	Matrix *Matrix
-	// P is the number of parts (default 2).
+	// P is the number of parts (default 2); a negative P is an error.
 	P int
 	// Method selects the partitioning model. The zero value is
 	// MethodRowNet by enumeration order; most callers want
@@ -147,7 +147,8 @@ type Request struct {
 	// SplitNNZ, Algorithm 1). Ignored by other methods.
 	Strategy SplitStrategy
 	// Parts is the existing partitioning that Refine and Evaluate
-	// operate on; Partition and Bipartition ignore it.
+	// operate on: one part id in [0, P) per nonzero. Partition and
+	// Bipartition ignore it.
 	Parts []int
 	// Search, when Tries > 1, races that many deterministic seed
 	// variants of the request and returns the best; see Search. The zero
