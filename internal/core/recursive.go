@@ -68,6 +68,12 @@ func (h *runHooks) split(vol int64) {
 // of the run's store. A call therefore holds at most one scratch per
 // goroutine that runs its tree.
 //
+// A node without nonzeros returns at once: its q parts stay empty, so a
+// call does at most nnz·⌈log2 p⌉ bisections however large p is, not
+// p − 1. Skipping the subtree changes no result bit, because every
+// child's RNG is seeded from its parent's stream before the fork and no
+// other node reads the skipped streams.
+//
 // Cancellation: ctx is checked at every node entry and threaded into the
 // multilevel engine below, so a cancel unwinds the whole tree promptly;
 // forked branches still join (Fork always joins) and every checked-out
@@ -75,6 +81,9 @@ func (h *runHooks) split(vol int64) {
 func bisect(ctx context.Context, a *sparse.Matrix, subset []int, base, q int, parts []int, method Method, opts Options, delta float64, rng *rand.Rand, pl *pool.Pool, st *scratchStore, sc *scratch, hooks *runHooks) error {
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	if len(subset) == 0 {
+		return nil
 	}
 	if q == 1 {
 		for _, k := range subset {

@@ -184,3 +184,31 @@ func TestSplitVolumesSumToVolume(t *testing.T) {
 		}
 	}
 }
+
+// TestEmptyNodesSkipped: at p far above the nonzero count, a call
+// bisects only nodes that hold nonzeros — at most nnz·⌈log2 p⌉ of them,
+// where recursing into every part took p − 1 — and skipping the empty
+// subtrees leaves the parts bit-identical (the hash is the one the
+// unskipped recursion produced) on an inline and a pooled engine.
+func TestEmptyNodesSkipped(t *testing.T) {
+	a := gen.Laplacian2D(6, 6)
+	const p, levels = 4096, 12
+	const wantHash = 0xa14e9b1e4c4a5d0b
+	for _, w := range []int{0, 2} {
+		var splits atomic.Int64
+		hooks := &runHooks{onSplit: func(int64) { splits.Add(1) }}
+		res, err := NewEngine(w).partition(context.Background(), a, p, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(1)), hooks)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if n := splits.Load(); n >= int64(a.NNZ()*levels) {
+			t.Errorf("workers=%d: %d splits for %d nonzeros at p=%d, want fewer than %d", w, n, a.NNZ(), p, a.NNZ()*levels)
+		}
+		if got := partsHash(res.Parts); got != wantHash {
+			t.Errorf("workers=%d: parts hash %#016x, want %#016x", w, got, uint64(wantHash))
+		}
+		if err := metrics.ValidateParts(a, res.Parts, p); err != nil {
+			t.Errorf("workers=%d: %v", w, err)
+		}
+	}
+}
