@@ -22,9 +22,12 @@ import (
 // balance constraint ε is maintained.
 //
 // ix is a caller-built index of a shared by every iteration's model
-// build and volume evaluation (nil builds one once); working memory is
-// drawn from sc. The returned volume is the refined partition's — the
-// loop tracks it anyway, so callers never pay a separate evaluation. A
+// build and the input's volume count (nil builds one once); working
+// memory is drawn from sc. The volume is counted once, for the input:
+// each FM run returns the cut of its composite hypergraph, which is the
+// volume of the bipartition it decodes to (§III-A), so the loop tracks
+// the refined partition's volume without a recount, and callers never
+// pay a separate evaluation. A
 // canceled ctx stops the loop at the next iteration (or FM-stride)
 // boundary and returns the best partition found so far — still never
 // worse than the input; callers that must distinguish report ctx.Err()
@@ -48,18 +51,11 @@ func iterativeRefineIndexed(ctx context.Context, a *sparse.Matrix, parts []int, 
 		if ctx.Err() != nil {
 			return cur, vPrev
 		}
-		next, ok := refineOnce(ctx, a, cur, dir, opts, rng, ix, sc)
-		var vk int64
-		if ok {
-			vk = metrics.VolumeIndexed(ctx, a, next, 2, &ix.Row, &ix.Col, nil)
-		} else {
-			vk = vPrev
-			next = cur
-		}
-		if vk > vPrev || ctx.Err() != nil {
+		next, vk, ok := refineOnce(ctx, a, cur, dir, opts, rng, ix, sc)
+		if !ok || vk > vPrev || ctx.Err() != nil {
 			// The FM engine never worsens a seeded partition, but stay
 			// safe against balance-forced moves on pathological inputs —
-			// and against a volume scan cut short by cancellation.
+			// and against an FM run cut short by cancellation.
 			vk = vPrev
 			next = cur
 		}
@@ -76,9 +72,10 @@ func iterativeRefineIndexed(ctx context.Context, a *sparse.Matrix, parts []int, 
 }
 
 // refineOnce performs one iteration of Algorithm 2: encode, refine with a
-// single KL/FM run, decode. ok is false when the encoded model cannot be
+// single KL/FM run, decode. It returns the decoded parts and their
+// volume, the FM run's cut. ok is false when the encoded model cannot be
 // seeded (never happens for valid 2-part inputs; defensive).
-func refineOnce(ctx context.Context, a *sparse.Matrix, parts []int, dir int, opts Options, rng *rand.Rand, ix *sparse.Index, sc *scratch) ([]int, bool) {
+func refineOnce(ctx context.Context, a *sparse.Matrix, parts []int, dir int, opts Options, rng *rand.Rand, ix *sparse.Index, sc *scratch) ([]int, int64, bool) {
 	// Direction 0: Ar ← A0, Ac ← A1. Direction 1: Ar ← A1, Ac ← A0.
 	inRow := sc.inRowBuf(len(parts))
 	for k, p := range parts {
@@ -90,16 +87,16 @@ func refineOnce(ctx context.Context, a *sparse.Matrix, parts []int, dir int, opt
 	}
 	bm, err := buildBModel(a, inRow, ix, sc)
 	if err != nil {
-		return nil, false
+		return nil, 0, false
 	}
 	vparts, err := bm.SeedFromNonzeroParts(parts)
 	if err != nil {
-		return nil, false
+		return nil, 0, false
 	}
 	// Algorithm 2 is a single serial KL/FM run per encoding:
 	// ParallelFM's try racing stays off.
 	cfg := opts.Config
 	cfg.ParallelFM = false
-	hgpart.RefineBipartition(ctx, bm.H, vparts, caps(a.NNZ(), opts), rng, cfg, sc.engine())
-	return bm.NonzeroParts(vparts), true
+	cut := hgpart.RefineBipartition(ctx, bm.H, vparts, caps(a.NNZ(), opts), rng, cfg, sc.engine())
+	return bm.NonzeroParts(vparts), cut, true
 }

@@ -151,18 +151,25 @@ func TestIterativeRefineTinyInputs(t *testing.T) {
 	}
 }
 
+// TestRefineOnceBothDirections: one Algorithm 2 iteration in either
+// direction never raises the volume, and the volume it returns (the FM
+// run's cut) is the recount of the parts it decodes to.
 func TestRefineOnceBothDirections(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a := gen.Laplacian2D(10, 10)
 	parts := feasibleRandomParts(rng, a.NNZ())
 	v0 := metrics.Volume(a, parts, 2)
 	for dir := 0; dir < 2; dir++ {
-		next, ok := refineOnce(context.Background(), a, parts, dir, DefaultOptions(), rng, nil, nil)
+		next, vol, ok := refineOnce(context.Background(), a, parts, dir, DefaultOptions(), rng, nil, nil)
 		if !ok {
 			t.Fatalf("refineOnce dir=%d failed", dir)
 		}
-		if v := metrics.Volume(a, next, 2); v > v0 {
+		v := metrics.Volume(a, next, 2)
+		if v > v0 {
 			t.Fatalf("refineOnce dir=%d increased volume %d -> %d", dir, v0, v)
+		}
+		if vol != v {
+			t.Fatalf("refineOnce dir=%d returned volume %d, recount %d", dir, vol, v)
 		}
 	}
 }
