@@ -31,6 +31,29 @@ func BenchmarkBipartitionAlt(b *testing.B) {
 	}
 }
 
+// BenchmarkInitialPartition times initial partitioning alone: the
+// greedy tries and their FM on the coarsest level of benchHypergraph,
+// which is coarsened once outside the timer. Every iteration draws the
+// tries' seeds from the same RNG seed, and cut/op reports the winning
+// try's cut.
+func BenchmarkInitialPartition(b *testing.B) {
+	h := benchHypergraph(b)
+	cfg := ConfigMondriaanLike()
+	maxW := balancedCaps(h.TotalWeight(), 0.03)
+	var sc Scratch
+	sc.reserve(h.NumVerts, h.NumNets)
+	levels := coarsen(context.Background(), h, 0.03, rand.New(rand.NewSource(4)), cfg, &sc)
+	coarsest := levels[len(levels)-1].coarse
+	var parts []int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		parts = initialPartition(context.Background(), coarsest, maxW, rand.New(rand.NewSource(5)), cfg, nil)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(coarsest.ConnectivityMinusOne(parts, 2)), "cut/op")
+}
+
 func BenchmarkFMPass(b *testing.B) {
 	h := benchHypergraph(b)
 	rng := rand.New(rand.NewSource(2))
