@@ -14,7 +14,11 @@ const (
 	defaultMaxCoarsenRatio  = 0.85
 	defaultMatchingNetLimit = 64
 	defaultInitTries        = 4
-	defaultMaxPasses        = 8
+	// defaultInitTryExit is the base of the initial tries' FM early
+	// exit: with Config.EarlyExit 0, a try's passes stop after
+	// defaultInitTryExit + nv/16 consecutive non-improving moves.
+	defaultInitTryExit = 16
+	defaultMaxPasses   = 8
 )
 
 // Config selects the behaviour of the multilevel engine. The zero value
@@ -36,13 +40,16 @@ type Config struct {
 	RandomMatching bool
 	// InitTries is the number of initial partitions attempted at the
 	// coarsest level (default 4). Every try grows its part 0 greedily
-	// from a random seed vertex (greedyGrow) before FM refines it.
+	// from a random seed vertex (greedyGrow) before FM refines it; the
+	// winner is then refined once more under the level's own FM rule.
 	InitTries int
 	// MaxPasses bounds FM passes per refinement run (default 8).
 	MaxPasses int
 	// EarlyExit aborts an FM pass after this many consecutive moves
-	// without a new best state. 0 selects 64 + nv/16 for boundary
-	// passes and runs exact passes to exhaustion.
+	// without a new best state, in every pass of every level. 0 selects
+	// 16 + nv/16 for every pass of the initial tries, which only pick
+	// the coarsest level's start, and elsewhere 64 + nv/16 for boundary
+	// passes and exhaustion for exact ones.
 	EarlyExit int
 	// ParallelFM spends the worker budget inside refinement itself:
 	// refine calls on coarse levels (at most 2048 vertices) race four
@@ -73,7 +80,10 @@ type Config struct {
 // p ∈ {2, 8, 16} and moved the final volume by about 1%. Four greedy
 // restarts cut that run's median call latency by about 30% at 1–2%
 // lower volume, and the total volume of the 15-seed mgbench grid moved
-// by ×1.002.
+// by ×1.002. Since the winner is refined again anyway, each try's FM
+// stops after 16 + nv/16 non-improving moves (see initialPartition),
+// which cut initial partitioning from 47% to 34% of an inline run over
+// the same inputs.
 //
 // Its matching departs from Mondriaan's random visiting order too:
 // heavy-connectivity matching sweeps the vertices in index order and
@@ -217,6 +227,13 @@ func capsToEps(h *hypergraph.Hypergraph, maxW [2]int64) float64 {
 // each with its own RNG stream seeded from rng in try order; the winner
 // (lowest try index among ties) is therefore the same for every pool
 // size.
+//
+// The tries only select a start: Bipartition refines the winner again
+// under the level's own rule. Unless cfg.EarlyExit is set, each try's
+// FM passes therefore stop after defaultInitTryExit + nv/16 consecutive
+// non-improving moves, exact passes from an overloaded start included.
+// The exit depends on nv alone, so it keeps every result a function of
+// the input, the seed and cfg.
 func initialPartition(ctx context.Context, h *hypergraph.Hypergraph, maxW [2]int64, rng *rand.Rand, cfg Config, pl *pool.Pool) []int {
 	tries := cfg.InitTries
 	if tries <= 0 {
@@ -225,6 +242,14 @@ func initialPartition(ctx context.Context, h *hypergraph.Hypergraph, maxW [2]int
 	seeds := make([]int64, tries)
 	for t := range seeds {
 		seeds[t] = rng.Int63()
+	}
+	// Each try is already an independent racing attempt; a nested
+	// refineRace inside it would quadruple the coarse-level work for no
+	// extra diversity, so the inner refinement runs plain.
+	tcfg := cfg
+	tcfg.ParallelFM = false
+	if tcfg.EarlyExit == 0 {
+		tcfg.EarlyExit = defaultInitTryExit + h.NumVerts/16
 	}
 	type try struct {
 		parts     []int
@@ -241,11 +266,6 @@ func initialPartition(ctx context.Context, h *hypergraph.Hypergraph, maxW [2]int
 		// the caller, but every try still writes a placeholder so the
 		// winner scan below stays in bounds.
 		var chunkSc Scratch
-		// Each try is already an independent racing attempt; a nested
-		// refineRace inside it would quadruple the coarse-level work for
-		// no extra diversity, so the inner refinement runs plain.
-		tcfg := cfg
-		tcfg.ParallelFM = false
 		for t := lo; t < hi; t++ {
 			rt := rand.New(rand.NewSource(seeds[t]))
 			parts := greedyGrow(h, maxW, rt)
@@ -263,9 +283,13 @@ func initialPartition(ctx context.Context, h *hypergraph.Hypergraph, maxW [2]int
 }
 
 // greedyGrow seeds part 0 with a random vertex and grows it breadth-first
-// through net neighborhoods until it holds roughly half the weight; the
-// remainder is part 1. This is greedy hypergraph growing (GHG), PaToH's
-// default initial partitioner.
+// through net neighborhoods until it holds part 0's share of the caps,
+// total·maxW[0]/(maxW[0]+maxW[1]) — half the weight when the caps are
+// equal; the remainder is part 1. This is greedy hypergraph growing
+// (GHG), PaToH's default initial partitioner. Growing to half under
+// uneven caps (a recursive-bisection node with an odd number of parts
+// gives part 1 less than half, a third at three parts) would overload
+// part 1 and leave the try to FM's exact rebalancing passes.
 func greedyGrow(h *hypergraph.Hypergraph, maxW [2]int64, rng *rand.Rand) []int {
 	parts := make([]int, h.NumVerts)
 	for v := range parts {
@@ -273,6 +297,9 @@ func greedyGrow(h *hypergraph.Hypergraph, maxW [2]int64, rng *rand.Rand) []int {
 	}
 	total := h.TotalWeight()
 	target := total / 2
+	if c := maxW[0] + maxW[1]; c > 0 {
+		target = total * maxW[0] / c
+	}
 	if maxW[0] < target {
 		target = maxW[0]
 	}

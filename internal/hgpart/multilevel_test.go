@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mediumgrain/internal/gen"
 	"mediumgrain/internal/hypergraph"
 	"mediumgrain/internal/sparse"
 )
@@ -338,6 +339,24 @@ func TestGreedyGrowCoversAllVertices(t *testing.T) {
 	}
 	if w[0] > maxW[0] {
 		t.Fatalf("grown side overweight: %d > %d", w[0], maxW[0])
+	}
+}
+
+// TestGreedyGrowUnevenCaps: under the 2:1 caps of a three-part
+// recursive-bisection node (and their mirror), the grown start fits both
+// caps, so no try falls back to exact rebalancing passes. Growing part 0
+// to half the weight overloads part 1, whose cap is about a third.
+func TestGreedyGrowUnevenCaps(t *testing.T) {
+	h := hypergraph.RowNet(gen.Laplacian2D(30, 30))
+	total := float64(h.TotalWeight())
+	wide, narrow := int64(1.03*total*2/3), int64(1.03*total/3)
+	for _, maxW := range [][2]int64{{wide, narrow}, {narrow, wide}} {
+		for seed := int64(1); seed <= 5; seed++ {
+			parts := greedyGrow(h, maxW, rand.New(rand.NewSource(seed)))
+			if over := overloadOf(h, parts, maxW); over != 0 {
+				t.Errorf("caps %v, seed %d: grown start overloaded by %d (part weights %v)", maxW, seed, over, h.PartWeights(parts, 2))
+			}
+		}
 	}
 }
 
