@@ -55,9 +55,9 @@ type Config struct {
 	// refine calls on coarse levels (at most 2048 vertices) race four
 	// independent FM pass sequences on the pool and keep the best
 	// result; finer levels refine serially. It is a quality knob: on the
-	// scale-1 mgbench grid at workers 2 it costs about 30% more wall
-	// time for about 1.1% less total volume, a better trade than
-	// Search.Tries = 2 (about 70% more for 0.7% less). It is a mode
+	// scale-1 mgbench grid (15 seeds, workers 2) it costs about 60% more
+	// wall time for about 1.2% less total volume, a better trade than
+	// Search.Tries = 2 (about 75% more for 1.0% less). It is a mode
 	// switch: per-seed partitions differ from the default, but within
 	// the mode every result is bit-identical per seed at every worker
 	// count (including a nil pool). Default off.

@@ -20,8 +20,8 @@
 //	                                 // an explicit 0 requests exact balance
 //	  "refine":     false,           // apply the paper's iterative refinement
 //	  "parallel_fm": false,          // coarse-level FM try racing inside each
-//	                                 // run: about 1% less volume for about 30%
-//	                                 // more compute. Per-seed results differ
+//	                                 // run: about 1.2% less volume for about
+//	                                 // 60% more compute. Per-seed results differ
 //	                                 // from the default, so the choice is part
 //	                                 // of the cache key
 //	  "workers":    1,               // accepted and ignored: every job runs on

@@ -78,12 +78,12 @@
 //     displaces the serial result only when strictly better.
 //
 // ParallelFM is a quality knob, not a speedup: on the scale-1 mgbench
-// grid at two workers it costs about 30% more wall time for about 1.1%
-// less total volume, a better trade than Search.Tries = 2 (about 70%
-// more time for 0.7% less volume). It is a mode switch: per-seed
-// results differ from the default — the bench suite gates its quality
-// delta at <= 5% volume per grid point — but within the mode results
-// are bit-identical for a given seed at every worker count, 0
+// grid (15 seeds, two workers) it costs about 60% more wall time for
+// about 1.2% less total volume, a better trade than Search.Tries = 2
+// (about 75% more time for 1.0% less volume). It is a mode switch:
+// per-seed results differ from the default — the bench suite gates its
+// quality delta at <= 5% volume per grid point — but within the mode
+// results are bit-identical for a given seed at every worker count, 0
 // included. ParallelFM shapes the multilevel bisections only: the
 // paper's iterative refinement (Request.Refine, Algorithm 2) is a
 // single serial KL/FM run per encoding in both modes.
