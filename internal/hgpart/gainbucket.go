@@ -49,16 +49,17 @@
 // wins. A grown part starts near a local optimum, so FM converges in few
 // moves: four grown tries reach the volume of eight random-assignment
 // tries, the start this package used before, in less than half their
-// CPU time. Growing to half under a three-part node's 2:1 caps left 42%
-// of the starts overloaded (scale-1 corpus, p ∈ {3, 5, 6, 12}, three
-// seeds), each then rebalanced by exact passes; growing to the share
-// leaves 1%.
+// CPU time. Growing to half under the uneven caps of a node with an odd
+// number of parts (2:1 at three) left 42% of the starts overloaded
+// (scale-1 corpus, p ∈ {3, 5, 6, 12}, three seeds), each then
+// rebalanced by exact passes; growing to the share leaves 1%.
 //
 // The tries only pick a start: Bipartition refines the winner again
 // under the coarsest level's own rule. So unless Config.EarlyExit is
-// set, every pass of a try, exact or boundary, stops after 16 + nv/16
-// consecutive non-improving moves instead of 64 + nv/16. Under the
-// longer exit, over the 90 calls of the perfbench corpus-mix workload
+// set, every pass of a try stops after 16 + nv/16 consecutive
+// non-improving moves, where a boundary pass elsewhere goes on for
+// 64 + nv/16 and an exact one to exhaustion. Under the longer rule,
+// over the 90 calls of the perfbench corpus-mix workload
 // (the 30 scale-2 corpus matrices at p ∈ {2, 8, 16}, inline), 85% of
 // the FM moves on levels of at most 256 vertices were rolled back, and
 // 96% of the new best states came at most 16 non-improving moves after

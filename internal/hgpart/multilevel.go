@@ -14,9 +14,8 @@ const (
 	defaultMaxCoarsenRatio  = 0.85
 	defaultMatchingNetLimit = 64
 	defaultInitTries        = 4
-	// defaultInitTryExit is the base of the initial tries' FM early
-	// exit: with Config.EarlyExit 0, a try's passes stop after
-	// defaultInitTryExit + nv/16 consecutive non-improving moves.
+	// defaultInitTryExit + nv/16 is the initial tries' FM early exit
+	// when Config.EarlyExit is 0 (see initialPartition).
 	defaultInitTryExit = 16
 	defaultMaxPasses   = 8
 )
