@@ -82,7 +82,8 @@ type Config struct {
 // by ×1.002. Since the winner is refined again anyway, each try's FM
 // stops after 16 + nv/16 non-improving moves (see initialPartition),
 // which cut initial partitioning from 47% to 34% of an inline run over
-// the same inputs.
+// the same inputs and the median call of perfbench's corpus-mix
+// workload from 9.49 to 8.20 ms, for ×1.0024 on the grid's volume.
 //
 // Its matching departs from Mondriaan's random visiting order too:
 // heavy-connectivity matching sweeps the vertices in index order and
