@@ -35,23 +35,25 @@ type BModel struct {
 	OrigOf []int32
 }
 
-// BuildBModel constructs the composite hypergraph for the given split.
+// BuildBModel constructs the composite hypergraph for the given split,
+// on a scratch of its own; the model keeps a copy of inRow.
 func BuildBModel(a *sparse.Matrix, inRow []bool) (*BModel, error) {
-	return buildBModel(a, inRow, nil, nil)
+	sc := new(scratch)
+	bm, err := buildBModel(a, inRow, sc.index(a), sc)
+	if err != nil {
+		return nil, err
+	}
+	bm.InRow = append([]bool(nil), inRow...)
+	return bm, nil
 }
 
-// buildBModel is BuildBModel reusing a caller-built index of a (nil
-// builds one privately) and drawing every assembly buffer from sc (nil
-// allocates fresh). The scratch-built model aliases sc's buffers — and
-// inRow, which the fresh path copies — so it is valid only until sc's
-// next use; that is the lifetime of one bisection node or refinement
-// round.
+// buildBModel is BuildBModel reusing a caller-built index ix of a and
+// drawing every assembly buffer from sc. The model aliases sc's buffers
+// and inRow, so it is valid only until sc's next use; that is the
+// lifetime of one bisection node or refinement round.
 func buildBModel(a *sparse.Matrix, inRow []bool, ix *sparse.Index, sc *scratch) (*BModel, error) {
 	if len(inRow) != a.NNZ() {
 		return nil, fmt.Errorf("core: split length %d != nnz %d", len(inRow), a.NNZ())
-	}
-	if ix == nil {
-		ix = sparse.NewIndex(a)
 	}
 	m, n := a.Rows, a.Cols
 
@@ -77,16 +79,13 @@ func buildBModel(a *sparse.Matrix, inRow []bool, ix *sparse.Index, sc *scratch) 
 			vertexOf[o] = -1
 		}
 	}
-	if sc != nil {
-		sc.origOf = origOf
-	}
-	hb := sc.hbuild()
-	wt := hb.Weights(len(origOf))
+	sc.origOf = origOf
+	wt := sc.hb.Weights(len(origOf))
 	for v, o := range origOf {
 		wt[v] = origWt[o]
 	}
 
-	b := hb.Builder(len(origOf), wt)
+	b := sc.hb.Builder(len(origOf), wt)
 
 	// Net j (j < n): vertex j plus {n+i : a_ij ∈ Ar}. Build pin lists by
 	// bucketing the Ar nonzeros per column and Ac nonzeros per row.
@@ -124,13 +123,9 @@ func buildBModel(a *sparse.Matrix, inRow []bool, ix *sparse.Index, sc *scratch) 
 		}
 	}
 
-	bmInRow := inRow
-	if sc == nil {
-		bmInRow = append([]bool(nil), inRow...)
-	}
 	return &BModel{
 		A:        a,
-		InRow:    bmInRow,
+		InRow:    inRow,
 		H:        b.Build(),
 		VertexOf: vertexOf,
 		OrigOf:   origOf,

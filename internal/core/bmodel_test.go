@@ -92,7 +92,7 @@ func TestBModelAllAcEqualsRowNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rn := hypergraph.RowNet(a)
+	rn := hypergraph.RowNetIndexed(a, sparse.BuildRowIndex(a), new(hypergraph.Scratch))
 	if bm.H.NumVerts != rn.NumVerts {
 		t.Fatalf("verts %d != rownet %d", bm.H.NumVerts, rn.NumVerts)
 	}

@@ -133,7 +133,7 @@ func (e *Engine) Bipartition(ctx context.Context, a *sparse.Matrix, method Metho
 func (e *Engine) IterativeRefine(ctx context.Context, a *sparse.Matrix, parts []int, opts Options, rng *rand.Rand) ([]int, int64, error) {
 	sc := e.st.get()
 	defer e.st.put(sc)
-	out, vol := iterativeRefineIndexed(ctx, a, parts, opts, rng, nil, sc)
+	out, vol := iterativeRefineIndexed(ctx, a, parts, opts, rng, sc.index(a), sc)
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}

@@ -118,7 +118,7 @@ type tieShape struct {
 // bipartitionScratch is the engine behind every bipartition entry point:
 // it indexes the matrix once and shares that CSR/CSC index between the
 // model build and iterative refinement, drawing all working memory from
-// the per-worker scratch (nil = allocate). A canceled ctx aborts between
+// the per-worker scratch. A canceled ctx aborts between
 // phases with ctx.Err(); an uncanceled ctx never changes any result bit.
 func bipartitionScratch(ctx context.Context, a *sparse.Matrix, shape tieShape, method Method, opts Options, rng *rand.Rand, pl *pool.Pool, sc *scratch) (*Result, error) {
 	if err := a.Validate(); err != nil {
@@ -198,20 +198,20 @@ func caps(nnz int, opts Options) [2]int64 {
 }
 
 func bipartitionRowNet(ctx context.Context, a *sparse.Matrix, opts Options, rng *rand.Rand, pl *pool.Pool, ix *sparse.Index, sc *scratch) ([]int, int64) {
-	h := hypergraph.RowNetIndexed(a, &ix.Row, sc.hbuild())
-	colParts, cut := hgpart.Bipartition(ctx, h, caps(a.NNZ(), opts), rng, opts.Config, pl, sc.engine())
+	h := hypergraph.RowNetIndexed(a, &ix.Row, &sc.hb)
+	colParts, cut := hgpart.Bipartition(ctx, h, caps(a.NNZ(), opts), rng, opts.Config, pl, &sc.hg)
 	return hypergraph.VertexPartsToNonzeros(a, colParts), cut
 }
 
 func bipartitionColNet(ctx context.Context, a *sparse.Matrix, opts Options, rng *rand.Rand, pl *pool.Pool, ix *sparse.Index, sc *scratch) ([]int, int64) {
-	h := hypergraph.ColNetIndexed(a, &ix.Col, sc.hbuild())
-	rowParts, cut := hgpart.Bipartition(ctx, h, caps(a.NNZ(), opts), rng, opts.Config, pl, sc.engine())
+	h := hypergraph.ColNetIndexed(a, &ix.Col, &sc.hb)
+	rowParts, cut := hgpart.Bipartition(ctx, h, caps(a.NNZ(), opts), rng, opts.Config, pl, &sc.hg)
 	return hypergraph.RowPartsToNonzeros(a, rowParts), cut
 }
 
 func bipartitionFineGrain(ctx context.Context, a *sparse.Matrix, opts Options, rng *rand.Rand, pl *pool.Pool, ix *sparse.Index, sc *scratch) ([]int, int64) {
-	h := hypergraph.FineGrainIndexed(a, ix, sc.hbuild())
-	return hgpart.Bipartition(ctx, h, caps(a.NNZ(), opts), rng, opts.Config, pl, sc.engine())
+	h := hypergraph.FineGrainIndexed(a, ix, &sc.hb)
+	return hgpart.Bipartition(ctx, h, caps(a.NNZ(), opts), rng, opts.Config, pl, &sc.hg)
 }
 
 func bipartitionMediumGrain(ctx context.Context, a *sparse.Matrix, shape tieShape, opts Options, rng *rand.Rand, pl *pool.Pool, ix *sparse.Index, sc *scratch) ([]int, int64) {
@@ -226,7 +226,7 @@ func bipartitionMediumGrain(ctx context.Context, a *sparse.Matrix, shape tieShap
 		// buildBModel only fails on length mismatch, impossible here.
 		panic(err)
 	}
-	vparts, cut := hgpart.Bipartition(ctx, bm.H, caps(a.NNZ(), opts), rng, opts.Config, pl, sc.engine())
+	vparts, cut := hgpart.Bipartition(ctx, bm.H, caps(a.NNZ(), opts), rng, opts.Config, pl, &sc.hg)
 	parts := bm.NonzeroParts(vparts)
 	// Degenerate splits can produce indivisible vertices heavier than the
 	// balance cap (e.g. a matrix that is one dense column groups into a

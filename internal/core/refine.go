@@ -22,8 +22,7 @@ import (
 // balance constraint ε is maintained.
 //
 // ix is a caller-built index of a shared by every iteration's model
-// build and the input's volume count (nil builds one once); working
-// memory is drawn from sc. Only the input's volume is counted: each FM
+// build and the input's volume count; working memory is drawn from sc. Only the input's volume is counted: each FM
 // run returns the cut of its composite hypergraph, which is the volume
 // of the bipartition it decodes to (§III-A), so the loop tracks the
 // refined partition's volume and callers never pay a separate
@@ -34,9 +33,6 @@ import (
 func iterativeRefineIndexed(ctx context.Context, a *sparse.Matrix, parts []int, opts Options, rng *rand.Rand, ix *sparse.Index, sc *scratch) ([]int, int64) {
 	if opts.TargetFrac == 0 {
 		opts.TargetFrac = 0.5
-	}
-	if ix == nil {
-		ix = sparse.NewIndex(a)
 	}
 	cur := append([]int(nil), parts...)
 	dir := 0
@@ -96,6 +92,6 @@ func refineOnce(ctx context.Context, a *sparse.Matrix, parts []int, dir int, opt
 	// ParallelFM's try racing stays off.
 	cfg := opts.Config
 	cfg.ParallelFM = false
-	cut := hgpart.RefineBipartition(ctx, bm.H, vparts, caps(a.NNZ(), opts), rng, cfg, sc.engine())
+	cut := hgpart.RefineBipartition(ctx, bm.H, vparts, caps(a.NNZ(), opts), rng, cfg, &sc.hg)
 	return bm.NonzeroParts(vparts), cut, true
 }

@@ -159,8 +159,10 @@ func TestRefineOnceBothDirections(t *testing.T) {
 	a := gen.Laplacian2D(10, 10)
 	parts := feasibleRandomParts(rng, a.NNZ())
 	v0 := metrics.Volume(a, parts, 2)
+	sc := new(scratch)
+	ix := sc.index(a)
 	for dir := 0; dir < 2; dir++ {
-		next, vol, ok := refineOnce(context.Background(), a, parts, dir, DefaultOptions(), rng, nil, nil)
+		next, vol, ok := refineOnce(context.Background(), a, parts, dir, DefaultOptions(), rng, ix, sc)
 		if !ok {
 			t.Fatalf("refineOnce dir=%d failed", dir)
 		}

@@ -20,8 +20,7 @@ import (
 //
 // Scratches never influence results: every buffer is fully overwritten
 // (or epoch-guarded) before use, so a run with fresh scratches is
-// bit-identical to a run with recycled ones. A nil *scratch is valid
-// everywhere and means "allocate fresh".
+// bit-identical to a run with recycled ones.
 type scratch struct {
 	cpt sparse.Compactor
 	ix  sparse.Index
@@ -37,34 +36,12 @@ type scratch struct {
 
 // index returns the CSR/CSC index of a, reusing the scratch buckets.
 func (sc *scratch) index(a *sparse.Matrix) *sparse.Index {
-	if sc == nil {
-		return sparse.NewIndex(a)
-	}
 	sc.ix.Reset(a)
 	return &sc.ix
 }
 
-// hbuild returns the hypergraph build scratch (nil for a nil scratch).
-func (sc *scratch) hbuild() *hypergraph.Scratch {
-	if sc == nil {
-		return nil
-	}
-	return &sc.hb
-}
-
-// engine returns the multilevel-engine scratch (nil for a nil scratch).
-func (sc *scratch) engine() *hgpart.Scratch {
-	if sc == nil {
-		return nil
-	}
-	return &sc.hg
-}
-
 // int64Buf returns a zeroed length-n weight-assembly buffer.
 func (sc *scratch) int64Buf(n int) []int64 {
-	if sc == nil {
-		return make([]int64, n)
-	}
 	if cap(sc.origWt) < n {
 		sc.origWt = make([]int64, n)
 	}
@@ -76,9 +53,6 @@ func (sc *scratch) int64Buf(n int) []int64 {
 // vertexBufs returns the length-n original→vertex map (contents
 // unspecified) and an empty compact-vertex accumulator.
 func (sc *scratch) vertexBufs(n int) (vertexOf, origOf []int32) {
-	if sc == nil {
-		return make([]int32, n), nil
-	}
 	if cap(sc.vertexOf) < n {
 		sc.vertexOf = make([]int32, n)
 	}
@@ -88,9 +62,6 @@ func (sc *scratch) vertexBufs(n int) (vertexOf, origOf []int32) {
 
 // inRowBuf returns a length-n split buffer (contents unspecified).
 func (sc *scratch) inRowBuf(n int) []bool {
-	if sc == nil {
-		return make([]bool, n)
-	}
 	if cap(sc.inRow) < n {
 		sc.inRow = make([]bool, n)
 	}

@@ -24,8 +24,9 @@ func partsHash(parts []int) uint64 {
 // bisection: a call holds at most one scratch per goroutine running its
 // tree, so a cold engine creates at most max(W, 1) of them; the store
 // keeps them all, so a second identical call creates none once the
-// first reached the bound (always so for W <= 2); and reusing them never
-// writes into an earlier result.
+// first reached the bound (always so for W <= 2); reusing them never
+// writes into an earlier result; and a call on the warm scratches
+// returns what a fresh engine returns.
 func TestScratchOnePerGoroutine(t *testing.T) {
 	a := gen.Laplacian2D(16, 16)
 	for _, w := range []int{0, 1, 2, 4} {
@@ -37,6 +38,10 @@ func TestScratchOnePerGoroutine(t *testing.T) {
 				t.Fatalf("workers=%d: %v", w, err)
 			}
 			return res
+		}
+		fresh, err := NewEngine(w).Partition(context.Background(), a, 8, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(6)))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
 		}
 		bound := int64(max(w, 1))
 
@@ -58,7 +63,9 @@ func TestScratchOnePerGoroutine(t *testing.T) {
 			t.Fatalf("workers=%d: second identical call returned different parts", w)
 		}
 
-		run(8, 6)
+		if warm := run(8, 6); warm.Volume != fresh.Volume || partsHash(warm.Parts) != partsHash(fresh.Parts) {
+			t.Fatalf("workers=%d: a call on warm scratches returned volume %d, a fresh engine %d, or different parts", w, warm.Volume, fresh.Volume)
+		}
 		if partsHash(first.Parts) != want {
 			t.Fatalf("workers=%d: a later call changed an earlier result's parts", w)
 		}

@@ -7,12 +7,13 @@ import (
 
 	"mediumgrain/internal/gen"
 	"mediumgrain/internal/hypergraph"
+	"mediumgrain/internal/sparse"
 )
 
 func benchHypergraph(b *testing.B) *hypergraph.Hypergraph {
 	b.Helper()
 	a := gen.PowerLawGraph(rand.New(rand.NewSource(1)), 2000, 4)
-	return hypergraph.RowNet(a)
+	return hypergraph.RowNetIndexed(a, sparse.BuildRowIndex(a), new(hypergraph.Scratch))
 }
 
 func BenchmarkBipartitionMondriaanLike(b *testing.B) {
@@ -62,12 +63,13 @@ func BenchmarkFMPass(b *testing.B) {
 		parts[v] = v % 2
 	}
 	maxW := balancedCaps(h.TotalWeight(), 0.03)
+	var sc Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s := newBipState(h, append([]int(nil), parts...), maxW)
+		s := newBipState(h, append([]int(nil), parts...), maxW, &sc)
 		b.StartTimer()
-		fmPass(context.Background(), s, rng, Config{}, nil, false)
+		fmPass(context.Background(), s, rng, Config{}, &sc, false)
 	}
 }
 
@@ -76,10 +78,11 @@ func BenchmarkCoarsenOneLevel(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	cfg := ConfigMondriaanLike()
 	maxClusterWt := balancedCaps(h.TotalWeight(), 0.03)[0] / 3
+	var sc Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vmap, numCoarse := match(h, rng, cfg, maxClusterWt, nil)
-		contract(h, vmap, numCoarse, nil)
+		vmap, numCoarse := match(h, rng, cfg, maxClusterWt, &sc)
+		contract(h, vmap, numCoarse, &sc)
 	}
 }
 
@@ -90,7 +93,8 @@ func BenchmarkCoarsenOneLevel(b *testing.B) {
 // so the coarse-pins metric (summed over every coarse level) shows how
 // much each level hands to the next.
 func BenchmarkCoarsenHierarchy(b *testing.B) {
-	h := hypergraph.FineGrain(gen.Laplacian2D(120, 120))
+	a := gen.Laplacian2D(120, 120)
+	h := hypergraph.FineGrainIndexed(a, sparse.NewIndex(a), new(hypergraph.Scratch))
 	cfg := ConfigMondriaanLike()
 	var sc Scratch
 	var pins int

@@ -47,15 +47,10 @@ type bipState struct {
 	newBoundary   []int32
 }
 
-func newBipState(h *hypergraph.Hypergraph, parts []int, maxW [2]int64) *bipState {
-	return newBipStateScratch(h, parts, maxW, nil)
-}
-
-// newBipStateScratch is newBipState drawing the per-net pin-count and
-// locked-count arrays from sc (nil allocates fresh). The state is only
-// valid until the next scratch-backed state is created from the same
-// Scratch.
-func newBipStateScratch(h *hypergraph.Hypergraph, parts []int, maxW [2]int64, sc *Scratch) *bipState {
+// newBipState builds the FM state of parts, drawing the per-net
+// pin-count and locked-count arrays from sc. The state is only valid
+// until the next state is created from the same Scratch.
+func newBipState(h *hypergraph.Hypergraph, parts []int, maxW [2]int64, sc *Scratch) *bipState {
 	s := &bipState{h: h, parts: parts, maxW: maxW}
 	s.net = sc.netStates(h.NumNets)
 	for v := 0; v < h.NumVerts; v++ {
@@ -444,8 +439,7 @@ func selectMove(s *bipState, buckets *gainBuckets, slack int64) int32 {
 
 // refine runs FM passes until a pass yields no improvement, MaxPasses
 // is reached, or ctx is canceled. It mutates parts in place and returns
-// the final cut. sc supplies the reusable pin-count and bucket arrays
-// (nil allocates).
+// the final cut. sc supplies the reusable pin-count and bucket arrays.
 //
 // Passes run boundary-only whenever the state is feasible. An
 // infeasible state (an overloaded seed partition) gets an exact
@@ -464,7 +458,7 @@ func refine(ctx context.Context, h *hypergraph.Hypergraph, parts []int, maxW [2]
 	if cfg.ParallelFM && h.NumVerts > 0 && h.NumVerts <= raceMaxVerts {
 		return refineRace(ctx, h, parts, maxW, rng, cfg, pl)
 	}
-	s := newBipStateScratch(h, parts, maxW, sc)
+	s := newBipState(h, parts, maxW, sc)
 	passes := cfg.MaxPasses
 	if passes <= 0 {
 		passes = defaultMaxPasses
@@ -485,10 +479,13 @@ func refine(ctx context.Context, h *hypergraph.Hypergraph, parts []int, maxW [2]
 // refinement primitive used by the paper's iterative refinement
 // (Algorithm 2, line 16) — within the per-part weight caps maxW. parts
 // is modified in place; the cut-net value after refinement is returned
-// and never exceeds the input's. Working arrays come from sc (nil
-// allocates). A canceled ctx stops the FM passes between moves; parts
-// stays a consistent bipartition either way.
+// and never exceeds the input's. Working arrays come from sc; nil gives
+// the run a private one. A canceled ctx stops the FM passes between
+// moves; parts stays a consistent bipartition either way.
 func RefineBipartition(ctx context.Context, h *hypergraph.Hypergraph, parts []int, maxW [2]int64, rng *rand.Rand, cfg Config, sc *Scratch) int64 {
+	if sc == nil {
+		sc = new(Scratch)
+	}
 	return refine(ctx, h, parts, maxW, rng, cfg, nil, sc)
 }
 

@@ -35,8 +35,8 @@ func fmTestHypergraph(rng *rand.Rand, maxVerts, maxNets int, weighted bool) *hyp
 	}
 	h := randomHypergraph(rng, 4*maxVerts, 6*maxNets)
 	for i := 0; i < 2; i++ {
-		vmap, numCoarse := match(h, rng, ConfigMondriaanLike(), h.TotalWeight(), nil)
-		h = contract(h, vmap, numCoarse, nil)
+		vmap, numCoarse := match(h, rng, ConfigMondriaanLike(), h.TotalWeight(), new(Scratch))
+		h = contract(h, vmap, numCoarse, new(Scratch))
 	}
 	return h
 }
@@ -67,7 +67,7 @@ func TestBipStateCut(t *testing.T) {
 			h := fmTestHypergraph(rng, 15, 12, weighted)
 			merged = merged || hasMergedNet(h)
 			parts := randomBipartitionOf(rng, h)
-			s := newBipState(h, parts, balancedCaps(h.TotalWeight(), 1))
+			s := newBipState(h, parts, balancedCaps(h.TotalWeight(), 1), new(Scratch))
 			return s.cut == h.ConnectivityMinusOne(parts, 2) && s.cut == h.CutNets(parts)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -85,7 +85,7 @@ func TestGainOfMatchesCutDelta(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			h := fmTestHypergraph(rng, 12, 10, weighted)
 			parts := randomBipartitionOf(rng, h)
-			s := newBipState(h, parts, balancedCaps(h.TotalWeight(), 10))
+			s := newBipState(h, parts, balancedCaps(h.TotalWeight(), 10), new(Scratch))
 			v := int32(rng.Intn(h.NumVerts))
 			gain := s.gainOf(v)
 			before := s.cut
@@ -103,7 +103,7 @@ func TestMoveIsInvolution(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		h := randomHypergraph(rng, 12, 10)
 		parts := randomBipartitionOf(rng, h)
-		s := newBipState(h, parts, balancedCaps(h.TotalWeight(), 10))
+		s := newBipState(h, parts, balancedCaps(h.TotalWeight(), 10), new(Scratch))
 		cut0, wt0 := s.cut, s.partWt
 		v := int32(rng.Intn(h.NumVerts))
 		s.move(v, nil, nil)
@@ -123,10 +123,9 @@ func TestMoveGainUpdates(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		h := fmTestHypergraph(rng, 10, 8, seed%2 == 1)
 		parts := randomBipartitionOf(rng, h)
-		s := newBipState(h, parts, balancedCaps(h.TotalWeight(), 10))
+		s := newBipState(h, parts, balancedCaps(h.TotalWeight(), 10), new(Scratch))
 
-		buckets := newGainBuckets(h.NumVerts, h.MaxWeightedDegree())
-		locked := make([]bool, h.NumVerts)
+		buckets, locked, _ := new(Scratch).fmBuffers(h.NumVerts, h.MaxWeightedDegree())
 		for v := 0; v < h.NumVerts; v++ {
 			buckets.insert(int32(v), s.parts[v], s.gainOf(int32(v)))
 		}
@@ -155,9 +154,10 @@ func TestFMPassNeverWorsens(t *testing.T) {
 		h := randomHypergraph(rng, 20, 15)
 		parts := randomBipartitionOf(rng, h)
 		maxW := balancedCaps(h.TotalWeight(), 0.2)
-		s := newBipState(h, parts, maxW)
+		sc := new(Scratch)
+		s := newBipState(h, parts, maxW, sc)
 		cut0, over0 := s.cut, s.overload()
-		fmPass(context.Background(), s, rng, Config{}, nil, false)
+		fmPass(context.Background(), s, rng, Config{}, sc, false)
 		// state must be no worse in (overload, cut) order
 		return !better(cut0, over0, s.cut, s.overload())
 	}
@@ -172,8 +172,8 @@ func TestRefineRestoresBalance(t *testing.T) {
 	h := randomHypergraph(rng, 30, 20)
 	parts := make([]int, h.NumVerts)
 	maxW := balancedCaps(h.TotalWeight(), 0.1)
-	refine(context.Background(), h, parts, maxW, rng, Config{}, nil, nil)
-	s := newBipState(h, parts, maxW)
+	refine(context.Background(), h, parts, maxW, rng, Config{}, nil, new(Scratch))
+	s := newBipState(h, parts, maxW, new(Scratch))
 	if s.overload() != 0 {
 		t.Fatalf("refine left overload %d (weights %v, caps %v)", s.overload(), s.partWt, maxW)
 	}
@@ -186,7 +186,7 @@ func TestRefineBipartitionMonotone(t *testing.T) {
 		parts := randomBipartitionOf(rng, h)
 		before := h.ConnectivityMinusOne(parts, 2)
 		caps := balancedCaps(h.TotalWeight(), 0.5)
-		feasBefore := newBipState(h, append([]int(nil), parts...), caps).overload() == 0
+		feasBefore := newBipState(h, append([]int(nil), parts...), caps, new(Scratch)).overload() == 0
 		after := refineBipartition(h, parts, 0.5, rng, Config{})
 		if after != h.ConnectivityMinusOne(parts, 2) {
 			return false // returned cut must match the partition
@@ -244,8 +244,9 @@ func TestBalancedCaps(t *testing.T) {
 func TestEmptyHypergraphPass(t *testing.T) {
 	b := hypergraph.NewBuilder(0, nil)
 	h := b.Build()
-	s := newBipState(h, nil, [2]int64{1, 1})
-	if fmPass(context.Background(), s, rand.New(rand.NewSource(1)), Config{}, nil, false) {
+	sc := new(Scratch)
+	s := newBipState(h, nil, [2]int64{1, 1}, sc)
+	if fmPass(context.Background(), s, rand.New(rand.NewSource(1)), Config{}, sc, false) {
 		t.Fatal("empty pass reported improvement")
 	}
 }

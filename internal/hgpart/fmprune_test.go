@@ -62,7 +62,7 @@ func refMove(s *bipState, v int32, buckets *gainBuckets, locked []bool) {
 }
 
 func allFreeBuckets(h *hypergraph.Hypergraph, s *bipState) *gainBuckets {
-	buckets := newGainBuckets(h.NumVerts, h.MaxWeightedDegree())
+	buckets, _, _ := new(Scratch).fmBuffers(h.NumVerts, h.MaxWeightedDegree())
 	for v := 0; v < h.NumVerts; v++ {
 		buckets.insert(int32(v), s.parts[v], s.gainOf(int32(v)))
 	}
@@ -81,8 +81,8 @@ func TestLockedNetPruningEquivalence(t *testing.T) {
 		parts := randomBipartitionOf(rng, h)
 		maxW := balancedCaps(h.TotalWeight(), 10)
 
-		sA := newBipState(h, append([]int(nil), parts...), maxW)
-		sB := newBipState(h, append([]int(nil), parts...), maxW)
+		sA := newBipState(h, append([]int(nil), parts...), maxW, new(Scratch))
+		sB := newBipState(h, append([]int(nil), parts...), maxW, new(Scratch))
 		bucketsA := allFreeBuckets(h, sA)
 		bucketsB := allFreeBuckets(h, sB)
 		lockedA := make([]bool, h.NumVerts)
@@ -130,7 +130,7 @@ func TestIncrementalGainsExactMode(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		h := fmTestHypergraph(rng, 20, 16, seed%2 == 1)
 		parts := randomBipartitionOf(rng, h)
-		s := newBipState(h, parts, balancedCaps(h.TotalWeight(), 10))
+		s := newBipState(h, parts, balancedCaps(h.TotalWeight(), 10), new(Scratch))
 		buckets := allFreeBuckets(h, s)
 		locked := make([]bool, h.NumVerts)
 
@@ -164,9 +164,8 @@ func TestIncrementalGainsBoundaryMode(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		h := fmTestHypergraph(rng, 20, 16, seed%2 == 1)
 		parts := randomBipartitionOf(rng, h)
-		s := newBipState(h, parts, balancedCaps(h.TotalWeight(), 10))
-		buckets := newGainBuckets(h.NumVerts, h.MaxWeightedDegree())
-		locked := make([]bool, h.NumVerts)
+		s := newBipState(h, parts, balancedCaps(h.TotalWeight(), 10), new(Scratch))
+		buckets, locked, _ := new(Scratch).fmBuffers(h.NumVerts, h.MaxWeightedDegree())
 
 		// Boundary seed: pins of cut nets.
 		bnd := make([]bool, h.NumVerts)

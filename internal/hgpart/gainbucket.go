@@ -146,25 +146,6 @@ type gainBuckets struct {
 	count   [2]int
 }
 
-func newGainBuckets(numVerts, maxDeg int) *gainBuckets {
-	g := &gainBuckets{
-		maxDeg: maxDeg,
-		next:   make([]int32, numVerts),
-		prev:   make([]int32, numVerts),
-		gain:   make([]int32, numVerts),
-		side:   make([]int8, numVerts),
-		in:     make([]bool, numVerts),
-	}
-	for s := 0; s < 2; s++ {
-		g.heads[s] = make([]int32, 2*maxDeg+1)
-		for i := range g.heads[s] {
-			g.heads[s][i] = -1
-		}
-		g.maxGain[s] = -1 // empty
-	}
-	return g
-}
-
 // insert adds vertex v with the given gain to the list of side s.
 // New vertices go to the front, giving LIFO tie-breaking, the variant
 // Fiduccia–Mattheyses found to work well.

@@ -6,7 +6,7 @@ import (
 )
 
 func TestGainBucketsInsertPeek(t *testing.T) {
-	g := newGainBuckets(10, 5)
+	g, _, _ := new(Scratch).fmBuffers(10, 5)
 	g.insert(3, 0, 2)
 	g.insert(4, 0, -1)
 	g.insert(5, 1, 4)
@@ -22,7 +22,7 @@ func TestGainBucketsInsertPeek(t *testing.T) {
 }
 
 func TestGainBucketsRemove(t *testing.T) {
-	g := newGainBuckets(10, 5)
+	g, _, _ := new(Scratch).fmBuffers(10, 5)
 	g.insert(1, 0, 3)
 	g.insert(2, 0, 3)
 	g.insert(3, 0, 3)
@@ -44,7 +44,7 @@ func TestGainBucketsRemove(t *testing.T) {
 }
 
 func TestGainBucketsAdjust(t *testing.T) {
-	g := newGainBuckets(4, 3)
+	g, _, _ := new(Scratch).fmBuffers(4, 3)
 	g.insert(0, 0, 0)
 	g.adjust(0, 2)
 	if gain, ok := g.peekGain(0); !ok || gain != 2 {
@@ -67,7 +67,7 @@ func TestGainBucketsAdjust(t *testing.T) {
 }
 
 func TestGainBucketsLIFO(t *testing.T) {
-	g := newGainBuckets(5, 2)
+	g, _, _ := new(Scratch).fmBuffers(5, 2)
 	g.insert(0, 0, 1)
 	g.insert(1, 0, 1)
 	// last inserted must be first in the chain (LIFO tie-breaking)
@@ -79,7 +79,7 @@ func TestGainBucketsLIFO(t *testing.T) {
 }
 
 func TestBestFeasibleSkipsRejected(t *testing.T) {
-	g := newGainBuckets(5, 2)
+	g, _, _ := new(Scratch).fmBuffers(5, 2)
 	g.insert(0, 0, 2)
 	g.insert(1, 0, 1)
 	// vertex 0 is too heavy for the budget; the scan must fall through
@@ -100,7 +100,7 @@ func TestBestFeasibleSkipsRejected(t *testing.T) {
 // in flag is false and every head is -1 — including vertices relinked
 // by adjust and a top bucket emptied by remove.
 func TestGainBucketsDrain(t *testing.T) {
-	g := newGainBuckets(6, 3)
+	g, _, _ := new(Scratch).fmBuffers(6, 3)
 	g.insert(0, 0, 3)
 	g.insert(1, 0, -3)
 	g.insert(2, 1, 0)
@@ -131,7 +131,7 @@ func TestGainBucketsDrain(t *testing.T) {
 }
 
 func TestMaxGainLazyDecay(t *testing.T) {
-	g := newGainBuckets(4, 4)
+	g, _, _ := new(Scratch).fmBuffers(4, 4)
 	g.insert(0, 0, 4)
 	g.insert(1, 0, -4)
 	g.remove(0)

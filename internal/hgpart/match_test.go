@@ -9,6 +9,7 @@ import (
 	"mediumgrain/internal/gen"
 	"mediumgrain/internal/hypergraph"
 	"mediumgrain/internal/pool"
+	"mediumgrain/internal/sparse"
 )
 
 // parmatchHypergraph builds a connected-ish random hypergraph for the
@@ -51,7 +52,7 @@ func heavyMates(t *testing.T, h *hypergraph.Hypergraph, seed uint64) []int32 {
 	for v := range mate {
 		mate[v] = -1
 	}
-	matchHeavy(h, seed, mate, defaultMatchingNetLimit, h.TotalWeight(), nil)
+	matchHeavy(h, seed, mate, defaultMatchingNetLimit, h.TotalWeight(), new(Scratch))
 	for v, m := range mate {
 		if m >= 0 && (m == int32(v) || mate[m] != int32(v)) {
 			t.Fatalf("seed %d: vertex %d pairs with %d, whose mate is %d", seed, v, m, mate[m])
@@ -64,7 +65,7 @@ func heavyMates(t *testing.T, h *hypergraph.Hypergraph, seed uint64) []int32 {
 // heavy-connectivity sweep. On a structured hypergraph most vertices
 // pair up into a valid (symmetric) matching, coarse ids ascend with each
 // cluster's smallest fine vertex, and one level seed gives one vmap
-// whether or not the buffers come from a used Scratch. On a mesh, level
+// whether the buffers come from a fresh or a used Scratch. On a mesh, level
 // seeds must matter and pairs must not line up along the grid rows, as
 // they would if ties went to the smaller id (same-row share 1.00; a
 // random order gives about 0.27).
@@ -81,7 +82,7 @@ func TestMatchProposalMatchesMostVertices(t *testing.T) {
 	}
 
 	cfg := ConfigMondriaanLike()
-	vmap, _ := match(h, rand.New(rand.NewSource(3)), cfg, h.TotalWeight(), nil)
+	vmap, _ := match(h, rand.New(rand.NewSource(3)), cfg, h.TotalWeight(), new(Scratch))
 	next := int32(0)
 	for v, c := range vmap {
 		if c == next {
@@ -96,11 +97,12 @@ func TestMatchProposalMatchesMostVertices(t *testing.T) {
 	vm, nc := match(h, rand.New(rand.NewSource(4)), cfg, h.TotalWeight(), &sc)
 	contract(h, vm, nc, &sc)
 	if got, _ := match(h, rand.New(rand.NewSource(3)), cfg, h.TotalWeight(), &sc); !slices.Equal(got, vmap) {
-		t.Error("the same level seed gave a different vmap with a scratch")
+		t.Error("the same level seed gave a different vmap with a used scratch")
 	}
 
 	const side = 40
-	mesh := hypergraph.RowNet(gen.Laplacian2D(side, side))
+	grid := gen.Laplacian2D(side, side)
+	mesh := hypergraph.RowNetIndexed(grid, sparse.BuildRowIndex(grid), new(hypergraph.Scratch))
 	var mates [2][]int32
 	for i, seed := range []uint64{1, 2} {
 		mate := heavyMates(t, mesh, seed)

@@ -27,7 +27,7 @@ func gridHypergraph(n int) *hypergraph.Hypergraph {
 		}
 	}
 	a.Canonicalize()
-	return hypergraph.RowNet(a)
+	return hypergraph.RowNetIndexed(a, sparse.BuildRowIndex(a), new(hypergraph.Scratch))
 }
 
 // bipartition is Bipartition at an even split with imbalance eps, inline
@@ -77,16 +77,27 @@ func TestBipartitionRespectsBalance(t *testing.T) {
 	}
 }
 
+// TestBipartitionDeterministicPerSeed also runs the seed on a warm
+// Scratch, one that first bipartitioned a larger hypergraph: its stale
+// buffers must give a fresh scratch's parts and cut.
 func TestBipartitionDeterministicPerSeed(t *testing.T) {
 	h := gridHypergraph(200)
 	p1, c1 := bipartition(h, 0.03, rand.New(rand.NewSource(5)), ConfigMondriaanLike())
 	p2, c2 := bipartition(h, 0.03, rand.New(rand.NewSource(5)), ConfigMondriaanLike())
-	if c1 != c2 {
-		t.Fatalf("cuts differ: %d vs %d", c1, c2)
-	}
-	for v := range p1 {
-		if p1[v] != p2[v] {
-			t.Fatal("partitions differ for equal seeds")
+	var warm Scratch
+	big := parmatchHypergraph(9, 800, 500, 6)
+	Bipartition(context.Background(), big, balancedCaps(big.TotalWeight(), 0.03), rand.New(rand.NewSource(9)), ConfigMondriaanLike(), nil, &warm)
+	p3, c3 := Bipartition(context.Background(), h, balancedCaps(h.TotalWeight(), 0.03), rand.New(rand.NewSource(5)), ConfigMondriaanLike(), nil, &warm)
+	for _, run := range []struct {
+		name  string
+		parts []int
+		cut   int64
+	}{{"second run", p2, c2}, {"warm scratch", p3, c3}} {
+		if run.cut != c1 {
+			t.Fatalf("%s: cut %d, want %d", run.name, run.cut, c1)
+		}
+		if !slices.Equal(run.parts, p1) {
+			t.Fatalf("%s: partition differs for an equal seed", run.name)
 		}
 	}
 }
@@ -162,7 +173,7 @@ func TestMatchProducesValidPairs(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		h := randomHypergraph(rng, 30, 20)
-		vmap, numCoarse := match(h, rng, ConfigMondriaanLike(), h.TotalWeight(), nil)
+		vmap, numCoarse := match(h, rng, ConfigMondriaanLike(), h.TotalWeight(), new(Scratch))
 		if numCoarse > h.NumVerts || numCoarse < (h.NumVerts+1)/2 {
 			return false
 		}
@@ -190,7 +201,7 @@ func TestMatchRandomProducesValidPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	h := randomHypergraph(rng, 40, 25)
 	cfg := ConfigAlt()
-	vmap, numCoarse := match(h, rng, cfg, h.TotalWeight(), nil)
+	vmap, numCoarse := match(h, rng, cfg, h.TotalWeight(), new(Scratch))
 	counts := make([]int, numCoarse)
 	for _, cv := range vmap {
 		counts[cv]++
@@ -221,8 +232,8 @@ func TestContractPreservesWeightAndCut(t *testing.T) {
 		}
 		cur := h
 		for lvl := 0; lvl < 2; lvl++ {
-			vmap, numCoarse := match(cur, rng, ConfigMondriaanLike(), cur.TotalWeight(), nil)
-			coarse := contract(cur, vmap, numCoarse, nil)
+			vmap, numCoarse := match(cur, rng, ConfigMondriaanLike(), cur.TotalWeight(), new(Scratch))
+			coarse := contract(cur, vmap, numCoarse, new(Scratch))
 			for v := range fineToCoarse {
 				fineToCoarse[v] = vmap[fineToCoarse[v]]
 			}
@@ -295,7 +306,7 @@ func TestMatchRespectsClusterWeightCap(t *testing.T) {
 	b.AddNetInts([]int{0, 1})
 	h := b.Build()
 	rng := rand.New(rand.NewSource(2))
-	vmap, numCoarse := match(h, rng, ConfigMondriaanLike(), 15, nil)
+	vmap, numCoarse := match(h, rng, ConfigMondriaanLike(), 15, new(Scratch))
 	if numCoarse != 2 || vmap[0] == vmap[1] {
 		t.Fatal("cluster weight cap violated")
 	}
@@ -304,7 +315,7 @@ func TestMatchRespectsClusterWeightCap(t *testing.T) {
 func TestCoarsenStops(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := gridHypergraph(1000)
-	levels := coarsen(context.Background(), h, 0.03, rng, ConfigMondriaanLike(), nil)
+	levels := coarsen(context.Background(), h, 0.03, rng, ConfigMondriaanLike(), new(Scratch))
 	if len(levels) == 0 {
 		t.Fatal("no coarsening on a 1000-vertex instance")
 	}
@@ -347,7 +358,8 @@ func TestGreedyGrowCoversAllVertices(t *testing.T) {
 // caps, so no try falls back to exact rebalancing passes. Growing part 0
 // to half the weight overloads part 1, whose cap is about a third.
 func TestGreedyGrowUnevenCaps(t *testing.T) {
-	h := hypergraph.RowNet(gen.Laplacian2D(30, 30))
+	a := gen.Laplacian2D(30, 30)
+	h := hypergraph.RowNetIndexed(a, sparse.BuildRowIndex(a), new(hypergraph.Scratch))
 	total := float64(h.TotalWeight())
 	wide, narrow := int64(1.03*total*2/3), int64(1.03*total/3)
 	for _, maxW := range [][2]int64{{wide, narrow}, {narrow, wide}} {

@@ -36,21 +36,6 @@ func TestPermMatchesRandPerm(t *testing.T) {
 	}
 }
 
-// TestPermNilScratch checks the allocate-fresh fallback produces the
-// same sequence.
-func TestPermNilScratch(t *testing.T) {
-	var sc *Scratch
-	ref := rand.New(rand.NewSource(7))
-	got := rand.New(rand.NewSource(7))
-	want := ref.Perm(257)
-	have := sc.perm(got, 257)
-	for i := range want {
-		if want[i] != have[i] {
-			t.Fatalf("nil scratch perm[%d] = %d, want %d", i, have[i], want[i])
-		}
-	}
-}
-
 // TestPermBufferReuse proves consecutive perms reuse the scratch buffer
 // (the zero-alloc property) while remaining correct permutations.
 func TestPermBufferReuse(t *testing.T) {

@@ -12,9 +12,7 @@ import "mediumgrain/internal/sparse"
 // A Scratch is owned by exactly one goroutine at a time (the recursive
 // bisection driver hands one to each pool worker); the concurrent inner
 // phases — parallel initial-partition tries, raced FM tries — use
-// private scratches and never touch it. A nil *Scratch is valid
-// everywhere and means "allocate fresh", preserving the one-shot entry
-// points.
+// private scratches and never touch it.
 type Scratch struct {
 	// Matching: mate and the candidate list of one vertex.
 	mate      []int32
@@ -50,9 +48,6 @@ type Scratch struct {
 // acquisitions overwrite-only. Contents are not touched; every
 // acquisition helper still initializes what it hands out.
 func (sc *Scratch) reserve(numVerts, numNets int) {
-	if sc == nil {
-		return
-	}
 	sc.mate = sparse.Resize(sc.mate, numVerts)
 	sc.stamp = sparse.Resize(sc.stamp, numVerts)
 	sc.levelWork = sparse.Resize(sc.levelWork, max(numVerts, mergeTableSize(numNets)))
@@ -75,29 +70,16 @@ func (sc *Scratch) reserve(numVerts, numNets int) {
 // mateBuffer returns the mate array (filled with -1) for a matching
 // over nv vertices.
 func (sc *Scratch) mateBuffer(nv int) []int32 {
-	var mate []int32
-	if sc == nil {
-		mate = make([]int32, nv)
-	} else {
-		sc.mate = sparse.Resize(sc.mate, nv)
-		mate = sc.mate
+	sc.mate = sparse.Resize(sc.mate, nv)
+	for i := range sc.mate {
+		sc.mate[i] = -1
 	}
-	for i := range mate {
-		mate[i] = -1
-	}
-	return mate
+	return sc.mate
 }
 
 // contractBuffers returns the stamp array (filled with -1) and an empty
 // pin accumulator for contracting onto numCoarse vertices.
 func (sc *Scratch) contractBuffers(numCoarse int) (stamp, pins []int32) {
-	if sc == nil {
-		stamp = make([]int32, numCoarse)
-		for i := range stamp {
-			stamp[i] = -1
-		}
-		return stamp, make([]int32, 0, 64)
-	}
 	sc.stamp = sparse.Resize(sc.stamp, numCoarse)
 	for i := range sc.stamp {
 		sc.stamp[i] = -1
@@ -108,9 +90,6 @@ func (sc *Scratch) contractBuffers(numCoarse int) (stamp, pins []int32) {
 // contractPtr returns the net-pointer accumulator of a contraction,
 // seeded with the leading 0 of a CSR pointer array.
 func (sc *Scratch) contractPtr() []int32 {
-	if sc == nil {
-		return append(make([]int32, 0, 64), 0)
-	}
 	return append(sc.ctPtr[:0], 0)
 }
 
@@ -129,34 +108,23 @@ func mergeTableSize(numNets int) int {
 // identical-net hash table (every slot -1, sized by mergeTableSize) for
 // contracting a hypergraph of numNets nets.
 func (sc *Scratch) mergeBuffers(numNets int) (netWt, table []int32) {
-	size := mergeTableSize(numNets)
-	if sc == nil {
-		netWt, table = make([]int32, 0, 64), make([]int32, size)
-	} else {
-		sc.levelWork = sparse.Resize(sc.levelWork, size)
-		netWt, table = sc.ctWt[:0], sc.levelWork
+	sc.levelWork = sparse.Resize(sc.levelWork, mergeTableSize(numNets))
+	for i := range sc.levelWork {
+		sc.levelWork[i] = -1
 	}
-	for i := range table {
-		table[i] = -1
-	}
-	return netWt, table
+	return sc.ctWt[:0], sc.levelWork
 }
 
 // keepContract records the (possibly grown) contraction accumulators
 // back into the scratch so their capacity carries over to the next
 // contraction.
 func (sc *Scratch) keepContract(pins, ptr, netWt []int32) {
-	if sc != nil {
-		sc.pins, sc.ctPtr, sc.ctWt = pins[:0], ptr[:0], netWt[:0]
-	}
+	sc.pins, sc.ctPtr, sc.ctWt = pins[:0], ptr[:0], netWt[:0]
 }
 
 // matchBuffers returns heavy-connectivity matching's all-zero
 // connectivity array and an empty candidate list.
 func (sc *Scratch) matchBuffers(nv int) (conn, cand []int32) {
-	if sc == nil {
-		return make([]int32, nv), make([]int32, 0, 64)
-	}
 	sc.levelWork = sparse.Resize(sc.levelWork, nv)
 	conn = sc.levelWork
 	clear(conn) // the previous level's table may have left it dirty
@@ -166,9 +134,7 @@ func (sc *Scratch) matchBuffers(nv int) (conn, cand []int32) {
 // keepMatchCand records the (possibly grown) candidate list back into
 // the scratch.
 func (sc *Scratch) keepMatchCand(cand []int32) {
-	if sc != nil {
-		sc.matchCand = cand[:0]
-	}
+	sc.matchCand = cand[:0]
 }
 
 // netStates returns the per-net counter records of bipState (pin counts
@@ -178,9 +144,6 @@ func (sc *Scratch) keepMatchCand(cand []int32) {
 // locked halves stay all-zero between passes without per-pass
 // O(numNets) clears.
 func (sc *Scratch) netStates(numNets int) []netState {
-	if sc == nil {
-		return make([]netState, numNets)
-	}
 	sc.netSt = sparse.Resize(sc.netSt, numNets)
 	return sc.netSt
 }
@@ -190,9 +153,6 @@ func (sc *Scratch) netStates(numNets int) []netState {
 // flag it raised while inserting the collected boundary, and freshly
 // grown arrays come zeroed, so acquisition is O(1).
 func (sc *Scratch) boundaryMarks(numVerts int) []bool {
-	if sc == nil {
-		return make([]bool, numVerts)
-	}
 	sc.bndMark = sparse.Resize(sc.bndMark, numVerts)
 	return sc.bndMark
 }
@@ -201,18 +161,13 @@ func (sc *Scratch) boundaryMarks(numVerts int) []bool {
 // pass start, newly-cut tracking during the pass — the uses do not
 // overlap, so they share one backing array).
 func (sc *Scratch) boundaryWork() []int32 {
-	if sc == nil {
-		return make([]int32, 0, 64)
-	}
 	return sc.bndWork[:0]
 }
 
 // keepBoundaryWork records the (possibly grown) worklist back into the
 // scratch so its capacity carries over to the next pass.
 func (sc *Scratch) keepBoundaryWork(work []int32) {
-	if sc != nil {
-		sc.bndWork = work[:0]
-	}
+	sc.bndWork = work[:0]
 }
 
 // fmBuffers returns the per-pass FM arrays: the gain buckets sized for
@@ -221,9 +176,6 @@ func (sc *Scratch) keepBoundaryWork(work []int32) {
 // the locked flags reset on every exit path (and sparse.Resize hands
 // out zeroed memory when it must grow), so acquisition is O(1).
 func (sc *Scratch) fmBuffers(numVerts, maxDeg int) (g *gainBuckets, locked []bool, moves []int32) {
-	if sc == nil {
-		return newGainBuckets(numVerts, maxDeg), make([]bool, numVerts), make([]int32, 0, numVerts)
-	}
 	sc.buckets.reinit(numVerts, maxDeg)
 	sc.locked = sparse.Resize(sc.locked, numVerts)
 	return &sc.buckets, sc.locked, sc.moves[:0]
@@ -231,9 +183,7 @@ func (sc *Scratch) fmBuffers(numVerts, maxDeg int) (g *gainBuckets, locked []boo
 
 // keepMoves records the grown move log back into the scratch.
 func (sc *Scratch) keepMoves(moves []int32) {
-	if sc != nil {
-		sc.moves = moves[:0]
-	}
+	sc.moves = moves[:0]
 }
 
 // reinit resizes the bucket structure for a hypergraph of numVerts

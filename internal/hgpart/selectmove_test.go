@@ -31,11 +31,11 @@ func TestSlackEnablesTightCapMoves(t *testing.T) {
 		parts[v] = v % 2 // every net cut, 8/8 weights
 	}
 	maxW := [2]int64{8, 8} // zero headroom
-	cut := refine(context.Background(), h, parts, maxW, rand.New(rand.NewSource(1)), Config{}, nil, nil)
+	cut := refine(context.Background(), h, parts, maxW, rand.New(rand.NewSource(1)), Config{}, nil, new(Scratch))
 	if cut != 1 {
 		t.Fatalf("cut = %d, want 1 (slack must let FM zigzag)", cut)
 	}
-	s := newBipState(h, parts, maxW)
+	s := newBipState(h, parts, maxW, new(Scratch))
 	if s.overload() != 0 {
 		t.Fatalf("final state overloaded: %v vs %v", s.partWt, maxW)
 	}
@@ -47,8 +47,8 @@ func TestForcedRebalancing(t *testing.T) {
 	h := chain(20)
 	parts := make([]int, 20) // all on side 0: overload 10 at caps 10/10
 	maxW := [2]int64{10, 10}
-	refine(context.Background(), h, parts, maxW, rand.New(rand.NewSource(2)), Config{}, nil, nil)
-	s := newBipState(h, parts, maxW)
+	refine(context.Background(), h, parts, maxW, rand.New(rand.NewSource(2)), Config{}, nil, new(Scratch))
+	s := newBipState(h, parts, maxW, new(Scratch))
 	if s.overload() != 0 {
 		t.Fatalf("rebalancing failed: weights %v", s.partWt)
 	}
@@ -63,8 +63,8 @@ func TestSelectMoveOneSidedBuckets(t *testing.T) {
 	h := chain(4)
 	parts := []int{0, 0, 0, 0}
 	maxW := [2]int64{100, 100}
-	s := newBipState(h, parts, maxW)
-	buckets := newGainBuckets(4, 4)
+	s := newBipState(h, parts, maxW, new(Scratch))
+	buckets, _, _ := new(Scratch).fmBuffers(4, 4)
 	for v := 0; v < 4; v++ {
 		buckets.insert(int32(v), 0, s.gainOf(int32(v)))
 	}
@@ -81,7 +81,7 @@ func TestEarlyExitConfig(t *testing.T) {
 	h := randomHypergraph(rng, 40, 30)
 	parts := randomBipartitionOf(rng, h)
 	cfg := Config{EarlyExit: 1}
-	cut := refine(context.Background(), h, parts, balancedCaps(h.TotalWeight(), 0.2), rng, cfg, nil, nil)
+	cut := refine(context.Background(), h, parts, balancedCaps(h.TotalWeight(), 0.2), rng, cfg, nil, new(Scratch))
 	if cut != h.ConnectivityMinusOne(parts, 2) {
 		t.Fatal("early-exit refine left inconsistent cut")
 	}
@@ -96,7 +96,7 @@ func TestHeavyVertexNeverFits(t *testing.T) {
 	h := b.Build()
 	parts := []int{0, 1, 1}
 	maxW := [2]int64{52, 3}
-	cut := refine(context.Background(), h, parts, maxW, rand.New(rand.NewSource(4)), Config{}, nil, nil)
+	cut := refine(context.Background(), h, parts, maxW, rand.New(rand.NewSource(4)), Config{}, nil, new(Scratch))
 	if parts[0] != 0 {
 		t.Fatal("heavy vertex moved to an overfull side")
 	}

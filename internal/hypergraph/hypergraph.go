@@ -131,21 +131,13 @@ type Builder struct {
 	vertWt   []int64
 	netPtr   []int32
 	pins     []int32
-	sc       *Scratch // non-nil when the builder recycles scratch arrays
+	sc       *Scratch // the scratch whose arrays the builder recycles
 }
 
 // NewBuilder creates a builder for a hypergraph on numVerts vertices with
-// the given weights (copied).
+// the given weights (copied), on a scratch of its own.
 func NewBuilder(numVerts int, vertWt []int64) *Builder {
-	b := &Builder{
-		numVerts: numVerts,
-		vertWt:   append([]int64(nil), vertWt...),
-		netPtr:   make([]int32, 1, 16),
-	}
-	if b.vertWt == nil {
-		b.vertWt = make([]int64, numVerts)
-	}
-	return b
+	return new(Scratch).Builder(numVerts, vertWt)
 }
 
 // Scratch holds the reusable backing arrays for repeated hypergraph
@@ -172,11 +164,8 @@ type Scratch struct {
 
 // Weights returns a zeroed reusable weight buffer of length n for
 // assembling vertex weights before handing them to Builder (which copies
-// them). A nil Scratch allocates fresh.
+// them).
 func (sc *Scratch) Weights(n int) []int64 {
-	if sc == nil {
-		return make([]int64, n)
-	}
 	if cap(sc.wtBuf) < n {
 		sc.wtBuf = make([]int64, n)
 	}
@@ -187,12 +176,8 @@ func (sc *Scratch) Weights(n int) []int64 {
 
 // Builder returns a builder for numVerts vertices whose backing arrays
 // recycle the Scratch, invalidating the previous hypergraph built from
-// it. vertWt is copied (a nil vertWt zero-fills). A nil Scratch falls
-// back to NewBuilder.
+// it. vertWt is copied (a nil vertWt zero-fills).
 func (sc *Scratch) Builder(numVerts int, vertWt []int64) *Builder {
-	if sc == nil {
-		return NewBuilder(numVerts, vertWt)
-	}
 	sc.vertWt = sc.vertWt[:0]
 	if vertWt == nil {
 		sc.vertWt = append(sc.vertWt, make([]int64, numVerts)...)
@@ -228,20 +213,15 @@ func (b *Builder) Build() *Hypergraph {
 		NetPtr:   b.netPtr,
 		Pins:     b.pins,
 	}
-	if sc := b.sc; sc != nil {
-		// Growth during accumulation may have moved the builder's slices
-		// off the scratch arrays; adopt them so the capacity is kept.
-		sc.vertWt, sc.netPtr, sc.pins = b.vertWt, b.netPtr, b.pins
-		sc.vertPtr = sparse.Resize(sc.vertPtr, h.NumVerts+1)
-		sc.vertNets = sparse.Resize(sc.vertNets, len(h.Pins))
-		sc.next = sparse.Resize(sc.next, h.NumVerts)
-		h.VertPtr, h.VertNets = sc.vertPtr, sc.vertNets
-		h.fillVertexIncidence(sc.next)
-		return h
-	}
-	h.VertPtr = make([]int32, h.NumVerts+1)
-	h.VertNets = make([]int32, len(h.Pins))
-	h.fillVertexIncidence(make([]int32, h.NumVerts))
+	// Growth during accumulation may have moved the builder's slices off
+	// the scratch arrays; adopt them so the capacity is kept.
+	sc := b.sc
+	sc.vertWt, sc.netPtr, sc.pins = b.vertWt, b.netPtr, b.pins
+	sc.vertPtr = sparse.Resize(sc.vertPtr, h.NumVerts+1)
+	sc.vertNets = sparse.Resize(sc.vertNets, len(h.Pins))
+	sc.next = sparse.Resize(sc.next, h.NumVerts)
+	h.VertPtr, h.VertNets = sc.vertPtr, sc.vertNets
+	h.fillVertexIncidence(sc.next)
 	return h
 }
 

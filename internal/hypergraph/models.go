@@ -9,29 +9,19 @@ import (
 // plus whatever mapping is needed to turn a vertex partition back into a
 // nonzero partition of the matrix.
 //
-// Every model has an *Indexed variant taking a caller-built CSR/CSC
-// index and an optional build Scratch: hot paths (one model per
-// recursive-bisection node) index the subproblem once, share that index
-// between the model build and the metric evaluation, and reuse one
-// Scratch per worker, so the per-node cost is O(nnz) data movement
-// instead of fresh O(Rows+Cols+nnz) allocations. The plain entry points
-// build a private index and allocate, which is fine for one-shot use.
+// Every model takes a caller-built CSR/CSC index and a build Scratch:
+// one model is built per recursive-bisection node, which indexes its
+// subproblem once, shares that index between the model build and the
+// metric evaluation, and reuses one Scratch per worker, so the per-node
+// cost is O(nnz) data movement instead of fresh O(Rows+Cols+nnz)
+// allocations.
 
-// RowNet builds the 1D row-net (column-wise) model of A: one vertex per
-// matrix column (weight = nonzeros in that column), one net per matrix
-// row containing the columns with a nonzero in that row. Assigning vertex
-// j to part k assigns all nonzeros of column j to part k; rows may be
-// cut, columns never are.
-func RowNet(a *sparse.Matrix) *Hypergraph {
-	return RowNetIndexed(a, nil, nil)
-}
-
-// RowNetIndexed is RowNet reusing a caller-built row index (nil builds
-// one) and a build Scratch (nil allocates fresh).
+// RowNetIndexed builds the 1D row-net (column-wise) model of A from its
+// row index rix: one vertex per matrix column (weight = nonzeros in that
+// column), one net per matrix row containing the columns with a nonzero
+// in that row. Assigning vertex j to part k assigns all nonzeros of
+// column j to part k; rows may be cut, columns never are.
 func RowNetIndexed(a *sparse.Matrix, rix *sparse.RowIndex, sc *Scratch) *Hypergraph {
-	if rix == nil {
-		rix = sparse.BuildRowIndex(a)
-	}
 	wt := sc.Weights(a.Cols)
 	for _, j := range a.ColIdx {
 		wt[j]++
@@ -54,20 +44,11 @@ func RowNetIndexed(a *sparse.Matrix, rix *sparse.RowIndex, sc *Scratch) *Hypergr
 	return b.Build()
 }
 
-// ColNet builds the 1D column-net (row-wise) model: one vertex per
-// matrix row, one net per matrix column. The build reads the CSC index
-// of a directly — no transpose is materialized — and yields exactly the
-// hypergraph that RowNet(a.Transpose()) produced before.
-func ColNet(a *sparse.Matrix) *Hypergraph {
-	return ColNetIndexed(a, nil, nil)
-}
-
-// ColNetIndexed is ColNet reusing a caller-built column index and build
-// Scratch.
+// ColNetIndexed builds the 1D column-net (row-wise) model from the
+// column index cix: one vertex per matrix row, one net per matrix
+// column. The build reads the CSC index of a directly — no transpose is
+// materialized — and yields exactly the row-net model of a.Transpose().
 func ColNetIndexed(a *sparse.Matrix, cix *sparse.ColIndex, sc *Scratch) *Hypergraph {
-	if cix == nil {
-		cix = sparse.BuildColIndex(a)
-	}
 	wt := sc.Weights(a.Rows)
 	for _, i := range a.RowIdx {
 		wt[i]++
@@ -101,20 +82,11 @@ func appendPinUnique(pins []int32, p int32) []int32 {
 	return append(pins, p)
 }
 
-// FineGrain builds the 2D fine-grain model: one vertex per nonzero
-// (weight 1), one net per row plus one net per column. Vertex k
-// corresponds to the k-th nonzero of A, so a vertex partition is already
-// a nonzero partition.
-func FineGrain(a *sparse.Matrix) *Hypergraph {
-	return FineGrainIndexed(a, nil, nil)
-}
-
-// FineGrainIndexed is FineGrain reusing a caller-built index and build
-// Scratch.
+// FineGrainIndexed builds the 2D fine-grain model from the index ix:
+// one vertex per nonzero (weight 1), one net per row plus one net per
+// column. Vertex k corresponds to the k-th nonzero of A, so a vertex
+// partition is already a nonzero partition.
 func FineGrainIndexed(a *sparse.Matrix, ix *sparse.Index, sc *Scratch) *Hypergraph {
-	if ix == nil {
-		ix = sparse.NewIndex(a)
-	}
 	n := a.NNZ()
 	wt := sc.Weights(n)
 	for k := range wt {

@@ -36,7 +36,7 @@ func randomPattern(rng *rand.Rand, rows, cols, maxNNZ int) *sparse.Matrix {
 
 func TestRowNetShape(t *testing.T) {
 	a := fig1Matrix(t)
-	h := RowNet(a)
+	h := RowNetIndexed(a, sparse.BuildRowIndex(a), new(Scratch))
 	if err := h.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestRowNetShape(t *testing.T) {
 
 func TestColNetShape(t *testing.T) {
 	a := fig1Matrix(t)
-	h := ColNet(a)
+	h := ColNetIndexed(a, sparse.BuildColIndex(a), new(Scratch))
 	if h.NumVerts != a.Rows || h.NumNets != a.Cols {
 		t.Fatalf("colnet shape %d verts %d nets", h.NumVerts, h.NumNets)
 	}
@@ -70,7 +70,7 @@ func TestColNetShape(t *testing.T) {
 
 func TestFineGrainShape(t *testing.T) {
 	a := fig1Matrix(t)
-	h := FineGrain(a)
+	h := FineGrainIndexed(a, sparse.NewIndex(a), new(Scratch))
 	if err := h.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestRowNetCutEqualsVolume(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomPattern(rng, 1+rng.Intn(12), 1+rng.Intn(12), 60)
-		h := RowNet(a)
+		h := RowNetIndexed(a, sparse.BuildRowIndex(a), new(Scratch))
 		p := 2 + rng.Intn(3)
 		colParts := make([]int, a.Cols)
 		for j := range colParts {
@@ -116,7 +116,7 @@ func TestColNetCutEqualsVolume(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomPattern(rng, 1+rng.Intn(12), 1+rng.Intn(12), 60)
-		h := ColNet(a)
+		h := ColNetIndexed(a, sparse.BuildColIndex(a), new(Scratch))
 		p := 2 + rng.Intn(3)
 		rowParts := make([]int, a.Rows)
 		for i := range rowParts {
@@ -137,7 +137,7 @@ func TestFineGrainCutEqualsVolume(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := randomPattern(rng, 1+rng.Intn(10), 1+rng.Intn(10), 50)
-		h := FineGrain(a)
+		h := FineGrainIndexed(a, sparse.NewIndex(a), new(Scratch))
 		p := 2 + rng.Intn(3)
 		parts := make([]int, a.NNZ())
 		for k := range parts {
@@ -156,7 +156,7 @@ func TestModelsOnEmptyRowsCols(t *testing.T) {
 	a.AppendPattern(0, 0)
 	a.AppendPattern(2, 0)
 	a.Canonicalize()
-	h := RowNet(a)
+	h := RowNetIndexed(a, sparse.BuildRowIndex(a), new(Scratch))
 	if err := h.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestModelsOnEmptyRowsCols(t *testing.T) {
 	if h.VertWt[1] != 0 || h.VertWt[2] != 0 {
 		t.Fatal("empty columns must have zero weight")
 	}
-	fg := FineGrain(a)
+	fg := FineGrainIndexed(a, sparse.NewIndex(a), new(Scratch))
 	if fg.NumVerts != 2 {
 		t.Fatalf("fine-grain verts = %d", fg.NumVerts)
 	}
