@@ -53,36 +53,17 @@ func refineRace(ctx context.Context, h *hypergraph.Hypergraph, parts []int, maxW
 	// (the pool is already saturated with whole tries).
 	tcfg := cfg
 	tcfg.ParallelFM = false
-	type try struct {
-		parts     []int
-		cut, over int64
-	}
-	results := make([]try, raceTries)
-	pl.ForEach(raceTries, func(lo, hi int) {
-		// A private per-chunk scratch: the caller's must not be touched
-		// by concurrent tries, but tries within one chunk still share
-		// buffers (the scratch never influences results).
-		var chunkSc Scratch
-		for t := lo; t < hi; t++ {
-			// Try 0 owns the caller's stream; no other try touches it.
-			rt := rng
-			if t > 0 {
-				rt = rand.New(rand.NewSource(seeds[t]))
-			}
-			tparts := make([]int, len(parts))
-			copy(tparts, parts)
-			cut := refine(ctx, h, tparts, maxW, rt, tcfg, nil, &chunkSc)
-			results[t] = try{tparts, cut, overloadOf(h, tparts, maxW)}
+	best, cut := bestTry(h, maxW, raceTries, pl, func(t int, sc *Scratch) ([]int, int64) {
+		// Try 0 owns the caller's stream; no other try touches it.
+		rt := rng
+		if t > 0 {
+			rt = rand.New(rand.NewSource(seeds[t]))
 		}
+		tparts := append([]int(nil), parts...)
+		return tparts, refine(ctx, h, tparts, maxW, rt, tcfg, nil, sc)
 	})
-	best := 0
-	for t := 1; t < raceTries; t++ {
-		if better(results[t].cut, results[t].over, results[best].cut, results[best].over) {
-			best = t
-		}
-	}
-	copy(parts, results[best].parts)
-	return results[best].cut
+	copy(parts, best)
+	return cut
 }
 
 // raceSalt hashes the input bipartition (FNV-1a) into the seed of the

@@ -251,26 +251,36 @@ func initialPartition(ctx context.Context, h *hypergraph.Hypergraph, maxW [2]int
 	if tcfg.EarlyExit == 0 {
 		tcfg.EarlyExit = defaultInitTryExit + h.NumVerts/16
 	}
-	type try struct {
+	// The pool is already saturated with whole tries, so each try's
+	// refinement runs inline.
+	parts, _ := bestTry(h, maxW, tries, pl, func(t int, sc *Scratch) ([]int, int64) {
+		rt := rand.New(rand.NewSource(seeds[t]))
+		parts := greedyGrow(h, maxW, rt)
+		return parts, refine(ctx, h, parts, maxW, rt, tcfg, nil, sc)
+	})
+	return parts
+}
+
+// bestTry runs try(t, sc) for t = 0..tries-1 on pl and returns the
+// parts and cut of the best try by (overload, cut, lowest try index),
+// so the winner is the same for every pool size. The tries execute
+// concurrently, so none of them may touch the caller's scratch: each
+// pool chunk hands its tries a private Scratch, which still collapses
+// the per-pass and per-state allocations of every try in the chunk
+// (the scratch never influences results). A canceled try's result is
+// discarded by the caller, but every try still returns parts so the
+// winner scan stays in bounds.
+func bestTry(h *hypergraph.Hypergraph, maxW [2]int64, tries int, pl *pool.Pool, try func(t int, sc *Scratch) ([]int, int64)) ([]int, int64) {
+	type result struct {
 		parts     []int
 		cut, over int64
 	}
-	results := make([]try, tries)
+	results := make([]result, tries)
 	pl.ForEach(tries, func(lo, hi int) {
-		// The pool is already saturated with whole tries; the inner
-		// refinement runs inline, and the tries execute concurrently, so
-		// none of them may touch the caller's scratch. A private
-		// per-chunk scratch still collapses the per-pass and per-state
-		// allocations of every try in the chunk (the scratch never
-		// influences results). The canceled-path result is discarded by
-		// the caller, but every try still writes a placeholder so the
-		// winner scan below stays in bounds.
 		var chunkSc Scratch
 		for t := lo; t < hi; t++ {
-			rt := rand.New(rand.NewSource(seeds[t]))
-			parts := greedyGrow(h, maxW, rt)
-			cut := refine(ctx, h, parts, maxW, rt, tcfg, nil, &chunkSc)
-			results[t] = try{parts, cut, overloadOf(h, parts, maxW)}
+			parts, cut := try(t, &chunkSc)
+			results[t] = result{parts, cut, overloadOf(h, parts, maxW)}
 		}
 	})
 	best := 0
@@ -279,7 +289,7 @@ func initialPartition(ctx context.Context, h *hypergraph.Hypergraph, maxW [2]int
 			best = t
 		}
 	}
-	return results[best].parts
+	return results[best].parts, results[best].cut
 }
 
 // greedyGrow seeds part 0 with a random vertex and grows it breadth-first
