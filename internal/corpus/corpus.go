@@ -87,15 +87,6 @@ func Build(opts Options) []Instance {
 	return out
 }
 
-// ByClass splits instances into the paper's three groups.
-func ByClass(instances []Instance) map[sparse.Class][]Instance {
-	m := make(map[sparse.Class][]Instance)
-	for _, in := range instances {
-		m[in.Class] = append(m[in.Class], in)
-	}
-	return m
-}
-
 // Find returns the named instance or an error listing available names.
 func Find(instances []Instance, name string) (Instance, error) {
 	for _, in := range instances {

@@ -2,7 +2,6 @@ package report
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"os"
@@ -194,16 +193,4 @@ func (r *LoadReport) WriteJSONFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ReadLoadJSON parses a load report and checks its schema tag.
-func ReadLoadJSON(rd io.Reader) (*LoadReport, error) {
-	var r LoadReport
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, fmt.Errorf("report: decoding load JSON: %w", err)
-	}
-	if r.Schema != LoadSchema {
-		return nil, fmt.Errorf("report: unexpected load schema %q (want %q)", r.Schema, LoadSchema)
-	}
-	return &r, nil
 }

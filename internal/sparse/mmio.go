@@ -147,9 +147,3 @@ func WriteMatrixMarket(w io.Writer, a *Matrix) error {
 	}
 	return bw.Flush()
 }
-
-// ParseMatrixMarketString is a convenience wrapper over ReadMatrixMarket
-// for tests and embedded fixtures.
-func ParseMatrixMarketString(s string) (*Matrix, error) {
-	return ReadMatrixMarket(strings.NewReader(s))
-}

@@ -15,7 +15,7 @@ func TestReadMatrixMarketGeneral(t *testing.T) {
 3 4 -1
 2 2 7
 `
-	a, err := ParseMatrixMarketString(in)
+	a, err := ReadMatrixMarket(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestReadMatrixMarketGeneral(t *testing.T) {
 
 func TestReadMatrixMarketPattern(t *testing.T) {
 	in := "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 2\n2 1\n"
-	a, err := ParseMatrixMarketString(in)
+	a, err := ReadMatrixMarket(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestReadMatrixMarketSymmetricExpansion(t *testing.T) {
 2 1 5.0
 3 2 2.0
 `
-	a, err := ParseMatrixMarketString(in)
+	a, err := ReadMatrixMarket(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestReadMatrixMarketSymmetricExpansion(t *testing.T) {
 
 func TestReadMatrixMarketSkewSymmetric(t *testing.T) {
 	in := "%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 3.0\n"
-	a, err := ParseMatrixMarketString(in)
+	a, err := ReadMatrixMarket(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestReadMatrixMarketErrors(t *testing.T) {
 		"%%MatrixMarket matrix coordinate real general\n",                 // missing size
 	}
 	for i, in := range cases {
-		if _, err := ParseMatrixMarketString(in); err == nil {
+		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {
 			t.Errorf("case %d: expected error for %q", i, strings.SplitN(in, "\n", 2)[0])
 		}
 	}
