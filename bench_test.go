@@ -1,6 +1,6 @@
 // Benchmarks regenerating each table and figure of the paper at reduced
-// scale (see DESIGN.md for the per-experiment index; cmd/mgexp runs the
-// full-scale versions). Custom metrics are attached via b.ReportMetric so
+// scale (cmd/mgexp, whose command comment lists every experiment, runs
+// the full-scale versions). Custom metrics are attached via b.ReportMetric so
 // `go test -bench` output records the reproduced quantities:
 //
 //   - vol-rel-LB:  geometric-mean communication volume relative to the
@@ -127,7 +127,7 @@ func BenchmarkTable2BSPCost(b *testing.B) {
 	b.ReportMetric(rel, "cost-rel-LB")
 }
 
-// --- Ablations (DESIGN.md "key design decisions") ---
+// --- Ablations ---
 
 // BenchmarkAblationInitialSplit compares Algorithm 1 against random and
 // degenerate splits: the nnz-score split should produce lower volume.

@@ -1,5 +1,5 @@
 // Command mgexp regenerates every figure and table of the paper's
-// evaluation (see the per-experiment index in DESIGN.md):
+// evaluation, one experiment per -exp value:
 //
 //	mgexp -exp fig3    # Fig. 3  gd97_b-style anecdote
 //	mgexp -exp fig4    # Fig. 4  volume performance profiles (4 panels)

@@ -16,7 +16,8 @@ import (
 
 // SplitStrategy selects how nonzeros are divided over Ar and Ac before
 // building the composite matrix B. The paper's heuristic is SplitNNZ;
-// the others exist for the ablation study in DESIGN.md.
+// the others exist for the split ablation (BenchmarkAblationInitialSplit
+// in the root package).
 type SplitStrategy int
 
 const (

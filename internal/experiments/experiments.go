@@ -1,8 +1,8 @@
 // Package experiments reproduces the paper's evaluation (§IV): it runs
 // the six bipartitioning methods (LB, LB+IR, MG, MG+IR, FG, FG+IR) over
 // the corpus, averages communication volume and partitioning time over
-// repeated runs, and renders each figure and table of the paper. See the
-// per-experiment index in DESIGN.md.
+// repeated runs, and renders each figure and table of the paper. The
+// command comment of cmd/mgexp lists every experiment.
 package experiments
 
 import (

@@ -1,9 +1,8 @@
 // Package gen provides seeded synthetic sparse-matrix generators. They
 // stand in for the University of Florida collection the paper evaluates
-// on (see DESIGN.md, substitutions): each generator produces a family of
-// patterns — meshes, graphs, rectangular relations — that populate the
-// three matrix classes of the paper (rectangular, structurally symmetric,
-// square non-symmetric).
+// on: each generator produces a family of patterns — meshes, graphs,
+// rectangular relations — that populate the three matrix classes of the
+// paper (rectangular, structurally symmetric, square non-symmetric).
 //
 // All generators are deterministic given the *rand.Rand they receive and
 // return canonicalized (sorted, duplicate-free) pattern matrices.
