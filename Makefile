@@ -6,7 +6,7 @@ GO       ?= go
 DATE     := $(shell date -u +%F)
 BENCHOUT ?= BENCH_$(DATE).json
 
-.PHONY: build test race bench bench-json bench-scale3 bench-diff profile lint serve load-test smoke-service smoke-cluster smoke-membership smoke-chaos
+.PHONY: build test race bench bench-json bench-scale3 bench-diff profile lint perfbench-smoke serve load-test smoke-service smoke-cluster smoke-membership smoke-chaos
 
 build:
 	$(GO) build ./...
@@ -63,6 +63,21 @@ lint:
 		echo "internal packages nothing outside their tests imports:"; echo "$$unreached"; exit 1; fi
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
+
+# End-to-end smoke of the benchmark: every workload runs once for 2 s,
+# untraced. A run must exit 0 and end with a JSON line that reports
+# "correct":true, so a change that breaks a workload end to end fails
+# here, not only in paired benchmark runs.
+perfbench-smoke:
+	@for w in mesh-huge corpus-mix serve-zipf; do \
+		echo "perfbench-smoke: $$w"; \
+		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0) || \
+			{ echo "perfbench-smoke: $$w exited nonzero"; exit 1; }; \
+		last=$$(printf '%s\n' "$$out" | tail -n 1); \
+		case "$$last" in *'"correct":true'*) ;; \
+			*) echo "perfbench-smoke: $$w: last line lacks \"correct\":true: $$last"; exit 1 ;; esac; \
+		echo "$$last"; \
+	done
 
 # Run the partitioning-as-a-service daemon with persistence under ./mgserve-data.
 serve:
