@@ -118,8 +118,8 @@ type tieShape struct {
 // bipartitionScratch is the engine behind every bipartition entry point:
 // it indexes the matrix once and shares that CSR/CSC index between the
 // model build and iterative refinement, drawing all working memory from
-// the per-worker scratch. A canceled ctx aborts between
-// phases with ctx.Err(); an uncanceled ctx never changes any result bit.
+// the per-worker scratch. A canceled ctx aborts between phases with
+// ctx.Err(); an uncanceled ctx never changes any result bit.
 func bipartitionScratch(ctx context.Context, a *sparse.Matrix, shape tieShape, method Method, opts Options, rng *rand.Rand, pl *pool.Pool, sc *scratch) (*Result, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err

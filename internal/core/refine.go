@@ -22,14 +22,14 @@ import (
 // balance constraint ε is maintained.
 //
 // ix is a caller-built index of a shared by every iteration's model
-// build and the input's volume count; working memory is drawn from sc. Only the input's volume is counted: each FM
-// run returns the cut of its composite hypergraph, which is the volume
-// of the bipartition it decodes to (§III-A), so the loop tracks the
-// refined partition's volume and callers never pay a separate
-// evaluation. A canceled ctx stops the loop at the next iteration (or
-// FM-stride) boundary and returns the best partition found so far —
-// still never worse than the input; callers that must distinguish
-// report ctx.Err() themselves.
+// build and the input's volume count; working memory is drawn from sc.
+// Only the input's volume is counted: each FM run returns the cut of
+// its composite hypergraph, which is the volume of the bipartition it
+// decodes to (§III-A), so the loop tracks the refined partition's
+// volume and callers never pay a separate evaluation. A canceled ctx
+// stops the loop at the next iteration (or FM-stride) boundary and
+// returns the best partition found so far — still never worse than the
+// input; callers that must distinguish report ctx.Err() themselves.
 func iterativeRefineIndexed(ctx context.Context, a *sparse.Matrix, parts []int, opts Options, rng *rand.Rand, ix *sparse.Index, sc *scratch) ([]int, int64) {
 	if opts.TargetFrac == 0 {
 		opts.TargetFrac = 0.5
