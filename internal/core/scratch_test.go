@@ -64,7 +64,7 @@ func TestScratchOnePerGoroutine(t *testing.T) {
 		}
 
 		if warm := run(8, 6); warm.Volume != fresh.Volume || partsHash(warm.Parts) != partsHash(fresh.Parts) {
-			t.Fatalf("workers=%d: a call on warm scratches returned volume %d, a fresh engine %d, or different parts", w, warm.Volume, fresh.Volume)
+			t.Fatalf("workers=%d: a call on warm scratches gave volume %d (fresh engine: %d) or different parts", w, warm.Volume, fresh.Volume)
 		}
 		if partsHash(first.Parts) != want {
 			t.Fatalf("workers=%d: a later call changed an earlier result's parts", w)
