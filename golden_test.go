@@ -30,78 +30,78 @@ type goldenRow struct {
 // computed under the old semantics can never answer a current request.
 // On a mismatch the test prints the new table ready to paste here.
 var goldenTable = []goldenRow{
-	{"lap2d-24", "MG", 2, "default", 48, 0xf177dd2bd7c5b6e5},
-	{"lap2d-24", "MG", 16, "default", 259, 0x05a8494fdaef6bf5},
-	{"lap2d-24", "FG", 2, "default", 48, 0x5293c3fc6bcc6784},
-	{"lap2d-24", "FG", 16, "default", 273, 0xa5181db785fb5cab},
-	{"lap2d-24", "LB", 2, "default", 48, 0x5102ac1e57290515},
-	{"lap2d-24", "LB", 16, "default", 256, 0xc9067152a59800ca},
-	{"lap2d-24", "MG", 2, "refine", 48, 0xf177dd2bd7c5b6e5},
-	{"lap2d-24", "MG", 16, "refine", 276, 0x87d5a9e028f9e3d5},
-	{"lap2d-24", "MG", 2, "tries2", 48, 0xf177dd2bd7c5b6e5},
-	{"lap2d-24", "MG", 16, "tries2", 259, 0x05a8494fdaef6bf5},
-	{"lap2d-24", "MG", 2, "parallel-fm", 48, 0xf177dd2bd7c5b6e5},
-	{"lap2d-24", "MG", 16, "parallel-fm", 258, 0x955c096711aa6b27},
-	{"lap2d-24", "FG", 2, "parallel-fm", 48, 0x5293c3fc6bcc6784},
-	{"lap2d-24", "FG", 16, "parallel-fm", 277, 0x02d90aa50831b12d},
-	{"lap2d-24", "MG", 2, "alt", 48, 0xedf5cb45c9f579a5},
-	{"lap2d-24", "MG", 16, "alt", 285, 0xf984075244d34a66},
-	{"lap2d-24", "FG", 2, "alt", 48, 0xd87368fc9b0c41a4},
-	{"lap2d-24", "FG", 16, "alt", 280, 0x8cdafdde4b168a4b},
-	{"powerlaw-3", "MG", 2, "default", 156, 0xfe11e6b5542db2b5},
-	{"powerlaw-3", "MG", 16, "default", 774, 0x9caf16ed93dd912a},
-	{"powerlaw-3", "FG", 2, "default", 149, 0x6756f7208cdff425},
-	{"powerlaw-3", "FG", 16, "default", 805, 0x051f4901df6d826a},
-	{"powerlaw-3", "LB", 2, "default", 233, 0xcda4a69aec0339c4},
-	{"powerlaw-3", "LB", 16, "default", 867, 0xf10708f2ecc74a8f},
-	{"powerlaw-3", "MG", 2, "refine", 154, 0xbe9cf8757794b205},
-	{"powerlaw-3", "MG", 16, "refine", 743, 0x75c84c0521bde55d},
-	{"powerlaw-3", "MG", 2, "tries2", 154, 0xe2d13552cf520625},
-	{"powerlaw-3", "MG", 16, "tries2", 774, 0x9caf16ed93dd912a},
-	{"powerlaw-3", "MG", 2, "parallel-fm", 154, 0xba50f21d23f94b74},
-	{"powerlaw-3", "MG", 16, "parallel-fm", 766, 0x46e5179fcfae7603},
-	{"powerlaw-3", "FG", 2, "parallel-fm", 149, 0x7aa04835a93f1fd4},
-	{"powerlaw-3", "FG", 16, "parallel-fm", 787, 0x1dbb37d7b5640895},
-	{"powerlaw-3", "MG", 2, "alt", 152, 0x8c8b46f3ac5d6885},
-	{"powerlaw-3", "MG", 16, "alt", 799, 0x6b41989789ff5017},
-	{"powerlaw-3", "FG", 2, "alt", 151, 0xafce1ba64e591e74},
-	{"powerlaw-3", "FG", 16, "alt", 797, 0x806aca1352a0ae25},
-	{"asym-pl", "MG", 2, "default", 153, 0x39bb5164fe5b4754},
-	{"asym-pl", "MG", 16, "default", 747, 0x5de7ff001055a1ac},
-	{"asym-pl", "FG", 2, "default", 157, 0x7593474f9e16fa24},
-	{"asym-pl", "FG", 16, "default", 773, 0x0cb2d965d631168a},
-	{"asym-pl", "LB", 2, "default", 165, 0x6e41a16832618884},
-	{"asym-pl", "LB", 16, "default", 754, 0xfff4f7c32efd2546},
-	{"asym-pl", "MG", 2, "refine", 146, 0xb30abea54e34f154},
-	{"asym-pl", "MG", 16, "refine", 748, 0x3e2dcf3bea83d848},
-	{"asym-pl", "MG", 2, "tries2", 152, 0xc4c58ff297c43075},
-	{"asym-pl", "MG", 16, "tries2", 747, 0x5de7ff001055a1ac},
-	{"asym-pl", "MG", 2, "parallel-fm", 150, 0x1825ff5f6cb214a5},
-	{"asym-pl", "MG", 16, "parallel-fm", 758, 0xc6440b50cdd1f8ff},
-	{"asym-pl", "FG", 2, "parallel-fm", 162, 0xb31f23b9a9c510e4},
-	{"asym-pl", "FG", 16, "parallel-fm", 745, 0x51f5620ab0cbdcad},
-	{"asym-pl", "MG", 2, "alt", 151, 0x809c651a3eda08f5},
-	{"asym-pl", "MG", 16, "alt", 768, 0x01a317564992c7ef},
-	{"asym-pl", "FG", 2, "alt", 162, 0x3b9b08912416f1b4},
-	{"asym-pl", "FG", 16, "alt", 768, 0x9c75638653330afc},
-	{"bip-tall", "MG", 2, "default", 92, 0x7f6d055c1ac621c5},
-	{"bip-tall", "MG", 16, "default", 466, 0xa74ca58976bb0938},
-	{"bip-tall", "FG", 2, "default", 100, 0xa59bead5c0dbbe94},
-	{"bip-tall", "FG", 16, "default", 485, 0x23e00a663a08a6c3},
-	{"bip-tall", "LB", 2, "default", 92, 0xcf5420d302b45055},
-	{"bip-tall", "LB", 16, "default", 461, 0xe92e32b92d7f4ab0},
-	{"bip-tall", "MG", 2, "refine", 92, 0x7f6d055c1ac621c5},
-	{"bip-tall", "MG", 16, "refine", 468, 0x2ae42911f790e77c},
-	{"bip-tall", "MG", 2, "tries2", 90, 0xc1203896b93f4bb5},
-	{"bip-tall", "MG", 16, "tries2", 456, 0x774c7e8e6c4ac9c3},
-	{"bip-tall", "MG", 2, "parallel-fm", 91, 0x7572b760eaa65ea5},
-	{"bip-tall", "MG", 16, "parallel-fm", 460, 0x7e3ee36b909ddc2c},
-	{"bip-tall", "FG", 2, "parallel-fm", 93, 0x0df3074d0607b795},
-	{"bip-tall", "FG", 16, "parallel-fm", 469, 0x29688fb45f10f0d4},
-	{"bip-tall", "MG", 2, "alt", 88, 0xa2d45e8afcaa9c14},
-	{"bip-tall", "MG", 16, "alt", 467, 0x7956e1c29ce024f4},
-	{"bip-tall", "FG", 2, "alt", 97, 0xe4a4833f3fc7c675},
-	{"bip-tall", "FG", 16, "alt", 483, 0x943ce8182a93a642},
+	{"lap2d-24", "MG", 2, "default", 48, 0x5d806454065a1af4},
+	{"lap2d-24", "MG", 16, "default", 268, 0xee97f600739863f7},
+	{"lap2d-24", "FG", 2, "default", 48, 0x243443ab8e08f155},
+	{"lap2d-24", "FG", 16, "default", 286, 0x2de6db51c1f1e11a},
+	{"lap2d-24", "LB", 2, "default", 48, 0x0cc7554c24c9fdc4},
+	{"lap2d-24", "LB", 16, "default", 270, 0x54d9ec1bc08f53e5},
+	{"lap2d-24", "MG", 2, "refine", 48, 0x5d806454065a1af4},
+	{"lap2d-24", "MG", 16, "refine", 255, 0x07f25383d1014dd7},
+	{"lap2d-24", "MG", 2, "tries2", 48, 0x5d806454065a1af4},
+	{"lap2d-24", "MG", 16, "tries2", 268, 0xee97f600739863f7},
+	{"lap2d-24", "MG", 2, "parallel-fm", 48, 0x5d806454065a1af4},
+	{"lap2d-24", "MG", 16, "parallel-fm", 255, 0xf72fa5ef0a20e803},
+	{"lap2d-24", "FG", 2, "parallel-fm", 48, 0x243443ab8e08f155},
+	{"lap2d-24", "FG", 16, "parallel-fm", 282, 0x3886de5516e5eb9e},
+	{"lap2d-24", "MG", 2, "alt", 48, 0xfb9da74adae2b625},
+	{"lap2d-24", "MG", 16, "alt", 276, 0x86da80f53d4f1fb3},
+	{"lap2d-24", "FG", 2, "alt", 48, 0x61cf22bf55aeb115},
+	{"lap2d-24", "FG", 16, "alt", 277, 0xe12ed56b830595b8},
+	{"powerlaw-3", "MG", 2, "default", 152, 0xb423c6fa095703a5},
+	{"powerlaw-3", "MG", 16, "default", 791, 0x5346bbe5dc7cd568},
+	{"powerlaw-3", "FG", 2, "default", 160, 0x95692a16c8b28624},
+	{"powerlaw-3", "FG", 16, "default", 790, 0xc361f0cb9d038956},
+	{"powerlaw-3", "LB", 2, "default", 228, 0xa0c0e71597228ba4},
+	{"powerlaw-3", "LB", 16, "default", 847, 0xc814aa28e408ee4c},
+	{"powerlaw-3", "MG", 2, "refine", 152, 0xb423c6fa095703a5},
+	{"powerlaw-3", "MG", 16, "refine", 770, 0x5102f059281de583},
+	{"powerlaw-3", "MG", 2, "tries2", 152, 0xb423c6fa095703a5},
+	{"powerlaw-3", "MG", 16, "tries2", 791, 0x5346bbe5dc7cd568},
+	{"powerlaw-3", "MG", 2, "parallel-fm", 155, 0xe72a56a4cedb1485},
+	{"powerlaw-3", "MG", 16, "parallel-fm", 778, 0xb95cf1649d48176f},
+	{"powerlaw-3", "FG", 2, "parallel-fm", 159, 0x11d5492535dd3a25},
+	{"powerlaw-3", "FG", 16, "parallel-fm", 779, 0x1f2d1bb5ad91719d},
+	{"powerlaw-3", "MG", 2, "alt", 152, 0xa9b55d24663a2584},
+	{"powerlaw-3", "MG", 16, "alt", 796, 0x83802e2c7be5c106},
+	{"powerlaw-3", "FG", 2, "alt", 160, 0x8410c98f0d411164},
+	{"powerlaw-3", "FG", 16, "alt", 786, 0x673885b30ab498ec},
+	{"asym-pl", "MG", 2, "default", 154, 0x664070653e246f94},
+	{"asym-pl", "MG", 16, "default", 753, 0x3ae2ae1855e0b657},
+	{"asym-pl", "FG", 2, "default", 180, 0x49304911477b9f15},
+	{"asym-pl", "FG", 16, "default", 769, 0x2ea50d3522b995dc},
+	{"asym-pl", "LB", 2, "default", 161, 0x78287715b01d6815},
+	{"asym-pl", "LB", 16, "default", 757, 0x654623ec9e214d1c},
+	{"asym-pl", "MG", 2, "refine", 150, 0xd72e83de5d8d6e75},
+	{"asym-pl", "MG", 16, "refine", 746, 0xf82755bc2531ab29},
+	{"asym-pl", "MG", 2, "tries2", 154, 0x664070653e246f94},
+	{"asym-pl", "MG", 16, "tries2", 753, 0x3ae2ae1855e0b657},
+	{"asym-pl", "MG", 2, "parallel-fm", 153, 0x615f72f27700f224},
+	{"asym-pl", "MG", 16, "parallel-fm", 746, 0xfa1f9bfb2c6cfb55},
+	{"asym-pl", "FG", 2, "parallel-fm", 155, 0xb964c44278d304b4},
+	{"asym-pl", "FG", 16, "parallel-fm", 748, 0xebc8fcf7a4d121a5},
+	{"asym-pl", "MG", 2, "alt", 164, 0x0858fa034c721214},
+	{"asym-pl", "MG", 16, "alt", 776, 0x83e05d952e822eee},
+	{"asym-pl", "FG", 2, "alt", 163, 0x00c53d92313cced4},
+	{"asym-pl", "FG", 16, "alt", 789, 0xa1574b66ec7c63d8},
+	{"bip-tall", "MG", 2, "default", 90, 0x6c5de36272e6f354},
+	{"bip-tall", "MG", 16, "default", 471, 0x15e1162eb6510e4a},
+	{"bip-tall", "FG", 2, "default", 100, 0x2a5b9b98d12efa94},
+	{"bip-tall", "FG", 16, "default", 490, 0x60374026bbdf3e5a},
+	{"bip-tall", "LB", 2, "default", 91, 0x25d612eb25bdd745},
+	{"bip-tall", "LB", 16, "default", 464, 0xd64abf1dd71edeaf},
+	{"bip-tall", "MG", 2, "refine", 90, 0x6c5de36272e6f354},
+	{"bip-tall", "MG", 16, "refine", 461, 0x58b2655107dc0f8a},
+	{"bip-tall", "MG", 2, "tries2", 88, 0x453d6296c81b8ae4},
+	{"bip-tall", "MG", 16, "tries2", 467, 0x878459655bafaebf},
+	{"bip-tall", "MG", 2, "parallel-fm", 87, 0x6d3efc0f6ef671e4},
+	{"bip-tall", "MG", 16, "parallel-fm", 460, 0xed71c9d9486b1afa},
+	{"bip-tall", "FG", 2, "parallel-fm", 98, 0x25b1d5ec742af304},
+	{"bip-tall", "FG", 16, "parallel-fm", 481, 0x65def5ad8bbeff48},
+	{"bip-tall", "MG", 2, "alt", 89, 0xc332dc368f6bfb14},
+	{"bip-tall", "MG", 16, "alt", 464, 0x741d7a4f0e8c631c},
+	{"bip-tall", "FG", 2, "alt", 96, 0x4116a148e11554c5},
+	{"bip-tall", "FG", 16, "alt", 486, 0xf7629601fd6dad95},
 }
 
 // goldenVariants are the request shapes the table covers and the

@@ -134,7 +134,7 @@ func MatrixHash(a *sparse.Matrix) string {
 // of the key, and so is the full race-to-best search spec (tries,
 // budgetMS): a best-of-N result must never answer a single-run request
 // or a different N, and a budgeted race is not even deterministic. The
-// version tag ("mgserve/10") is bumped with every key-shape change and
+// version tag ("mgserve/11") is bumped with every key-shape change and
 // every algorithm change that moves per-seed results, so results
 // computed under older semantics can never answer a current request.
 // Callers pass tries normalized (>= 1) and budgetMS >= 0.
@@ -144,7 +144,7 @@ func MatrixHash(a *sparse.Matrix) string {
 // shards by it.
 func CacheKey(matrixHash string, p int, method string, seed int64, eps float64, refine, parallelFM bool, tries, budgetMS int) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "mgserve/10|%s|p=%d|m=%s|seed=%d|eps=%g|refine=%t|parallelfm=%t|tries=%d|budget=%dms",
+	fmt.Fprintf(h, "mgserve/11|%s|p=%d|m=%s|seed=%d|eps=%g|refine=%t|parallelfm=%t|tries=%d|budget=%dms",
 		matrixHash, p, method, seed, eps, refine, parallelFM, tries, budgetMS)
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }

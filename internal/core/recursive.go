@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 
+	"mediumgrain/internal/hgpart"
 	"mediumgrain/internal/pool"
 	"mediumgrain/internal/sparse"
 )
@@ -125,7 +126,7 @@ func bisect(ctx context.Context, a *sparse.Matrix, subset []int, base, q int, pa
 	var errL, errR error
 	pl.Fork(func() {
 		errL = bisect(ctx, a, left, base, q0, parts, method, opts, delta,
-			rand.New(rand.NewSource(seedL)), pl, st, sc, hooks)
+			hgpart.NewStream(seedL), pl, st, sc, hooks)
 	}, func(spawned bool) {
 		scR := sc
 		if spawned {
@@ -133,7 +134,7 @@ func bisect(ctx context.Context, a *sparse.Matrix, subset []int, base, q int, pa
 			defer st.put(scR)
 		}
 		errR = bisect(ctx, a, right, base+q0, q1, parts, method, opts, delta,
-			rand.New(rand.NewSource(seedR)), pl, st, scR, hooks)
+			hgpart.NewStream(seedR), pl, st, scR, hooks)
 	})
 	if errL != nil {
 		return errL

@@ -193,7 +193,7 @@ func TestSplitVolumesSumToVolume(t *testing.T) {
 func TestEmptyNodesSkipped(t *testing.T) {
 	a := gen.Laplacian2D(6, 6)
 	const p, levels = 4096, 12
-	const wantHash = 0xa14e9b1e4c4a5d0b
+	const wantHash = 0xaa83effc19ce590b
 	for _, w := range []int{0, 2} {
 		var splits atomic.Int64
 		hooks := &runHooks{onSplit: func(int64) { splits.Add(1) }}

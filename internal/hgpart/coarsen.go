@@ -163,20 +163,12 @@ func matchHeavy(h *hypergraph.Hypergraph, seed uint64, mate []int32, netLimit in
 	sc.keepMatchCand(cand)
 }
 
-// splitmix64 returns the output of the splitmix64 generator at state x.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // tieHash ranks vertex v among equally connected matching candidates:
 // the v-th output of a splitmix64 stream started at the level's seed.
 // For a fixed seed it is a bijection of v (an odd multiplier and the
 // splitmix64 steps are all invertible), so no two candidates tie.
 func tieHash(seed uint64, v int32) uint64 {
-	return splitmix64(seed + uint64(v)*0x9e3779b97f4a7c15)
+	return splitmix64(seed + uint64(v)*splitmixGamma)
 }
 
 // pinHash scrambles a coarse vertex id (splitmix64 at state v). A net's

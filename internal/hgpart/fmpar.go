@@ -44,7 +44,7 @@ const (
 // parts is overwritten with the winning bipartition; the winning cut
 // is returned.
 func refineRace(ctx context.Context, h *hypergraph.Hypergraph, parts []int, maxW [2]int64, rng *rand.Rand, cfg Config, pl *pool.Pool) int64 {
-	side := rand.New(rand.NewSource(raceSalt(parts)))
+	side := NewStream(raceSalt(parts))
 	seeds := make([]int64, raceTries)
 	for t := 1; t < raceTries; t++ {
 		seeds[t] = side.Int63()
@@ -57,7 +57,7 @@ func refineRace(ctx context.Context, h *hypergraph.Hypergraph, parts []int, maxW
 		// Try 0 owns the caller's stream; no other try touches it.
 		rt := rng
 		if t > 0 {
-			rt = rand.New(rand.NewSource(seeds[t]))
+			rt = NewStream(seeds[t])
 		}
 		tparts := append([]int(nil), parts...)
 		return tparts, refine(ctx, h, tparts, maxW, rt, tcfg, nil, sc)

@@ -150,9 +150,8 @@ func BipartitionCapsPool(h *hypergraph.Hypergraph, maxW [2]int64, rng *rand.Rand
 // check ctx.Err() before trusting the result. An uncanceled ctx never
 // changes any result bit.
 func Bipartition(ctx context.Context, h *hypergraph.Hypergraph, maxW [2]int64, rng *rand.Rand, cfg Config, pl *pool.Pool, sc *Scratch) ([]int, int64) {
-	parts := make([]int, h.NumVerts)
 	if h.NumVerts == 0 {
-		return parts, 0
+		return []int{}, 0
 	}
 	if sc == nil {
 		sc = new(Scratch)
@@ -170,18 +169,26 @@ func Bipartition(ctx context.Context, h *hypergraph.Hypergraph, maxW [2]int64, r
 		coarsest = levels[len(levels)-1].coarse
 	}
 	if ctx.Err() != nil {
-		return parts, 0
+		return make([]int, h.NumVerts), 0
 	}
 
 	// Weight caps carry over unchanged: contraction preserves total
-	// weight.
+	// weight. The tries have run FM on the coarsest level already, so
+	// the winner is refined next on the finer level it projects to;
+	// only an input that did not coarsen is refined here, under its own
+	// rule.
 	cparts := initialPartition(ctx, coarsest, maxW, rng, cfg, pl)
-	refine(ctx, coarsest, cparts, maxW, rng, cfg, pl, sc)
+	var cut int64
+	if len(levels) == 0 {
+		cut = refine(ctx, h, cparts, maxW, rng, cfg, pl, sc)
+	}
 
 	// Project back up, refining at every level (the V-cycle downstroke).
+	// The last refine runs on h itself, and FM tracks the cut exactly,
+	// so its cut is the result's.
 	for li := len(levels) - 1; li >= 0; li-- {
 		if ctx.Err() != nil {
-			return parts, 0
+			return make([]int, h.NumVerts), 0
 		}
 		var fine *hypergraph.Hypergraph
 		if li == 0 {
@@ -196,15 +203,13 @@ func Bipartition(ctx context.Context, h *hypergraph.Hypergraph, maxW [2]int64, r
 				fparts[v] = cparts[vmap[v]]
 			}
 		})
-		refine(ctx, fine, fparts, maxW, rng, cfg, pl, sc)
+		cut = refine(ctx, fine, fparts, maxW, rng, cfg, pl, sc)
 		cparts = fparts
 	}
-	copy(parts, cparts)
 	if ctx.Err() != nil {
-		return parts, 0
+		return cparts, 0
 	}
-	cut := h.ConnectivityMinusOne(parts, 2)
-	return parts, cut
+	return cparts, cut
 }
 
 // capsToEps recovers an equivalent eps from weight caps for coarsening's
@@ -254,7 +259,7 @@ func initialPartition(ctx context.Context, h *hypergraph.Hypergraph, maxW [2]int
 	// The pool is already saturated with whole tries, so each try's
 	// refinement runs inline.
 	parts, _ := bestTry(h, maxW, tries, pl, func(t int, sc *Scratch) ([]int, int64) {
-		rt := rand.New(rand.NewSource(seeds[t]))
+		rt := NewStream(seeds[t])
 		parts := greedyGrow(h, maxW, rt)
 		return parts, refine(ctx, h, parts, maxW, rt, tcfg, nil, sc)
 	})
@@ -315,6 +320,7 @@ func greedyGrow(h *hypergraph.Hypergraph, maxW [2]int64, rng *rand.Rand) []int {
 	}
 
 	visited := make([]bool, h.NumVerts)
+	expanded := make([]bool, h.NumNets)
 	queue := make([]int32, 0, h.NumVerts)
 	var grown int64
 
@@ -349,6 +355,10 @@ func greedyGrow(h *hypergraph.Hypergraph, maxW [2]int64, rng *rand.Rand) []int {
 		parts[v] = 0
 		grown += h.VertWt[v]
 		for _, n := range h.NetsOf(int(v)) {
+			if expanded[n] {
+				continue
+			}
+			expanded[n] = true
 			for _, u := range h.NetPins(int(n)) {
 				if !visited[u] {
 					visited[u] = true

@@ -10,6 +10,7 @@ import (
 
 	"mediumgrain/internal/gen"
 	"mediumgrain/internal/hypergraph"
+	"mediumgrain/internal/pool"
 	"mediumgrain/internal/sparse"
 )
 
@@ -59,6 +60,46 @@ func TestBipartitionReturnsConsistentCut(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBipartitionCutMatchesRecount: Bipartition returns the cut its last
+// FM run tracked on the input instead of recounting it. For both presets
+// and ParallelFM, on inputs that coarsen and one that does not, that cut
+// must equal an independent recount; under a canceled ctx it is 0.
+func TestBipartitionCutMatchesRecount(t *testing.T) {
+	pfm := ConfigMondriaanLike()
+	pfm.ParallelFM = true
+	configs := []struct {
+		name string
+		cfg  Config
+	}{{"default", ConfigMondriaanLike()}, {"alt", ConfigAlt()}, {"parallel-fm", pfm}}
+	inputs := []struct {
+		name string
+		h    *hypergraph.Hypergraph
+	}{
+		{"grid-600", gridHypergraph(600)},
+		{"random-1500", parmatchHypergraph(3, 1500, 900, 6)},
+		{"weighted", fmTestHypergraph(rand.New(rand.NewSource(4)), 200, 150, true)},
+		{"uncoarsened-60", randomHypergraph(rand.New(rand.NewSource(5)), 60, 40)},
+	}
+	pl := pool.New(2)
+	for _, c := range configs {
+		for _, in := range inputs {
+			maxW := balancedCaps(in.h.TotalWeight(), 0.03)
+			for seed := int64(1); seed <= 4; seed++ {
+				parts, cut := Bipartition(context.Background(), in.h, maxW, rand.New(rand.NewSource(seed)), c.cfg, pl, new(Scratch))
+				if want := in.h.ConnectivityMinusOne(parts, 2); cut != want {
+					t.Errorf("%s %s seed %d: returned cut %d, recount %d", c.name, in.name, seed, cut, want)
+				}
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	h := gridHypergraph(600)
+	if _, cut := Bipartition(ctx, h, balancedCaps(h.TotalWeight(), 0.03), rand.New(rand.NewSource(1)), ConfigMondriaanLike(), nil, nil); cut != 0 {
+		t.Errorf("canceled run returned cut %d, want 0", cut)
 	}
 }
 
