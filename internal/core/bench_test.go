@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mediumgrain/internal/corpus"
 	"mediumgrain/internal/gen"
 	"mediumgrain/internal/metrics"
 )
@@ -60,6 +61,34 @@ func BenchmarkRootBisection(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPartitionCorpusMix partitions the inputs of perfbench's
+// corpus-mix workload once per iteration: the 30 scale-2 corpus matrices
+// (corpus seed 1) at p ∈ {2, 8, 16} with MG on one two-worker engine,
+// input k with seed k+1. The inputs are small and cache-resident, so a
+// bisection node's fixed cost shows. It reports the summed volume.
+func BenchmarkPartitionCorpusMix(b *testing.B) {
+	instances := corpus.Build(corpus.Options{Scale: 2, Seed: 1})
+	eng := NewEngine(2)
+	var vol int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vol = 0
+		seed := int64(1)
+		for _, in := range instances {
+			for _, p := range []int{2, 8, 16} {
+				res, err := eng.Partition(context.Background(), in.A, p, MethodMediumGrain, DefaultOptions(), rand.New(rand.NewSource(seed)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				vol += res.Volume
+				seed++
+			}
+		}
+	}
+	b.ReportMetric(float64(vol), "volume")
 }
 
 func BenchmarkRecursiveP16(b *testing.B) {

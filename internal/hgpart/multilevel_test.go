@@ -43,6 +43,11 @@ func refineBipartition(h *hypergraph.Hypergraph, parts []int, eps float64, rng *
 	return RefineBipartition(context.Background(), h, parts, balancedCaps(h.TotalWeight(), eps), rng, cfg, nil)
 }
 
+// TestBipartitionReturnsConsistentCut: Bipartition returns the cut its
+// last FM run tracked on the input instead of recounting it. That cut
+// must equal an independent recount on small random inputs, and for
+// both presets and ParallelFM on inputs that coarsen and one that does
+// not; under a canceled ctx it is 0.
 func TestBipartitionReturnsConsistentCut(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -61,13 +66,7 @@ func TestBipartitionReturnsConsistentCut(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
-}
 
-// TestBipartitionCutMatchesRecount: Bipartition returns the cut its last
-// FM run tracked on the input instead of recounting it. For both presets
-// and ParallelFM, on inputs that coarsen and one that does not, that cut
-// must equal an independent recount; under a canceled ctx it is 0.
-func TestBipartitionCutMatchesRecount(t *testing.T) {
 	pfm := ConfigMondriaanLike()
 	pfm.ParallelFM = true
 	configs := []struct {
@@ -95,6 +94,7 @@ func TestBipartitionCutMatchesRecount(t *testing.T) {
 			}
 		}
 	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	h := gridHypergraph(600)

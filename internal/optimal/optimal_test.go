@@ -2,6 +2,7 @@ package optimal
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -170,6 +171,49 @@ func TestHeuristicsReachOptimal(t *testing.T) {
 		}
 		if best > opt.Volume+2 {
 			t.Errorf("trial %d: MG+IR best %d far from optimum %d on %v", trial, best, opt.Volume, a)
+		}
+	}
+}
+
+// TestEveryMethodAgainstOptimum is a differential test of every method
+// against the exact optimum on seeded random instances of at most 24
+// nonzeros: RN, CN, LB, FG and MG, each with and without Algorithm 2,
+// on an inline engine and a two-worker one. A bipartition's Volume is
+// the cut its model's last FM run tracked, never a recount, so it must
+// equal metrics.Volume of its parts; and no balanced result may report
+// less than the proven optimum.
+func TestEveryMethodAgainstOptimum(t *testing.T) {
+	methods := []core.Method{core.MethodRowNet, core.MethodColNet, core.MethodLocalBest, core.MethodFineGrain, core.MethodMediumGrain}
+	engines := []*core.Engine{core.NewEngine(0), core.NewEngine(2)}
+	rng := rand.New(rand.NewSource(2024))
+	for trial := 0; trial < 100; trial++ {
+		a := randomTiny(rng, 24)
+		opt, err := Bipartition(a, 0.03)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range methods {
+			for _, refine := range []bool{false, true} {
+				opts := core.DefaultOptions()
+				opts.Refine = refine
+				for w, eng := range engines {
+					for seed := int64(1); seed <= 3; seed++ {
+						res, err := eng.Bipartition(context.Background(), a, m, opts, rand.New(rand.NewSource(seed)))
+						if err != nil {
+							t.Fatal(err)
+						}
+						where := func() string {
+							return fmt.Sprintf("trial %d %v refine=%t engine %d seed %d on %v", trial, m, refine, w, seed, a)
+						}
+						if v := metrics.Volume(a, res.Parts, 2); res.Volume != v {
+							t.Errorf("%s: reported volume %d, recount %d", where(), res.Volume, v)
+						}
+						if metrics.CheckBalance(res.Parts, 2, opts.Eps) == nil && res.Volume < opt.Volume {
+							t.Errorf("%s: balanced result reports volume %d below the optimum %d", where(), res.Volume, opt.Volume)
+						}
+					}
+				}
+			}
 		}
 	}
 }
