@@ -64,7 +64,7 @@ func main() {
 		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel worker count benchmarked against workers=1")
 		quick      = flag.Bool("quick", false, "CI smoke mode: small grid, 1 run")
 		eps        = flag.Float64("eps", 0.03, "allowed load imbalance")
-		parallelFM = flag.Bool("parallel-fm", false, "benchmark coarse-level FM try racing (about 1.2% less volume for about 60% more wall time)")
+		parallelFM = flag.Bool("parallel-fm", false, "benchmark coarse-level FM try racing (about 1.4% less volume for about 55% more wall time)")
 		tries      = flag.Int("tries", 1, "race-to-best search width per grid point (>1 races seed variants and reports a quality-vs-time frontier)")
 		budget     = flag.Duration("budget", 0, "wall-time budget per search (0 = none); only meaningful with -tries > 1")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile of the whole grid here")

@@ -71,7 +71,7 @@ func main() {
 		psFlag     = flag.String("ps", "2,4,8", "comma-separated part counts")
 		seeds      = flag.Int("seeds", 2, "partitioning seeds per (matrix, p): 1..n")
 		method     = flag.String("method", "MG", "partitioning method")
-		parallelFM = flag.Bool("parallel-fm", false, "request coarse-level FM try racing (about 1.2% less volume for about 60% more compute)")
+		parallelFM = flag.Bool("parallel-fm", false, "request coarse-level FM try racing (about 1.4% less volume for about 55% more compute)")
 		theta      = flag.Float64("zipf", 0.9, "Zipf skew over the spec space (0 = uniform)")
 		seed       = flag.Int64("seed", 1, "load-generator RNG seed")
 		poll       = flag.Duration("poll", 2*time.Millisecond, "poll interval while a job runs")

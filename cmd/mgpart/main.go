@@ -49,7 +49,7 @@ func main() {
 		eps        = flag.Float64("eps", 0.03, "allowed load imbalance")
 		ir         = flag.Bool("ir", false, "apply iterative refinement")
 		engine     = flag.String("engine", "mondriaan", "hypergraph engine: mondriaan or alt")
-		parallelFM = flag.Bool("parallel-fm", false, "race FM tries on the coarse levels: about 1.2% less volume for about 60% more wall time; per-seed results differ from the default but are identical at every -workers")
+		parallelFM = flag.Bool("parallel-fm", false, "race FM tries on the coarse levels: about 1.4% less volume for about 55% more wall time; per-seed results differ from the default but are identical at every -workers")
 		seed       = flag.Int64("seed", 1, "random seed")
 		tries      = flag.Int("tries", 1, "race-to-best search width (>1 races seed variants seed..seed+N-1)")
 		budget     = flag.Duration("budget", 0, "wall-time budget for the search race (0 = none)")

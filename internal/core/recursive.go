@@ -51,8 +51,10 @@ func (h *runHooks) split(vol int64) {
 // worker pool (nil = inline). Each node draws the two child seeds from
 // its own rng in a fixed order before forking, so every subtree owns an
 // independent deterministic RNG stream and the partitioning does not
-// depend on scheduling or pool size. The two recursive calls write
-// disjoint index sets of parts, making the concurrent writes safe.
+// depend on scheduling or pool size. A child's stream is a
+// hgpart.NewStream, seeded in one store: a node seeds two, and a leaf
+// never draws from its stream. The two recursive calls write disjoint
+// index sets of parts, making the concurrent writes safe.
 //
 // Each node works on its subproblem relabeled to the occupied rows and
 // columns (a compact view) — O(nnz(sub)) per node instead of the

@@ -41,31 +41,39 @@
 // # Initial partitioning
 //
 // The coarsest level gets Config.InitTries independent tries, each on
-// its own RNG stream seeded from the run's RNG in try order. A try grows
-// part 0 breadth-first through net neighborhoods from a random seed
-// vertex until it holds part 0's share of the caps — half the weight
-// when they are equal (greedy hypergraph growing, PaToH's default) —
-// then FM refines it; the best try by (overload, cut, lowest index)
-// wins. A grown part starts near a local optimum, so FM converges in few
-// moves: four grown tries reach the volume of eight random-assignment
-// tries, the start this package used before, in less than half their
-// CPU time. Growing to half under the uneven caps of a node with an odd
-// number of parts (2:1 at three) left 42% of the starts overloaded
-// (scale-1 corpus, p ∈ {3, 5, 6, 12}, three seeds), each then
-// rebalanced by exact passes; growing to the share leaves 1%.
+// its own stream (NewStream, a splitmix64 generator seeded in one store)
+// seeded from the run's RNG in try order. A try grows part 0
+// breadth-first through net neighborhoods from a random seed vertex
+// until it holds part 0's share of the caps — half the weight when they
+// are equal (greedy hypergraph growing, PaToH's default) — then FM
+// refines it; the best try by (overload, cut, lowest index) wins. A
+// grown part starts near a local optimum, so FM converges in few moves:
+// four grown tries reach the volume of eight random-assignment tries,
+// the start this package used before, in less than half their CPU time.
+// Growing to half under the uneven caps of a node with an odd number of
+// parts (2:1 at three) left 42% of the starts overloaded (scale-1
+// corpus, p ∈ {3, 5, 6, 12}, three seeds), each then rebalanced by exact
+// passes; growing to the share leaves 1%.
 //
-// The tries only pick a start: Bipartition refines the winner again
-// under the coarsest level's own rule. So unless Config.EarlyExit is
-// set, every pass of a try stops after 16 + nv/16 consecutive
-// non-improving moves, where a boundary pass elsewhere goes on for
-// 64 + nv/16 and an exact one to exhaustion. Under the longer rule,
-// over the 90 calls of the perfbench corpus-mix workload
-// (the 30 scale-2 corpus matrices at p ∈ {2, 8, 16}, inline), 85% of
-// the FM moves on levels of at most 256 vertices were rolled back, and
-// 96% of the new best states came at most 16 non-improving moves after
-// the previous one. The short exit cut the tries' FM moves from 637k to
-// 245k and initial partitioning's time from 712 to 405 ms (medians of
-// eight runs) for 0.07% more summed volume.
+// The tries only pick a start, so unless Config.EarlyExit is set, every
+// pass of a try stops after 16 + nv/16 consecutive non-improving moves,
+// where a boundary pass elsewhere goes on for 64 + nv/16 and an exact
+// one to exhaustion. Under the longer rule, over the 90 calls of the
+// perfbench corpus-mix workload (the 30 scale-2 corpus matrices at
+// p ∈ {2, 8, 16}, inline), 85% of the FM moves on levels of at most 256
+// vertices were rolled back, and 96% of the new best states came at most
+// 16 non-improving moves after the previous one. The short exit cut the
+// tries' FM moves from 637k to 245k and initial partitioning's time from
+// 712 to 405 ms (medians of eight runs) for 0.07% more summed volume.
+//
+// The winner is not refined again on the coarsest level. Its try ran FM
+// there until a pass stopped improving (2.7 passes per try, on coarsest
+// levels of 104 vertices on average, over the calls above), and a
+// second run there lowered the cut in 21 of 635 bisections, by 58 nets
+// in all, for 4% of the calls' inline time. Bipartition therefore
+// projects the winner and refines it first on the next finer level. An
+// input that did not coarsen is its own coarsest level, so its winner
+// is refined once more under the input's own rule.
 //
 // # The refinement engine
 //

@@ -40,23 +40,25 @@ type Config struct {
 	// InitTries is the number of initial partitions attempted at the
 	// coarsest level (default 4). Every try grows its part 0 greedily
 	// from a random seed vertex (greedyGrow) before FM refines it; the
-	// winner is then refined once more under the level's own FM rule.
+	// winner is refined next on the finer level it projects to, or, on
+	// an input that did not coarsen, once more under the input's own FM
+	// rule.
 	InitTries int
 	// MaxPasses bounds FM passes per refinement run (default 8).
 	MaxPasses int
 	// EarlyExit aborts an FM pass after this many consecutive moves
 	// without a new best state, in every pass of every level. 0 selects
-	// 16 + nv/16 for every pass of the initial tries, which only pick
-	// the coarsest level's start, and elsewhere 64 + nv/16 for boundary
-	// passes and exhaustion for exact ones.
+	// 16 + nv/16 for every pass of the initial tries, whose winner
+	// every finer level refines again, and elsewhere 64 + nv/16 for
+	// boundary passes and exhaustion for exact ones.
 	EarlyExit int
 	// ParallelFM spends the worker budget inside refinement itself:
 	// refine calls on coarse levels (at most 2048 vertices) race four
 	// independent FM pass sequences on the pool and keep the best
 	// result; finer levels refine serially. It is a quality knob: on the
-	// scale-1 mgbench grid (15 seeds, workers 2) it costs about 60% more
-	// wall time for about 1.2% less total volume, a better trade than
-	// Search.Tries = 2 (about 75% more for 1.0% less). It is a mode
+	// scale-1 mgbench grid (15 seeds, workers 2) it costs about 55% more
+	// wall time for about 1.4% less total volume, a better trade than
+	// Search.Tries = 2 (about 60% more for 1.0% less). It is a mode
 	// switch: per-seed partitions differ from the default, but within
 	// the mode every result is bit-identical per seed at every worker
 	// count (including a nil pool). Default off.
@@ -79,11 +81,14 @@ type Config struct {
 // p ∈ {2, 8, 16} and moved the final volume by about 1%. Four greedy
 // restarts cut that run's median call latency by about 30% at 1–2%
 // lower volume, and the total volume of the 15-seed mgbench grid moved
-// by ×1.002. Since the winner is refined again anyway, each try's FM
-// stops after 16 + nv/16 non-improving moves (see initialPartition),
-// which cut initial partitioning from 47% to 34% of an inline run over
-// the same inputs and the median call of perfbench's corpus-mix
-// workload from 9.49 to 8.20 ms, for ×1.0024 on the grid's volume.
+// by ×1.002. Since every finer level refines the winner again, each
+// try's FM stops after 16 + nv/16 non-improving moves (see
+// initialPartition), which cut initial partitioning from 47% to 34% of
+// an inline run over the same inputs and the median call of perfbench's
+// corpus-mix workload from 9.49 to 8.20 ms, for ×1.0024 on the grid's
+// volume. The winner is not refined a second time on the coarsest
+// level, where its try's FM has already converged: it is refined first
+// on the next finer level (see Bipartition).
 //
 // Its matching departs from Mondriaan's random visiting order too:
 // heavy-connectivity matching sweeps the vertices in index order and
@@ -129,8 +134,12 @@ func BipartitionCapsPool(h *hypergraph.Hypergraph, maxW [2]int64, rng *rand.Rand
 // Bipartition splits the hypergraph into two parts whose weights stay
 // within the per-part caps maxW, and returns the per-vertex parts and
 // the cut-net count (= λ−1 volume for p = 2). It runs the multilevel
-// V-cycle: coarsen, partition the coarsest level, then project back up
-// refining at every level.
+// V-cycle: coarsen, partition the coarsest level with the initial
+// tries, then project back up refining at every finer level. The tries
+// have already run FM on the coarsest level, so it is refined again
+// only when it is h itself, an input that did not coarsen. The last FM
+// run is therefore always on h, and FM tracks the cut exactly, so the
+// returned cut is that run's, not a recount.
 //
 // The pool only affects wall-clock time: for a given cfg and rng seed
 // the result is bit-identical whether pl is nil (inline execution) or
@@ -173,10 +182,8 @@ func Bipartition(ctx context.Context, h *hypergraph.Hypergraph, maxW [2]int64, r
 	}
 
 	// Weight caps carry over unchanged: contraction preserves total
-	// weight. The tries have run FM on the coarsest level already, so
-	// the winner is refined next on the finer level it projects to;
-	// only an input that did not coarsen is refined here, under its own
-	// rule.
+	// weight. The tries ran FM on the coarsest level, so it is refined
+	// again only when it is h.
 	cparts := initialPartition(ctx, coarsest, maxW, rng, cfg, pl)
 	var cut int64
 	if len(levels) == 0 {
@@ -184,8 +191,6 @@ func Bipartition(ctx context.Context, h *hypergraph.Hypergraph, maxW [2]int64, r
 	}
 
 	// Project back up, refining at every level (the V-cycle downstroke).
-	// The last refine runs on h itself, and FM tracks the cut exactly,
-	// so its cut is the result's.
 	for li := len(levels) - 1; li >= 0; li-- {
 		if ctx.Err() != nil {
 			return make([]int, h.NumVerts), 0
@@ -229,14 +234,15 @@ func capsToEps(h *hypergraph.Hypergraph, maxW [2]int64) float64 {
 // initialPartition grows cfg.InitTries initial bipartitions of the
 // coarsest hypergraph greedily, FM-refines each, and keeps the best by
 // (overload, cut). The tries run as independent subproblems on the pool,
-// each with its own RNG stream seeded from rng in try order; the winner
+// each on its own NewStream seeded from rng in try order; the winner
 // (lowest try index among ties) is therefore the same for every pool
 // size.
 //
-// The tries only select a start: Bipartition refines the winner again
-// under the level's own rule. Unless cfg.EarlyExit is set, each try's
-// FM passes therefore stop after defaultInitTryExit + nv/16 consecutive
-// non-improving moves, exact passes from an overloaded start included.
+// The tries only select a start: every finer level refines the winner
+// again, and so does Bipartition on an input that did not coarsen.
+// Unless cfg.EarlyExit is set, each try's FM passes therefore stop
+// after defaultInitTryExit + nv/16 consecutive non-improving moves,
+// exact passes from an overloaded start included.
 // The exit depends on nv alone, so it keeps every result a function of
 // the input, the seed and cfg.
 func initialPartition(ctx context.Context, h *hypergraph.Hypergraph, maxW [2]int64, rng *rand.Rand, cfg Config, pl *pool.Pool) []int {
@@ -305,6 +311,9 @@ func bestTry(h *hypergraph.Hypergraph, maxW [2]int64, tries int, pl *pool.Pool, 
 // uneven caps (a recursive-bisection node with an odd number of parts
 // gives part 1 less than half, a third at three parts) would overload
 // part 1 and leave the try to FM's exact rebalancing passes.
+//
+// Each net is expanded once: the first expansion queues all its pins,
+// so a second would queue nothing.
 func greedyGrow(h *hypergraph.Hypergraph, maxW [2]int64, rng *rand.Rand) []int {
 	parts := make([]int, h.NumVerts)
 	for v := range parts {

@@ -37,9 +37,10 @@ func (s *splitmixSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 // NewStream returns a random stream over a splitmixSource seeded with
 // seed. Every stream below a call's root is one: a bisection node's
 // children, each initial-partition try, and ParallelFM's side stream
-// and raced tries. A bisection node seeds two children and four tries,
-// and a leaf never draws from its stream, so seeding has to cost
-// nothing. The root stream stays the caller's.
+// and raced tries. A bisection node seeds two children and one stream
+// per try (four by default), and a leaf never draws from its stream, so
+// seeding has to cost next to nothing. The root stream stays the
+// caller's.
 func NewStream(seed int64) *rand.Rand {
 	return rand.New(&splitmixSource{state: uint64(seed)})
 }

@@ -78,9 +78,9 @@
 //     displaces the serial result only when strictly better.
 //
 // ParallelFM is a quality knob, not a speedup: on the scale-1 mgbench
-// grid (15 seeds, two workers) it costs about 60% more wall time for
-// about 1.2% less total volume, a better trade than Search.Tries = 2
-// (about 75% more time for 1.0% less volume). It is a mode switch:
+// grid (15 seeds, two workers) it costs about 55% more wall time for
+// about 1.4% less total volume, a better trade than Search.Tries = 2
+// (about 60% more time for 1.0% less volume). It is a mode switch:
 // per-seed results differ from the default — the bench suite gates its
 // quality delta at <= 5% volume per grid point — but within the mode
 // results are bit-identical for a given seed at every worker count, 0
